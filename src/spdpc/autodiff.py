@@ -253,10 +253,16 @@ def _forward(kind, vals, attrs):
         if a.ndim != 2:
             raise ShapeError(f"transpose: expected 2-D, got {a.shape}")
         return a.T
+    if kind == "reshape":
+        (a,) = vals
+        shape = attrs["shape"]
+        if int(np.prod(shape)) != a.size:
+            raise ShapeError(f"reshape: cannot reshape {a.shape} into {shape}")
+        return a.reshape(shape)
     if kind == "l2norm":
         (a,) = vals
-        if a.ndim not in (1, 2):
-            raise ShapeError(f"l2norm: expected 1-D or 2-D, got {a.shape}")
+        if a.ndim < 1:
+            raise ShapeError(f"l2norm: expected at least 1-D, got {a.shape}")
         return np.asarray(np.sqrt(np.sum(a * a, axis=-1)))
     raise ValueError(f"unknown operation kind {kind!r}")
 
@@ -328,15 +334,13 @@ def _vjp(node, g):
         return [(0, full)]
     if kind == "transpose":
         return [(0, g.T)]
+    if kind == "reshape":
+        return [(0, g.reshape(vals[0].shape))]
     if kind == "l2norm":
         (a,) = vals
         norms = node.values
         safe = np.where(norms > 0.0, norms, 1.0)
-        if a.ndim == 1:
-            grad = (g / safe) * a if norms > 0.0 else np.zeros_like(a)
-        else:
-            grad = (g / safe)[:, None] * a
-            grad[norms == 0.0] = 0.0
+        grad = np.where((norms > 0.0)[..., None], (g / safe)[..., None] * a, 0.0)
         return [(0, grad)]
     raise ValueError(f"unknown operation kind {kind_!r}")
 
@@ -408,6 +412,11 @@ def transpose(a):
     return _apply("transpose", a)
 
 
+def reshape(a, shape):
+    """Same values in a new shape of equal size (row-major order)."""
+    return _apply("reshape", a, shape=tuple(int(d) for d in shape))
+
+
 def l2norm(a):
-    """Euclidean norm: 1-D input -> scalar, 2-D input -> per-row norms."""
+    """Euclidean norm over the last axis: 1-D input -> scalar, (..., n) -> (...)."""
     return _apply("l2norm", a)

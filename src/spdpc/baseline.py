@@ -2,9 +2,11 @@
 
 The baseline solves the deterministic penalized control problem at a given
 initial state by gradient descent on the open-loop action sequence, using
-the same tape and loss as training (batch of one, disturbances off).  A
-backtracking line search keeps the objective non-increasing, and a shifted
-previous solution warm-starts the next receding-horizon step.
+the same tape and loss as training (batch of one, disturbances off).  Each
+line search starts from the Barzilai-Borwein step s's / s'y of the last two
+iterates, backtracks until the Armijo condition holds (so the objective
+never increases), and a shifted previous solution warm-starts the next
+receding-horizon step.
 
 The benchmark times one decision of each method on the same instances:
 a single policy forward pass against a single warm-started solve.
@@ -12,7 +14,7 @@ a single policy forward pass against a single warm-started solve.
 
 from __future__ import annotations
 
-import csv
+import dataclasses
 import time
 from dataclasses import dataclass, field
 
@@ -22,6 +24,7 @@ from . import autodiff as ad
 from . import dynamics as dyn
 from . import objectives as obj
 from . import policy as pol
+from .sampling import write_csv
 
 
 @dataclass(frozen=True)
@@ -86,6 +89,7 @@ def solve(model, x0, xi, horizon, objective, constraints, weights,
     result = SolveResult(actions=u, value=value_at(u), iterations=0, converged=False)
     result.values.append(result.value)
     trial = cfg.step0
+    prev = None  # (iterate, gradient) of the last iteration
     for it in range(cfg.max_iters):
         tape = ad.Tape()
         plan = tape.param(u.reshape(1, -1))
@@ -97,12 +101,23 @@ def solve(model, x0, xi, horizon, objective, constraints, weights,
         if np.sqrt(gnorm2) == 0.0 or np.max(np.abs(grad)) <= cfg.tol:
             result.converged = True
             break
+        if prev is not None:
+            # Barzilai-Borwein: the secant step length s's / s'y of the last
+            # move, which tracks the curvature along it; otherwise keep
+            # doubling the last accepted step
+            s_k, y_k = u - prev[0], grad - prev[1]
+            sy = float(np.sum(s_k * y_k))
+            if sy > 0.0:
+                trial = float(np.sum(s_k * s_k)) / sy
         step = trial
         accepted = False
         for _ in range(cfg.max_backtracks):
             candidate = u - step * grad
+            if np.array_equal(candidate, u):
+                break  # the step no longer moves any component
             f_new = value_at(candidate)
             if f_new <= f0 - cfg.armijo_c * step * gnorm2:
+                prev = (u, grad)
                 u = candidate
                 result.values.append(f_new)
                 accepted = True
@@ -111,8 +126,6 @@ def solve(model, x0, xi, horizon, objective, constraints, weights,
         result.iterations = it + 1
         if not accepted:
             break  # no productive step at the smallest trial size
-        # seed the next search just above the accepted step so the step
-        # length tracks the local curvature instead of re-shrinking from step0
         trial = step * 2.0
     result.actions = u
     result.value = result.values[-1]
@@ -183,10 +196,4 @@ def benchmark(policy, model, instances, horizon, objective, constraints,
 
 
 def save_benchmark(rows, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(BENCHMARK_COLUMNS)
-        for row in rows:
-            writer.writerow([row.instance, repr(row.policy_ns_mean),
-                             row.policy_ns_max, repr(row.baseline_ns_mean),
-                             row.baseline_ns_max, repr(row.ratio)])
+    write_csv(path, BENCHMARK_COLUMNS, (dataclasses.astuple(row) for row in rows))

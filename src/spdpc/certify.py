@@ -69,10 +69,9 @@ class TerminalSet:
 
 
 def _rows_ok(residuals) -> np.ndarray:
+    """True per scenario where every residual of its (b, ...) block is <= 0."""
     vals = residuals.values
-    if vals.ndim == 1:
-        vals = vals[:, None]
-    return np.all(vals <= 0.0, axis=1)
+    return np.all(vals.reshape(vals.shape[0], -1) <= 0.0, axis=1)
 
 
 def satisfied(states, actions, xi, constraints, terminal: TerminalSet) -> np.ndarray:
@@ -80,20 +79,20 @@ def satisfied(states, actions, xi, constraints, terminal: TerminalSet) -> np.nda
 
     ``states`` is (b, N+1, n_x), ``actions`` (b, N, n_u), ``xi`` (b, d) or
     None.  State and input constraints apply at steps 0..N-1 only; the final
-    state answers to the terminal set instead.
+    state answers to the terminal set instead.  Each constraint is checked
+    once over its whole time block.
     """
     states = np.asarray(states, dtype=np.float64)
     actions = np.asarray(actions, dtype=np.float64)
-    b, n_steps = actions.shape[0], actions.shape[1]
+    n_steps = actions.shape[1]
     if states.shape[1] != n_steps + 1:
         raise ValueError(f"{states.shape[1]} states do not bracket {n_steps} actions")
-    ok = np.ones(b, dtype=bool)
-    for k in range(n_steps):
-        for c in constraints.state:
-            ok &= _rows_ok(c.residuals(states[:, k, :], xi))
-        for c in constraints.inputs:
-            ok &= _rows_ok(c.residuals(actions[:, k, :], xi))
-    return ok & terminal.contains(states[:, -1, :], xi)
+    ok = terminal.contains(states[:, -1, :], xi)
+    for c in constraints.state:
+        ok &= _rows_ok(c.residuals(states[:, :-1, :], xi))
+    for c in constraints.inputs:
+        ok &= _rows_ok(c.residuals(actions, xi))
+    return ok
 
 
 def empirical_risk(policy, model, scenarios, constraints, terminal, mode,
@@ -109,9 +108,7 @@ def empirical_risk(policy, model, scenarios, constraints, terminal, mode,
         states, actions = dyn.rollout_tensors(
             model, lambda z: pol.apply_layers(policy.layers, z),
             scenarios.x0[i_idx], xi, scenarios.omega[j_idx], mode, model.n_u)
-        states_arr = np.stack([s.values for s in states], axis=1)
-        actions_arr = np.stack([a.values for a in actions], axis=1)
-        flags[idx] = satisfied(states_arr, actions_arr, xi, constraints, terminal)
+        flags[idx] = satisfied(states.values, actions.values, xi, constraints, terminal)
     return float(flags.mean()), flags
 
 

@@ -14,7 +14,6 @@ fails underway (e.g. training diverges).
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import os
@@ -75,14 +74,6 @@ def _write_manifest(out: Path, command: str, config_path: Path, seed: int,
         fh.write("\n")
 
 
-def _write_csv(path, header, rows):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
-
-
 def _sampled_splits(cfg, seed):
     from .sampling import sample_scenarios, split
     scen = sample_scenarios(cfg.params, cfg.noise, cfg.m, cfg.s, cfg.horizon, seed)
@@ -136,6 +127,7 @@ def run_train(cfg, seed: int, out: Path, checkpoint_every: int = 0):
 def run_certify(cfg, seed: int, out: Path, checkpoint: str):
     from .certify import run_certification, save_report
     from .policy import load_checkpoint
+    from .sampling import write_csv
 
     policy = load_checkpoint(checkpoint)
     _, _, test_set = _sampled_splits(cfg, seed)
@@ -143,9 +135,9 @@ def run_certify(cfg, seed: int, out: Path, checkpoint: str):
         policy, cfg.model, test_set, cfg.constraints, cfg.terminal, cfg.mode,
         cfg.beta, cfg.delta, policy_checkpoint=Path(checkpoint).name)
     save_report(report, out / "certificate.json")
-    _write_csv(out / "indicator.csv", ["i", "j", "pass"],
-               [[idx // test_set.s, idx % test_set.s, int(flag)]
-                for idx, flag in enumerate(flags)])
+    write_csv(out / "indicator.csv", ["i", "j", "pass"],
+              [[idx // test_set.s, idx % test_set.s, int(flag)]
+               for idx, flag in enumerate(flags)])
     word = "CERTIFIED" if report.verdict else "NOT CERTIFIED"
     print(f"{cfg.name}: success fraction {report.mu_tilde:.4f} on r={report.r}, "
           f"lower bound {report.lower_bound:.4f} vs beta={report.beta}: {word}")
@@ -160,6 +152,7 @@ def run_simulate(cfg, seed: int, out: Path, checkpoint: str,
     from . import svg
     from .dynamics import simulate_receding_horizon
     from .policy import load_checkpoint
+    from .sampling import write_csv
 
     policy = load_checkpoint(checkpoint)
     count = cfg.sim_count if count is None else count
@@ -184,31 +177,24 @@ def run_simulate(cfg, seed: int, out: Path, checkpoint: str,
     n_x, n_u = cfg.model.n_x, cfg.model.n_u
     artifacts = [Path("sim_states.csv"), Path("sim_actions.csv"),
                  Path("sim_params.csv"), Path("summary.json")]
-    _write_csv(out / "sim_states.csv", ["sim", "k"] + [f"x{d}" for d in range(n_x)],
-               [[i, k] + [float(v) for v in states[i, k]]
-                for i in range(count) for k in range(steps + 1)])
-    _write_csv(out / "sim_actions.csv", ["sim", "k"] + [f"u{d}" for d in range(n_u)],
-               [[i, k] + [float(v) for v in actions[i, k]]
-                for i in range(count) for k in range(steps)])
-    _write_csv(out / "sim_params.csv", ["sim"] + [f"xi{d}" for d in range(xi.shape[1])],
-               [[i] + [float(v) for v in xi[i]] for i in range(count)])
+    write_csv(out / "sim_states.csv", ["sim", "k"] + [f"x{d}" for d in range(n_x)],
+              [[i, k] + [float(v) for v in states[i, k]]
+               for i in range(count) for k in range(steps + 1)])
+    write_csv(out / "sim_actions.csv", ["sim", "k"] + [f"u{d}" for d in range(n_u)],
+              [[i, k] + [float(v) for v in actions[i, k]]
+               for i in range(count) for k in range(steps)])
+    write_csv(out / "sim_params.csv", ["sim"] + [f"xi{d}" for d in range(xi.shape[1])],
+              [[i] + [float(v) for v in xi[i]] for i in range(count)])
 
-    input_violation = 0.0
-    for box in cfg.constraints.inputs:
-        res = box.residuals(actions.reshape(-1, n_u)).values
-        input_violation = max(input_violation, float(res.max()))
-    state_violation = 0.0
-    for c in cfg.constraints.state:
-        for i in range(count):
-            xi_rows = np.tile(xi[i], (steps + 1, 1)) if xi.shape[1] else None
-            res = c.residuals(states[i], xi_rows).values
-            state_violation = max(state_violation, float(res.max()))
+    xi_rows = xi if xi.shape[1] else None
     summary = {
         "count": count,
         "steps": steps,
         "final_infnorm": [float(np.max(np.abs(states[i, -1]))) for i in range(count)],
-        "input_violation_max": input_violation,
-        "state_violation_max": state_violation,
+        "input_violation_max": max([0.0] + [float(c.residuals(actions).values.max())
+                                            for c in cfg.constraints.inputs]),
+        "state_violation_max": max([0.0] + [float(c.residuals(states, xi_rows).values.max())
+                                            for c in cfg.constraints.state]),
     }
     with open(out / "summary.json", "w") as fh:
         json.dump(summary, fh, indent=1)

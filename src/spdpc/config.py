@@ -10,6 +10,9 @@ deep inside a rollout.
 Value references appear wherever a quantity can vary per scenario: either
 ``{"constant": [..]}`` or ``{"parameter": "<name>"}`` naming a sampled
 parameter component.
+
+Every table is strict: a key the schema does not name is an error, so a
+typo cannot silently drop a constraint or a setting.
 """
 
 from __future__ import annotations
@@ -44,18 +47,39 @@ def _get(table: dict, key: str, default):
     return table.get(key, default)
 
 
-def _dist(entry: dict, where: str) -> DistSpec:
-    kind = _require(entry, "kind", where)
-    try:
-        if kind == "uniform":
-            return DistSpec("uniform", tuple(_require(entry, "lower", where)),
-                            tuple(_require(entry, "upper", where)))
-        if kind == "gaussian":
-            return DistSpec("gaussian", tuple(_require(entry, "mean", where)),
-                            tuple(_require(entry, "std", where)))
-        if kind == "constant":
-            return DistSpec("constant", tuple(_require(entry, "values", where)))
+def _table(entry, where: str, allowed, by_kind=None) -> dict:
+    """``entry`` as a JSON object whose keys all sit in ``allowed``; with
+    ``by_kind``, also ``kind`` and the keys ``by_kind[kind]`` names."""
+    if not isinstance(entry, dict):
+        raise ConfigError(f"{where}: expected a JSON object, got {type(entry).__name__}")
+    if by_kind is not None:
+        if entry.get("kind") not in by_kind:
+            return entry  # the caller reports the missing or unknown kind
+        allowed = (*allowed, "kind", *by_kind[entry["kind"]])
+    unknown = sorted(set(entry) - set(allowed))
+    if unknown:
+        raise ConfigError(f"{', '.join(f'{where}.{k}' for k in unknown)}: unknown "
+                          f"field{'s' if len(unknown) > 1 else ''}, expected one of "
+                          f"{sorted(allowed)}")
+    return entry
+
+
+TOP_LEVEL_KEYS = ("name", "seed", "mode", "horizon", "model", "noise", "x0", "parameters",
+                  "scenarios", "policy", "objective", "constraints", "terminal_set",
+                  "weights", "training", "certification", "simulation", "benchmark")
+DIST_KEYS = {"uniform": ("lower", "upper"), "gaussian": ("mean", "std"),
+             "constant": ("values",)}
+TERMINAL_KEYS = {"box": ("lower", "upper"), "ball": ("radius", "center")}
+BOX_KEYS = ("lower", "upper", "margin")
+
+
+def _dist(entry, where: str, extra=()) -> DistSpec:
+    """A distribution table: its kind plus that kind's vectors, in DistSpec order."""
+    kind = _require(_table(entry, where, extra, DIST_KEYS), "kind", where)
+    if kind not in DIST_KEYS:
         raise ConfigError(f"{where}.kind: unknown distribution {kind!r}")
+    try:
+        return DistSpec(kind, *(tuple(_require(entry, k, where)) for k in DIST_KEYS[kind]))
     except ConfigError:
         raise
     except (ValueError, TypeError) as err:
@@ -113,6 +137,7 @@ def _value_ref(entry, params: ParamSpec, where: str, expect_dim=None):
 
 
 def _box(entry: dict, dim: int, where: str) -> BoxConstraint:
+    _table(entry, where, BOX_KEYS)
     lower = _require(entry, "lower", where)
     upper = _require(entry, "upper", where)
     if len(lower) != dim or len(upper) != dim:
@@ -125,6 +150,7 @@ def _box(entry: dict, dim: int, where: str) -> BoxConstraint:
 
 
 def _objective(entry: dict, params: ParamSpec, n_x: int) -> StageObjective:
+    _table(entry, "objective", ("kind", "track_indices", "reference", "target"))
     kind = _require(entry, "kind", "objective")
     track = tuple(_get(entry, "track_indices", ()))
     if any(not 0 <= int(i) < n_x for i in track):
@@ -144,14 +170,17 @@ def _objective(entry: dict, params: ParamSpec, n_x: int) -> StageObjective:
 
 
 def _constraints(entry: dict, params: ParamSpec, n_x: int, n_u: int) -> ConstraintSet:
+    _table(entry, "constraints",
+           ("state_box", "input_box", "terminal_box", "keep_out", "contraction"))
     built = ConstraintSet()
     if "state_box" in entry:
         built.state.append(_box(entry["state_box"], n_x, "constraints.state_box"))
     if "input_box" in entry:
         built.inputs.append(_box(entry["input_box"], n_u, "constraints.input_box"))
     if "keep_out" in entry:
-        ko = entry["keep_out"]
         where = "constraints.keep_out"
+        ko = _table(entry["keep_out"], where,
+                    ("radius", "shape", "center_x", "center_y", "margin"))
         if n_x < 2:
             raise ConfigError(f"{where}: needs at least two state dimensions")
         try:
@@ -166,7 +195,8 @@ def _constraints(entry: dict, params: ParamSpec, n_x: int, n_u: int) -> Constrai
         except ValueError as err:
             raise ConfigError(f"{where}: {err}") from err
     if "contraction" in entry:
-        rate = _require(entry["contraction"], "rate", "constraints.contraction")
+        rate = _require(_table(entry["contraction"], "constraints.contraction", ("rate",)),
+                        "rate", "constraints.contraction")
         try:
             built.contraction = ContractionConstraint(rate=float(rate))
         except ValueError as err:
@@ -177,7 +207,7 @@ def _constraints(entry: dict, params: ParamSpec, n_x: int, n_u: int) -> Constrai
 
 
 def _terminal(entry: dict, params: ParamSpec, n_x: int) -> TerminalSet:
-    kind = _require(entry, "kind", "terminal_set")
+    kind = _require(_table(entry, "terminal_set", (), TERMINAL_KEYS), "kind", "terminal_set")
     try:
         if kind == "box":
             lower = _require(entry, "lower", "terminal_set")
@@ -210,6 +240,7 @@ def load_config(path) -> ExperimentConfig:
     except json.JSONDecodeError as err:
         raise ConfigError(f"{path}: not valid JSON ({err})") from err
 
+    _table(raw, "config", TOP_LEVEL_KEYS)
     name = str(_require(raw, "name", "config"))
     seed = int(_require(raw, "seed", "config"))
     if seed < 0:
@@ -222,6 +253,7 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError(f"config.mode: unknown mode {mode!r}, have {MODES}")
 
     model_entry = _require(raw, "model", "config")
+    _table(model_entry, "model", ("file",) if "file" in model_entry else ("A", "B"))
     try:
         if "file" in model_entry:
             model = load_model(path.parent / model_entry["file"])
@@ -234,7 +266,7 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError(f"model: {err}") from err
     n_x, n_u = model.n_x, model.n_u
 
-    noise_entry = _require(raw, "noise", "config")
+    noise_entry = _table(_require(raw, "noise", "config"), "noise", ("kind", "scale", "bound"))
     try:
         noise = NoiseSpec(kind=_require(noise_entry, "kind", "noise"),
                           scale=np.asarray(_require(noise_entry, "scale", "noise"), dtype=np.float64),
@@ -252,14 +284,14 @@ def load_config(path) -> ExperimentConfig:
     components = []
     for pos, comp in enumerate(_get(raw, "parameters", [])):
         where = f"parameters[{pos}]"
-        comp_name = _require(comp, "name", where)
-        components.append((comp_name, _dist(comp, where)))
+        dist = _dist(comp, where, extra=("name",))
+        components.append((_require(comp, "name", where), dist))
     try:
         params = ParamSpec(x0=x0_dist, components=tuple(components))
     except ValueError as err:
         raise ConfigError(f"parameters: {err}") from err
 
-    scen = _require(raw, "scenarios", "config")
+    scen = _table(_require(raw, "scenarios", "config"), "scenarios", ("m", "s", "splits"))
     m = int(_require(scen, "m", "scenarios"))
     s = int(_require(scen, "s", "scenarios"))
     splits = tuple(float(f) for f in _require(scen, "splits", "scenarios"))
@@ -269,7 +301,7 @@ def load_config(path) -> ExperimentConfig:
     if m < 1 or s < 1:
         raise ConfigError("scenarios: m and s must be >= 1")
 
-    policy_entry = _require(raw, "policy", "config")
+    policy_entry = _table(_require(raw, "policy", "config"), "policy", ("hidden", "seed"))
     hidden = tuple(int(h) for h in _require(policy_entry, "hidden", "policy"))
     input_dim = n_x + params.xi_dim if mode == "full-horizon" else n_x
     output_dim = horizon * n_u if mode == "full-horizon" else n_u
@@ -284,16 +316,14 @@ def load_config(path) -> ExperimentConfig:
     constraints = _constraints(_get(raw, "constraints", {}), params, n_x, n_u)
     terminal = _terminal(_require(raw, "terminal_set", "config"), params, n_x)
 
-    weight_entry = _require(raw, "weights", "config")
-    unknown = set(weight_entry) - set(WEIGHT_FIELDS)
-    if unknown:
-        raise ConfigError(f"weights: unknown fields {sorted(unknown)}")
+    weight_entry = _table(_require(raw, "weights", "config"), "weights", WEIGHT_FIELDS)
     try:
         weights = LossWeights(**{k: float(v) for k, v in weight_entry.items()})
     except ValueError as err:
         raise ConfigError(f"weights: {err}") from err
 
-    train_entry = _require(raw, "training", "config")
+    train_entry = _table(_require(raw, "training", "config"), "training",
+                         ("epochs", "lr", "beta1", "beta2", "eps", "weight_decay", "minibatch"))
     try:
         train = TrainConfig(
             epochs=int(_require(train_entry, "epochs", "training")),
@@ -308,7 +338,7 @@ def load_config(path) -> ExperimentConfig:
     except ValueError as err:
         raise ConfigError(f"training: {err}") from err
 
-    cert = _get(raw, "certification", {})
+    cert = _table(_get(raw, "certification", {}), "certification", ("beta", "delta"))
     beta = float(_get(cert, "beta", 0.9))
     delta = float(_get(cert, "delta", 0.01))
     if not 0 < beta <= 1:
@@ -316,14 +346,19 @@ def load_config(path) -> ExperimentConfig:
     if not 0 < delta < 1:
         raise ConfigError(f"certification.delta: must sit in (0, 1), got {delta}")
 
-    sim = _get(raw, "simulation", {})
+    sim = _table(_get(raw, "simulation", {}), "simulation", ("count", "steps"))
     sim_count = int(_get(sim, "count", 20))
     sim_steps = int(_get(sim, "steps", 50))
     if sim_count < 1 or sim_steps < 1:
         raise ConfigError("simulation: count and steps must be >= 1")
 
-    bench = _get(raw, "benchmark", {})
-    solver_entry = _get(bench, "solver", {})
+    bench = _table(_get(raw, "benchmark", {}), "benchmark", ("instances", "repeats", "solver"))
+    bench_instances = int(_get(bench, "instances", 10))
+    bench_repeats = int(_get(bench, "repeats", 5))
+    if bench_instances < 1 or bench_repeats < 1:
+        raise ConfigError("benchmark: instances and repeats must be >= 1")
+    solver_entry = _table(_get(bench, "solver", {}), "benchmark.solver",
+                          ("max_iters", "tol", "step0"))
     try:
         solver = SolverConfig(
             max_iters=int(_get(solver_entry, "max_iters", 500)),
@@ -338,6 +373,5 @@ def load_config(path) -> ExperimentConfig:
         objective=objective, constraints=constraints, terminal=terminal,
         weights=weights, train=train, beta=beta, delta=delta,
         sim_count=sim_count, sim_steps=sim_steps,
-        bench_instances=int(_get(bench, "instances", 10)),
-        bench_repeats=int(_get(bench, "repeats", 5)),
+        bench_instances=bench_instances, bench_repeats=bench_repeats,
         solver=solver)

@@ -10,7 +10,13 @@ in two modes:
 
 Rollout arithmetic goes through the autodiff ops, so the same code path is
 eager (plain arrays in, plain arrays out) or differentiable end to end when
-the policy closure produces tape tensors.
+the policy closure produces tape tensors.  A batched rollout is one
+(b, N+1, n_x) state block and one (b, N, n_u) action block.  In full-horizon
+mode the states come from the condensed prediction of linear MPC,
+
+    [x_1; ...; x_N] = Phi x0 + Gamma U + Gamma_w W,
+
+so the whole rollout costs one matmul against a constant on the tape.
 """
 
 from __future__ import annotations
@@ -34,6 +40,8 @@ class LinearSystem:
     A: np.ndarray
     B: np.ndarray
 
+    _prediction: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
     def __post_init__(self):
         self.A = np.asarray(self.A, dtype=np.float64)
         self.B = np.asarray(self.B, dtype=np.float64)
@@ -55,6 +63,24 @@ class LinearSystem:
     @property
     def n_u(self) -> int:
         return self.B.shape[1]
+
+    def prediction(self, horizon: int):
+        """Condensed prediction matrices (Phi, Gamma, Gamma_w), cached per horizon.
+
+        Stacking x_1..x_N into one (N * n_x) vector, x = Phi x0 + Gamma u +
+        Gamma_w w with Phi (N n_x, n_x), Gamma (N n_x, N n_u) and Gamma_w
+        (N n_x, N n_x); block (k, j) of Gamma is A^(k-j) B for j <= k.
+        """
+        if horizon not in self._prediction:
+            powers = [np.eye(self.n_x)]
+            for _ in range(horizon):
+                powers.append(self.A @ powers[-1])
+            zero = np.zeros_like(self.A)
+            gamma_w = np.block([[powers[k - j] if j <= k else zero for j in range(horizon)]
+                                for k in range(horizon)])
+            gamma = gamma_w @ np.kron(np.eye(horizon), self.B)
+            self._prediction[horizon] = (np.vstack(powers[1:]), gamma, gamma_w)
+        return self._prediction[horizon]
 
 
 def controllability_rank(A, B) -> int:
@@ -158,42 +184,42 @@ def step(model: LinearSystem, x, u, omega):
 
 
 def rollout_tensors(model, policy_fn, x0, xi, omega, mode, n_u):
-    """Roll the closed loop over a batch; returns per-step tensors.
+    """Roll the closed loop over a batch; returns the state and action blocks.
 
     ``policy_fn`` maps a (b, d) tensor to actions: in full-horizon mode one
     call produces the flat (b, N * n_u) plan, in state-feedback mode it is
     called on the state at every step.  ``omega`` is (b, N, n_x).
 
-    Returns (states, actions): lists of (b, n_x) / (b, n_u) tensors of
-    length N+1 and N.
+    Returns (states, actions): tensors of shape (b, N+1, n_x) and (b, N, n_u),
+    with states[:, 0] = x0.
     """
     if mode not in MODES:
         raise ValueError(f"unknown rollout mode {mode!r}")
     x0 = np.asarray(x0, dtype=np.float64)
     omega = np.asarray(omega, dtype=np.float64)
-    horizon = omega.shape[1]
-    states = [ad.as_tensor(x0)]
-    actions = []
+    batch, horizon, n_x = omega.shape
     if mode == FULL_HORIZON:
-        z = states[0]
+        z = x0
         if xi is not None and np.asarray(xi).size:
-            z = ad.concat([states[0], np.asarray(xi, dtype=np.float64)], axis=1)
+            z = ad.concat([x0, np.asarray(xi, dtype=np.float64)], axis=1)
         plan = policy_fn(z)
         if plan.values.shape[1] != horizon * n_u:
             raise ValueError(
                 f"policy emits width {plan.values.shape[1]}, "
                 f"horizon wants {horizon} * {n_u}"
             )
-        for k in range(horizon):
-            u = ad.narrow(plan, 1, k * n_u, (k + 1) * n_u)
-            actions.append(u)
-            states.append(step(model, states[k], u, omega[:, k, :]))
-    else:
-        for k in range(horizon):
-            u = policy_fn(states[k])
-            actions.append(u)
-            states.append(step(model, states[k], u, omega[:, k, :]))
-    return states, actions
+        phi, gamma, gamma_w = model.prediction(horizon)
+        free = x0 @ phi.T + omega.reshape(batch, -1) @ gamma_w.T  # data only
+        moved = ad.add(ad.matmul(plan, gamma.T), free)
+        states = ad.concat([x0[:, None, :], ad.reshape(moved, (batch, horizon, n_x))], axis=1)
+        return states, ad.reshape(plan, (batch, horizon, n_u))
+    states = [ad.as_tensor(x0)]
+    actions = []
+    for k in range(horizon):
+        actions.append(policy_fn(states[k]))
+        states.append(step(model, states[k], actions[k], omega[:, k, :]))
+    return (ad.reshape(ad.concat(states, axis=1), (batch, horizon + 1, n_x)),
+            ad.reshape(ad.concat(actions, axis=1), (batch, horizon, n_u)))
 
 
 def rollout(model, policy, mode, x0, xi, omega, scenario=(0, 0)) -> Trajectory:
@@ -210,8 +236,8 @@ def rollout(model, policy, mode, x0, xi, omega, scenario=(0, 0)) -> Trajectory:
         model.n_u,
     )
     return Trajectory(
-        states=np.stack([s.values[0] for s in states]),
-        actions=np.stack([a.values[0] for a in actions]),
+        states=states.values[0],
+        actions=actions.values[0],
         noise=omega,
         scenario=tuple(scenario),
         xi=np.zeros(0) if xi is None else np.asarray(xi, dtype=np.float64),

@@ -8,7 +8,9 @@ The training loss over a batch of rollouts is
 with ReLU-squared penalties standing in for the hard constraints during
 training.  Everything is built from autodiff ops, so a loss evaluated on
 eager arrays (monitoring, certification) and one evaluated on a tape
-(training) share the same arithmetic.
+(training) share the same arithmetic.  Each term is evaluated once over a
+whole (b, steps, n) time block rather than step by step, so a loss records
+a fixed number of tape nodes whatever the horizon.
 
 Objective kinds:
   * ``stabilization``: quadratic state + action cost.
@@ -60,6 +62,13 @@ class LossWeights:
 
 # ---------------------------------------------------------------------------
 # per-scenario value references
+
+def _per_scenario(values, ndim: int) -> np.ndarray:
+    """Shape (b, d) per-scenario values to broadcast over a rank-``ndim``
+    (b, ..., d) block, i.e. the same values at every time step."""
+    values = np.asarray(values, dtype=np.float64)
+    return values.reshape(values.shape[:1] + (1,) * (ndim - 2) + values.shape[1:])
+
 
 @dataclass(frozen=True)
 class Constant:
@@ -122,8 +131,8 @@ class BoxConstraint:
         object.__setattr__(self, "margin", _check_margin(self.margin))
 
     def residuals(self, v, xi=None):
-        axis = 1 if ad.as_tensor(v).values.ndim == 2 else 0
-        return ad.concat([ad.subtract(v, self.upper), ad.subtract(self.lower, v)], axis=axis)
+        """(..., 2n) residuals of a (..., n) vector or block; <= 0 inside."""
+        return ad.concat([ad.subtract(v, self.upper), ad.subtract(self.lower, v)], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -146,16 +155,17 @@ class EllipseKeepOut:
         object.__setattr__(self, "margin", _check_margin(self.margin))
 
     def residuals(self, x, xi=None):
+        """(b, ..., 1) residuals of a (b, ..., n_x) state block; the
+        per-scenario parameters hold at every step of the block."""
         xv = ad.as_tensor(x)
-        if xv.values.ndim != 2:
-            raise ValueError("keep-out residuals expect a (batch, n_x) state block")
+        ndim = xv.values.ndim
+        if ndim < 2:
+            raise ValueError("keep-out residuals expect a (batch, ..., n_x) state block")
         batch = xv.values.shape[0]
-        radius = self.radius.resolve(xi, batch)
-        shape = self.shape.resolve(xi, batch)
-        cx = self.center_x.resolve(xi, batch)
-        cy = self.center_y.resolve(xi, batch)
-        x1 = ad.narrow(xv, 1, 0, 1)
-        x2 = ad.narrow(xv, 1, 1, 2)
+        radius, shape, cx, cy = (_per_scenario(ref.resolve(xi, batch), ndim) for ref in
+                                 (self.radius, self.shape, self.center_x, self.center_y))
+        x1 = ad.narrow(xv, -1, 0, 1)
+        x2 = ad.narrow(xv, -1, 1, 2)
         return ad.subtract(
             ad.subtract(radius * radius, ad.multiply(shape, ad.square(ad.subtract(x1, cx)))),
             ad.square(ad.subtract(x2, cy)),
@@ -184,30 +194,40 @@ class ConstraintSet:
 # ---------------------------------------------------------------------------
 # penalties
 
+def _quad(v, weight: float):
+    """weight * sum of squares over every entry of ``v``."""
+    return ad.scale(ad.reduce_sum(ad.square(v)), weight)
+
+
 def penalty(residual, weight: float, margin: float = 0.0):
     """weight * sum relu(residual + margin)^2; zero iff every residual <= -margin."""
     if margin:
         residual = ad.add(residual, margin)
-    return ad.scale(ad.reduce_sum(ad.square(ad.relu(residual))), weight)
+    return _quad(ad.relu(residual), weight)
+
+
+def _sum(terms):
+    """Sum of scalar tensors; 0 for none."""
+    total = None
+    for t in terms:
+        total = t if total is None else ad.add(total, t)
+    return ad.as_tensor(0.0) if total is None else total
 
 
 def state_penalty(constraints: ConstraintSet, x, xi, weight: float):
-    total = ad.as_tensor(0.0)
-    for c in constraints.state:
-        total = ad.add(total, penalty(c.residuals(x, xi), weight, c.margin))
-    return total
+    """Penalty of every state constraint over a state vector or block."""
+    return _sum(penalty(c.residuals(x, xi), weight, c.margin) for c in constraints.state)
 
 
 def input_penalty(constraints: ConstraintSet, u, xi, weight: float):
-    total = ad.as_tensor(0.0)
-    for c in constraints.inputs:
-        total = ad.add(total, penalty(c.residuals(u, xi), weight, c.margin))
-    return total
+    """Penalty of every input constraint over an action vector or block."""
+    return _sum(penalty(c.residuals(u, xi), weight, c.margin) for c in constraints.inputs)
 
 
 def contraction_penalty(x, x_next, rate: float, weight: float):
+    """Penalty on ||x_next|| > rate * ||x||, row by row over (..., n_x) blocks."""
     gap = ad.subtract(ad.l2norm(x_next), ad.scale(ad.l2norm(x), rate))
-    return ad.scale(ad.reduce_sum(ad.square(ad.relu(gap))), weight)
+    return _quad(ad.relu(gap), weight)
 
 
 # ---------------------------------------------------------------------------
@@ -232,50 +252,27 @@ class StageObjective:
         object.__setattr__(self, "track_indices", tuple(int(i) for i in self.track_indices))
 
 
-def _split_columns(x, indices, n_cols):
-    """Return (selected, remaining) column groups as tensors."""
-    picked = sorted(indices)
-    selected = ad.concat([ad.narrow(x, 1, i, i + 1) for i in picked], axis=1)
-    rest_cols = [i for i in range(n_cols) if i not in picked]
-    if not rest_cols:
-        return selected, None
-    # group contiguous runs to keep the tape short
-    runs, start = [], rest_cols[0]
-    prev = start
-    for c in rest_cols[1:]:
-        if c != prev + 1:
-            runs.append((start, prev + 1))
-            start = c
-        prev = c
-    runs.append((start, prev + 1))
-    rest = ad.concat([ad.narrow(x, 1, a, b) for a, b in runs], axis=1)
-    return selected, rest
-
-
 def stage_cost(objective: StageObjective, weights: LossWeights, x, u, xi=None):
-    """Per-step cost summed over the batch dimension."""
+    """Stage cost summed over the batch: x (b, n_x) and u (b, n_u) at one
+    step, or (b, steps, n_x) and (b, steps, n_u) blocks summed over time."""
     xv, uv = ad.as_tensor(x), ad.as_tensor(u)
     if xv.values.ndim == 1:
         raise ValueError("stage_cost expects batched (b, n) inputs")
     batch = xv.values.shape[0]
     if objective.kind == "stabilization":
-        return ad.add(
-            ad.scale(ad.reduce_sum(ad.square(xv)), weights.Q_x),
-            ad.scale(ad.reduce_sum(ad.square(uv)), weights.Q_u),
-        )
+        return ad.add(_quad(xv, weights.Q_x), _quad(uv, weights.Q_u))
+    if objective.kind in ("tracking", "split-tracking"):
+        ref = _per_scenario(objective.reference.resolve(xi, batch), xv.values.ndim)
     if objective.kind == "tracking":
-        ref = objective.reference.resolve(xi, batch)
-        return ad.add(
-            ad.scale(ad.reduce_sum(ad.square(ad.subtract(ref, xv))), weights.Q_r),
-            ad.scale(ad.reduce_sum(ad.square(uv)), weights.Q_u),
-        )
+        return ad.add(_quad(ad.subtract(ref, xv), weights.Q_r), _quad(uv, weights.Q_u))
     if objective.kind == "split-tracking":
-        ref = objective.reference.resolve(xi, batch)
-        tracked, rest = _split_columns(xv, objective.track_indices, xv.values.shape[1])
-        cost = ad.scale(ad.reduce_sum(ad.square(ad.subtract(tracked, ref))), weights.Q_r)
-        if rest is not None:
-            cost = ad.add(cost, ad.scale(ad.reduce_sum(ad.square(rest)), weights.Q_x))
-        return cost
+        # Q_r on the tracked components' error, Q_x on every other component
+        cols = list(objective.track_indices)
+        target = np.zeros(ref.shape[:-1] + xv.values.shape[-1:])
+        target[..., cols] = ref
+        column_weight = np.full(xv.values.shape[-1], weights.Q_x)
+        column_weight[cols] = weights.Q_r
+        return ad.reduce_sum(ad.multiply(ad.square(ad.subtract(xv, target)), column_weight))
     raise ValueError(f"{objective.kind} has no per-stage cost")
 
 
@@ -302,45 +299,45 @@ class LossParts:
 def total_loss(states, actions, xi, objective, constraints, weights) -> LossParts:
     """Normalized loss over a batch of rollouts.
 
-    ``states``/``actions`` are the per-step tensors from ``rollout_tensors``
-    (or stacked eager arrays of the same layout); ``xi`` is the (b, d)
-    parameter block or None.
+    ``states`` (b, N+1, n_x) and ``actions`` (b, N, n_u) are the blocks from
+    ``rollout_tensors`` (tensors or plain arrays); ``xi`` is the (b, d)
+    parameter block or None.  Stage costs and penalties apply at steps
+    0..N-1, the terminal terms at step N.
     """
-    states = [ad.as_tensor(s) for s in states]
-    actions = [ad.as_tensor(a) for a in actions]
-    horizon = len(actions)
-    if len(states) != horizon + 1:
-        raise ValueError(f"{len(states)} states do not bracket {horizon} actions")
-    batch = states[0].values.shape[0]
+    states, actions = ad.as_tensor(states), ad.as_tensor(actions)
+    if states.values.ndim != 3 or actions.values.ndim != 3:
+        raise ValueError(f"expected (b, N+1, n_x) states and (b, N, n_u) actions, "
+                         f"got {states.shape} and {actions.shape}")
+    batch, horizon = actions.values.shape[:2]
+    if states.values.shape[:2] != (batch, horizon + 1):
+        raise ValueError(f"states {states.shape} do not bracket actions {actions.shape}")
     norm = 1.0 / (batch * horizon)
+    running = ad.narrow(states, 1, 0, horizon)              # x_0 .. x_{N-1}
+    after = ad.narrow(states, 1, 1, horizon + 1)            # x_1 .. x_N
+    final = ad.narrow(states, 1, horizon, horizon + 1)      # x_N, (b, 1, n_x)
 
-    obj = ad.as_tensor(0.0)
     if objective.kind == "terminal-smoothing":
-        target = objective.target.resolve(xi, batch)
-        obj = ad.scale(ad.reduce_sum(ad.square(ad.subtract(states[-1], target))), weights.Q_r)
-        for k in range(horizon - 1):
-            obj = ad.add(obj, ad.scale(
-                ad.reduce_sum(ad.square(ad.subtract(actions[k + 1], actions[k]))), weights.Q_du))
-        for k in range(horizon):
-            obj = ad.add(obj, ad.scale(
-                ad.reduce_sum(ad.square(ad.subtract(states[k + 1], states[k]))), weights.Q_dx))
-            obj = ad.add(obj, ad.scale(ad.reduce_sum(ad.square(actions[k])), weights.Q_u))
+        target = _per_scenario(objective.target.resolve(xi, batch), 3)
+        terms = [_quad(ad.subtract(final, target), weights.Q_r)]
+        if horizon > 1:
+            du = ad.subtract(ad.narrow(actions, 1, 1, horizon),
+                             ad.narrow(actions, 1, 0, horizon - 1))
+            terms.append(_quad(du, weights.Q_du))
+        terms.append(_quad(ad.subtract(after, running), weights.Q_dx))
+        terms.append(_quad(actions, weights.Q_u))
+        obj = _sum(terms)
     else:
-        for k in range(horizon):
-            obj = ad.add(obj, stage_cost(objective, weights, states[k], actions[k], xi))
+        obj = stage_cost(objective, weights, running, actions, xi)
 
-    sp = ad.as_tensor(0.0)
-    ip = ad.as_tensor(0.0)
-    for k in range(horizon):
-        sp = ad.add(sp, state_penalty(constraints, states[k], xi, weights.Q_h))
-        ip = ad.add(ip, input_penalty(constraints, actions[k], xi, weights.Q_g))
-        if constraints.contraction is not None:
-            sp = ad.add(sp, contraction_penalty(
-                states[k], states[k + 1], constraints.contraction.rate, weights.Q_c))
+    sp = state_penalty(constraints, running, xi, weights.Q_h)
+    if constraints.contraction is not None:
+        sp = ad.add(sp, contraction_penalty(running, after, constraints.contraction.rate,
+                                            weights.Q_c))
+    ip = input_penalty(constraints, actions, xi, weights.Q_g)
 
-    term = ad.scale(ad.reduce_sum(ad.square(states[-1])), weights.Q_f)
+    term = _quad(final, weights.Q_f)
     if constraints.terminal_box is not None:
-        term = ad.add(term, penalty(constraints.terminal_box.residuals(states[-1], xi),
+        term = ad.add(term, penalty(constraints.terminal_box.residuals(final, xi),
                                     weights.Q_f, constraints.terminal_box.margin))
 
     obj = ad.scale(obj, norm)
@@ -349,15 +346,3 @@ def total_loss(states, actions, xi, objective, constraints, weights) -> LossPart
     term = ad.scale(term, norm)
     total = ad.add(ad.add(obj, sp), ad.add(ip, term))
     return LossParts(total, obj, sp, ip, term)
-
-
-def batch_from_trajectories(trajectories):
-    """Stack eager trajectories into the (states, actions, xi) layout."""
-    horizon = trajectories[0].horizon
-    if any(t.horizon != horizon for t in trajectories):
-        raise ValueError("trajectories have mixed horizons")
-    states = [np.stack([t.states[k] for t in trajectories]) for k in range(horizon + 1)]
-    actions = [np.stack([t.actions[k] for t in trajectories]) for k in range(horizon)]
-    xi_dim = trajectories[0].xi.size
-    xi = np.stack([t.xi for t in trajectories]) if xi_dim else None
-    return states, actions, xi

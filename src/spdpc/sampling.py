@@ -189,12 +189,13 @@ def split(scenarios: ScenarioSet, fractions) -> list[ScenarioSet]:
 # ---------------------------------------------------------------------------
 # persistence: x0.csv / xi.csv / omega.csv + meta.json (schema in README)
 
-def _write_csv(path, header, rows):
+def write_csv(path, header, rows):
+    """CSV with a header row; floats go through repr so a reread is exact."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in rows:
-            writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
+            writer.writerow([repr(float(v)) if isinstance(v, float) else v for v in row])
 
 
 def save_bundle(scenarios: ScenarioSet, directory) -> list[str]:
@@ -203,15 +204,15 @@ def save_bundle(scenarios: ScenarioSet, directory) -> list[str]:
     n_x = scenarios.x0.shape[1]
     xi_dim = scenarios.xi.shape[1]
     n_w = scenarios.omega.shape[2]
-    _write_csv(directory / "x0.csv",
+    write_csv(directory / "x0.csv",
                ["i"] + [f"x{d}" for d in range(n_x)],
                [[int(scenarios.indices[row])] + [float(v) for v in scenarios.x0[row]]
                 for row in range(scenarios.m)])
-    _write_csv(directory / "xi.csv",
+    write_csv(directory / "xi.csv",
                ["i"] + [f"xi{d}" for d in range(xi_dim)],
                [[int(scenarios.indices[row])] + [float(v) for v in scenarios.xi[row]]
                 for row in range(scenarios.m)])
-    _write_csv(directory / "omega.csv",
+    write_csv(directory / "omega.csv",
                ["j", "k"] + [f"w{d}" for d in range(n_w)],
                [[j, k] + [float(v) for v in scenarios.omega[j, k]]
                 for j in range(scenarios.s) for k in range(scenarios.horizon)])

@@ -14,7 +14,6 @@ checkpoint byte for byte.
 from __future__ import annotations
 
 import copy
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,6 +23,7 @@ from . import dynamics as dyn
 from . import objectives as obj
 from . import policy as pol
 from . import rng as _rng
+from .sampling import write_csv
 
 
 class TrainingDiverged(RuntimeError):
@@ -213,8 +213,5 @@ def train(model, policy, train_set, dev_set, objective, constraints, weights,
 
 def save_history(rows, path) -> None:
     """History CSV; floats go through repr so a reread is exact."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(HISTORY_COLUMNS)
-        for row in rows:
-            writer.writerow([row["epoch"]] + [repr(float(row[c])) for c in HISTORY_COLUMNS[1:]])
+    write_csv(path, HISTORY_COLUMNS,
+              ([row["epoch"]] + [float(row[c]) for c in HISTORY_COLUMNS[1:]] for row in rows))

@@ -264,15 +264,14 @@ def test_obstacle_desk_quality_gate(tmp_path):
     states, _ = dyn.rollout_tensors(
         cfg.model, lambda z: pol.apply_layers(policy.layers, z),
         x0, xi, omega, cfg.mode, cfg.model.n_u)
-    stacked = np.stack([s.values for s in states])
+    stacked = states.values  # (b, N+1, n_x)
 
     keep_out = next(c for c in cfg.constraints.state
                     if isinstance(c, EllipseKeepOut))
-    residuals = np.stack([keep_out.residuals(stacked[k], xi).values.ravel()
-                          for k in range(stacked.shape[0])])
-    clear = np.all(residuals <= 0.0, axis=0)
+    residuals = keep_out.residuals(stacked, xi).values  # (b, N+1, 1), every step
+    clear = np.all(residuals <= 0.0, axis=(1, 2))
     target = xi[:, 0:2]
-    in_ball = np.linalg.norm(stacked[-1] - target, axis=1) <= 0.5
+    in_ball = np.linalg.norm(stacked[:, -1] - target, axis=1) <= 0.5
     ok = clear & in_ball
 
     elapsed = time.monotonic() - started

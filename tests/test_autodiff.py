@@ -66,6 +66,25 @@ def test_concat_narrow_transpose_forward():
     np.testing.assert_array_equal(ad.transpose(a).values, a.T)
 
 
+def test_reshape_forward_and_shape_error():
+    a = np.arange(12.0).reshape(4, 3)
+    out = ad.reshape(a, (2, 2, 3))
+    assert out.shape == (2, 2, 3)
+    np.testing.assert_array_equal(out.values, a.reshape(2, 2, 3))
+    with pytest.raises(ad.ShapeError, match=r"\(4, 3\).*\(5, 2\)"):
+        ad.reshape(a, (5, 2))
+    tape = ad.Tape()
+    with pytest.raises(ad.ShapeError):
+        ad.reshape(tape.param(a), (2, 5))
+    assert len(tape.nodes) == 1  # a rejected op records nothing
+
+
+def test_l2norm_over_last_axis_of_a_block():
+    block = np.array([[[3.0, 4.0], [0.0, 0.0]], [[6.0, 8.0], [1.0, 0.0]]])
+    np.testing.assert_allclose(ad.l2norm(block).values, [[5.0, 0.0], [10.0, 1.0]],
+                               atol=1e-15)
+
+
 def test_l2norm_forward_rows_and_vector():
     v = ad.l2norm([3.0, 4.0])
     assert v.item() == pytest.approx(5.0, abs=1e-15)
@@ -165,6 +184,7 @@ def test_gradient_maps_from_independent_tapes_merge_by_addition():
     "add", "add_bias", "add_scalar", "subtract", "multiply", "multiply_bcast",
     "matmul_mm", "matmul_mv", "matmul_vm", "relu", "square", "sum", "mean",
     "scale", "concat", "narrow", "transpose", "l2norm_vec", "l2norm_rows",
+    "reshape", "reshape_block", "l2norm_block",
 ])
 def test_single_op_gradients_match_fd(case):
     rng = np.random.default_rng(hash(case) % 2**32)
@@ -208,6 +228,13 @@ def test_single_op_gradients_match_fd(case):
             return ad.l2norm(ad.narrow(w, 0, 0, 1))
         if case == "l2norm_rows":
             return ad.l2norm(w)
+        if case == "reshape":
+            return ad.multiply(ad.reshape(w, (3, 4)), rng2.T)
+        if case == "reshape_block":
+            # (4, 3) -> (2, 2, 3), then a time slice the way the loss reads blocks
+            return ad.narrow(ad.multiply(ad.reshape(w, (2, 2, 3)), bias), 1, 1, 2)
+        if case == "l2norm_block":
+            return ad.l2norm(ad.reshape(w, (2, 2, 3)))
         raise AssertionError(case)
 
     if case == "l2norm_vec":

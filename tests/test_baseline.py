@@ -65,6 +65,45 @@ class TestSolver:
         assert np.all(diffs <= 1e-15)
         assert res.values[-1] < res.values[0]
 
+    def test_lq_neighbourhood_converges_at_the_float_floor(self):
+        # tol 1e-8 sits near the floor of this problem's gradient: descent
+        # without a curvature-scaled step stalled on null steps here
+        model = dyn.LinearSystem(A=np.array([[1.2, 1.0], [0.0, 1.0]]),
+                                 B=np.array([[1.0], [0.5]]))
+        A, B = model.A, model.B
+        Q_x, Q_u, Q_f = 1.0, 0.1, 5.0
+        objective, constraints, weights = stabilization(Q_x, Q_u, Q_f)
+        cfg = bl.SolverConfig(max_iters=2000, tol=1e-8)
+        # x1 = A x0 + B u0, x2 = A^2 x0 + A B u0 + B u1
+        M = np.zeros((6, 2))
+        M[0:2, 0] = B[:, 0]
+        M[2, 0] = 1.0
+        M[3, 1] = 1.0
+        M[4:6, 0] = (A @ B)[:, 0]
+        M[4:6, 1] = B[:, 0]
+        w = np.sqrt(np.array([Q_x, Q_x, Q_u, Q_u, Q_f, Q_f]))
+        gen = np.random.default_rng(30)
+        starts = np.array([1.0, 0.5]) + gen.uniform(-0.3, 0.3, size=(30, 2))
+        for x0 in np.vstack([[1.0, 0.5], starts]):
+            c = np.concatenate([A @ x0, [0.0, 0.0], A @ A @ x0])
+            u_star, *_ = np.linalg.lstsq(w[:, None] * M, -w * c, rcond=None)
+            res = bl.solve(model, x0, None, 2, objective, constraints, weights, cfg)
+            assert res.converged, (x0, res.iterations)
+            assert np.abs(res.actions.flatten() - u_star).max() <= 1e-6
+            assert np.all(np.diff(res.values) <= 0.0)
+
+    def test_stops_when_a_step_no_longer_moves_the_iterate(self):
+        # tol 0 cannot be met in floating point: once the step is below the
+        # iterate's resolution the search ends instead of accepting null
+        # steps until the iteration cap
+        model = dyn.LinearSystem(A=np.array([[1.2, 1.0], [0.0, 1.0]]),
+                                 B=np.array([[1.0], [0.5]]))
+        objective, constraints, weights = stabilization()
+        res = bl.solve(model, np.array([1.0, 0.5]), None, 2, objective, constraints,
+                       weights, bl.SolverConfig(max_iters=2000, tol=0.0))
+        assert res.iterations < 2000
+        assert np.all(np.diff(res.values) <= 0.0)
+
     def test_warm_start_at_optimum_exits_immediately(self):
         model = double_integrator()
         objective, constraints, weights = stabilization()

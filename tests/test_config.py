@@ -219,3 +219,73 @@ class TestRejection:
         table = base_config()
         table["training"]["epochs"] = 0
         self.check(tmp_path, table, "training")
+
+
+class TestStrictSchema:
+    """Every table rejects keys the schema does not name, with the JSON path."""
+
+    def check(self, tmp_path, table, fragment):
+        with pytest.raises(ConfigError, match=fragment):
+            load_config(write(tmp_path, table))
+
+    def test_misspelt_constraint_is_not_dropped(self, tmp_path):
+        table = base_config()
+        table["constraints"]["input_bx"] = table["constraints"].pop("input_box")
+        self.check(tmp_path, table, r"constraints\.input_bx: unknown field")
+
+    def test_misspelt_training_key(self, tmp_path):
+        table = base_config()
+        table["training"]["epoch"] = 3
+        self.check(tmp_path, table, r"training\.epoch")
+
+    def test_clip_is_not_an_option(self, tmp_path):
+        table = base_config()
+        table["training"]["clip"] = 1.0
+        self.check(tmp_path, table, r"training\.clip")
+
+    def test_misspelt_top_level_table(self, tmp_path):
+        table = base_config()
+        table["certfication"] = {"beta": 0.9}
+        self.check(tmp_path, table, r"config\.certfication")
+
+    @pytest.mark.parametrize("where, entry, fragment", [
+        ("model", {"A": [[1.0, 0.1], [0.0, 1.0]], "B": [[0.0], [0.1]], "C": [[1.0]]},
+         r"model\.C"),
+        ("noise", {"kind": "gaussian", "scale": [0.01, 0.01], "sigma": 1.0}, r"noise\.sigma"),
+        ("x0", {"kind": "uniform", "lower": [-1.0, -1.0], "upper": [1.0, 1.0],
+                "mean": [0.0, 0.0]}, r"x0\.mean"),
+        ("scenarios", {"m": 10, "s": 2, "splits": [0.5, 0.2, 0.3], "r": 20},
+         r"scenarios\.r"),
+        ("policy", {"hidden": [6], "activation": "tanh"}, r"policy\.activation"),
+        ("objective", {"kind": "tracking", "reference": {"parameter": "target"},
+                       "targets": 1}, r"objective\.targets"),
+        ("terminal_set", {"kind": "ball", "radius": 0.5, "lower": [0.0, 0.0]},
+         r"terminal_set\.lower"),
+        ("certification", {"beta": 0.9, "confidence": 0.99}, r"certification\.confidence"),
+        ("simulation", {"count": 2, "step": 5}, r"simulation\.step"),
+        ("benchmark", {"instances": 2, "solver": {"max_iter": 5}},
+         r"benchmark\.solver\.max_iter"),
+    ])
+    def test_unknown_key_in_table(self, tmp_path, where, entry, fragment):
+        table = base_config()
+        table[where] = entry
+        self.check(tmp_path, table, fragment)
+
+    def test_unknown_key_in_parameter_and_nested_constraint(self, tmp_path):
+        table = base_config()
+        table["parameters"][0]["std"] = [1.0, 1.0]
+        self.check(tmp_path, table, r"parameters\[0\]\.std")
+        table = base_config()
+        table["constraints"]["input_box"]["margn"] = 0.1
+        self.check(tmp_path, table, r"constraints\.input_box\.margn")
+
+    def test_table_must_be_an_object(self, tmp_path):
+        table = base_config()
+        table["training"] = [4]
+        self.check(tmp_path, table, r"training: expected a JSON object")
+
+    @pytest.mark.parametrize("key", ["instances", "repeats"])
+    def test_benchmark_budgets_at_least_one(self, tmp_path, key):
+        table = base_config()
+        table["benchmark"] = {key: 0}
+        self.check(tmp_path, table, r"benchmark: instances and repeats must be >= 1")

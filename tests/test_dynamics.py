@@ -227,7 +227,7 @@ def test_rollout_gradient_matches_fd(double_integrator):
             lambda z: pol.apply_layers(policy.layers, z),
             x0, None, omega, dyn.STATE_FEEDBACK, 1,
         )
-        return states[-1].values[0, 0]
+        return states.values[0, -1, 0]
 
     tape = ad.Tape()
     layers = pol.taped_layers(tape, p)
@@ -236,7 +236,7 @@ def test_rollout_gradient_matches_fd(double_integrator):
         lambda z: pol.apply_layers(layers, z),
         x0, None, omega, dyn.STATE_FEEDBACK, 1,
     )
-    root = ad.reduce_sum(ad.narrow(states[-1], 1, 0, 1))
+    root = ad.reduce_sum(ad.narrow(ad.narrow(states, 1, 2, 3), 2, 0, 1))
     grads = tape.backward(root)
 
     h = 1e-6
@@ -252,6 +252,55 @@ def test_rollout_gradient_matches_fd(double_integrator):
             numeric[idx] = (hi - lo) / (2 * h)
         err = np.abs(analytic - numeric)
         assert np.all(err <= np.maximum(1e-5, 1e-4 * np.abs(numeric)))
+
+
+def _recursion(model, x0, actions, omega):
+    """x' = A x + B u + w, one step at a time, over a batch."""
+    states = [x0]
+    for k in range(actions.shape[1]):
+        states.append(states[k] @ model.A.T + actions[:, k] @ model.B.T + omega[:, k])
+    return np.stack(states, axis=1)
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in (REPO / "configs").glob("ex*.json")))
+@pytest.mark.parametrize("mode", dyn.MODES)
+def test_block_rollout_matches_step_recursion(name, mode):
+    from spdpc.config import load_config
+    cfg = load_config(REPO / "configs" / f"{name}.json")
+    model, horizon = cfg.model, cfg.horizon
+    n_x, n_u = model.n_x, model.n_u
+    gen = np.random.default_rng(21)
+    batch = 7
+    x0 = gen.uniform(-2.0, 2.0, size=(batch, n_x))
+    omega = gen.normal(0.0, 0.1, size=(batch, horizon, n_x))
+    full = mode == dyn.FULL_HORIZON
+    arch = pol.PolicyArchitecture(n_x, (16,), horizon * n_u if full else n_u, seed=5)
+    policy = pol.init_policy(arch)
+    states, actions = dyn.rollout_tensors(
+        model, lambda z: pol.apply_layers(policy.layers, z), x0, None, omega, mode, n_u)
+    assert states.shape == (batch, horizon + 1, n_x)
+    assert actions.shape == (batch, horizon, n_u)
+    np.testing.assert_array_equal(states.values[:, 0], x0)
+    if full:
+        plan = pol.apply_layers(policy.layers, x0).values.reshape(batch, horizon, n_u)
+        np.testing.assert_array_equal(actions.values, plan)
+    replay = _recursion(model, x0, actions.values, omega)
+    err = np.abs(states.values - replay).max()
+    assert err <= 1e-12 * np.abs(replay).max(), err
+
+
+def test_prediction_matrices_hand_value(double_integrator):
+    phi, gamma, gamma_w = double_integrator.prediction(2)
+    A, B = double_integrator.A, double_integrator.B
+    np.testing.assert_allclose(phi, np.vstack([A, A @ A]), atol=1e-15)
+    expect = np.zeros((4, 2))
+    expect[0:2, 0] = B[:, 0]
+    expect[2:4, 0] = (A @ B)[:, 0]
+    expect[2:4, 1] = B[:, 0]
+    np.testing.assert_allclose(gamma, expect, atol=1e-15)
+    np.testing.assert_array_equal(gamma_w[0:2, 2:4], 0.0)
+    np.testing.assert_allclose(gamma_w[2:4, 0:2], A, atol=1e-15)
+    assert double_integrator.prediction(2)[1] is gamma  # cached per horizon
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,19 @@ def const(*vals):
     return obj.Constant(tuple(vals))
 
 
+def blocks(states, actions):
+    """Per-step (b, n) arrays stacked into the (b, N+1, n_x) / (b, N, n_u) blocks."""
+    return np.stack(states, axis=1), np.stack(actions, axis=1)
+
+
+def stack_trajectories(trajectories):
+    """Eager single-scenario trajectories stacked into (states, actions, xi) blocks."""
+    states = np.stack([t.states for t in trajectories])
+    actions = np.stack([t.actions for t in trajectories])
+    xi = np.stack([t.xi for t in trajectories]) if trajectories[0].xi.size else None
+    return states, actions, xi
+
+
 # ---------------------------------------------------------------------------
 # weights and refs
 
@@ -147,8 +160,8 @@ def simple_constraints():
 def test_total_loss_single_step_hand_value():
     # One rollout, one step: stage cost 10.2, no violations, terminal at origin.
     w = weights(Q_x=5.0, Q_u=0.2, Q_h=10.0, Q_g=100.0, Q_f=1.0)
-    states = [np.array([[1.0, 1.0]]), np.array([[0.0, 0.0]])]
-    actions = [np.array([[1.0]])]
+    states = np.array([[[1.0, 1.0], [0.0, 0.0]]])  # (b=1, N+1=2, n_x=2)
+    actions = np.array([[[1.0]]])
     parts = obj.total_loss(states, actions, None, obj.StageObjective("stabilization"),
                            simple_constraints(), w)
     assert parts.total.item() == pytest.approx(10.2, abs=1e-12)
@@ -164,8 +177,8 @@ def test_total_loss_counts_terminal_and_penalties():
         inputs=[obj.BoxConstraint((-0.5,), (0.5,))],
         terminal_box=obj.BoxConstraint((-0.1, -0.1), (0.1, 0.1)),
     )
-    states = [np.array([[2.0, 0.0]]), np.array([[0.2, 0.0]])]
-    actions = [np.array([[1.5]])]
+    states = np.array([[[2.0, 0.0], [0.2, 0.0]]])
+    actions = np.array([[[1.5]]])
     parts = obj.total_loss(states, actions, None, obj.StageObjective("stabilization"), cs, w)
     # stage: 4.0; state penalty: 2 * 1^2 = 2; input penalty: 3 * 1^2 = 3;
     # terminal: 4 * 0.04 + 4 * relu(0.2 - 0.1)^2 = 0.16 + 0.04
@@ -179,8 +192,8 @@ def test_total_loss_counts_terminal_and_penalties():
 def test_terminal_smoothing_hand_value():
     w = weights(Q_r=1.0, Q_u=1.0, Q_du=1.0, Q_dx=1.0)
     s = obj.StageObjective("terminal-smoothing", target=const(1.0, 0.0))
-    states = [np.array([[0.0, 0.0]]), np.array([[0.5, 0.0]]), np.array([[1.0, 0.0]])]
-    actions = [np.array([[0.5, 0.0]]), np.array([[0.5, 0.0]])]
+    states = np.array([[[0.0, 0.0], [0.5, 0.0], [1.0, 0.0]]])
+    actions = np.array([[[0.5, 0.0], [0.5, 0.0]]])
     parts = obj.total_loss(states, actions, None, s, obj.ConstraintSet(), w)
     # terminal distance 0; du increment 0; dx: 0.25 + 0.25; effort: 0.25 + 0.25
     # normalized by batch * N = 2
@@ -190,8 +203,8 @@ def test_terminal_smoothing_hand_value():
 def test_contraction_enters_state_bucket():
     w = weights(Q_c=1.0)
     cs = obj.ConstraintSet(contraction=obj.ContractionConstraint(0.8))
-    states = [np.array([[1.0, 0.0]]), np.array([[1.0, 0.0]])]
-    actions = [np.array([[0.0]])]
+    states = np.array([[[1.0, 0.0], [1.0, 0.0]]])
+    actions = np.array([[[0.0]]])
     parts = obj.total_loss(states, actions, None, obj.StageObjective("stabilization"), cs, w)
     assert parts.state.item() == pytest.approx(0.04, abs=1e-12)
 
@@ -202,8 +215,8 @@ def test_loss_nonnegative_on_random_rollouts():
     for _ in range(20):
         n = int(rng.integers(1, 4))
         b = int(rng.integers(1, 5))
-        states = [rng.normal(scale=5, size=(b, 2)) for _ in range(n + 1)]
-        actions = [rng.normal(scale=2, size=(b, 1)) for _ in range(n)]
+        states, actions = blocks([rng.normal(scale=5, size=(b, 2)) for _ in range(n + 1)],
+                                 [rng.normal(scale=2, size=(b, 1)) for _ in range(n)])
         parts = obj.total_loss(states, actions, None, obj.StageObjective("stabilization"),
                                simple_constraints(), w)
         assert parts.total.item() >= 0.0
@@ -214,8 +227,8 @@ def test_decomposition_sums_to_total():
     w = weights(Q_x=5.0, Q_u=0.2, Q_h=10.0, Q_g=100.0, Q_f=1.0)
     cs = simple_constraints()
     cs.terminal_box = obj.BoxConstraint((-0.1, -0.1), (0.1, 0.1))
-    states = [rng.normal(scale=3, size=(4, 2)) for _ in range(4)]
-    actions = [rng.normal(scale=2, size=(4, 1)) for _ in range(3)]
+    states, actions = blocks([rng.normal(scale=3, size=(4, 2)) for _ in range(4)],
+                             [rng.normal(scale=2, size=(4, 1)) for _ in range(3)])
     parts = obj.total_loss(states, actions, None, obj.StageObjective("stabilization"), cs, w)
     f = parts.floats()
     assert abs(f["total"] - (f["objective"] + f["state"] + f["inputs"] + f["terminal"])) <= 1e-12
@@ -230,17 +243,17 @@ def test_batch_mean_consistency():
     aa = [rng.normal(size=(3, 1)) for _ in range(2)]
     sb = [rng.normal(size=(3, 2)) for _ in range(3)]
     ab = [rng.normal(size=(3, 1)) for _ in range(2)]
-    ja = obj.total_loss(sa, aa, None, s, cs, w).total.item()
-    jb = obj.total_loss(sb, ab, None, s, cs, w).total.item()
-    union_states = [np.vstack([x, y]) for x, y in zip(sa, sb)]
-    union_actions = [np.vstack([x, y]) for x, y in zip(aa, ab)]
-    ju = obj.total_loss(union_states, union_actions, None, s, cs, w).total.item()
+    ja = obj.total_loss(*blocks(sa, aa), None, s, cs, w).total.item()
+    jb = obj.total_loss(*blocks(sb, ab), None, s, cs, w).total.item()
+    union = blocks([np.vstack([x, y]) for x, y in zip(sa, sb)],
+                   [np.vstack([x, y]) for x, y in zip(aa, ab)])
+    ju = obj.total_loss(*union, None, s, cs, w).total.item()
     assert abs(ju - 0.5 * (ja + jb)) <= 1e-12
 
 
 def test_mismatched_states_actions_rejected():
     with pytest.raises(ValueError, match="bracket"):
-        obj.total_loss([np.zeros((1, 2))], [np.zeros((1, 1))], None,
+        obj.total_loss(np.zeros((1, 1, 2)), np.zeros((1, 1, 1)), None,
                        obj.StageObjective("stabilization"), obj.ConstraintSet(), weights())
 
 
@@ -252,11 +265,16 @@ def test_batch_from_trajectories_layout():
                     scenario=(k, 0))
         for k in range(4)
     ]
-    states, actions, xi = obj.batch_from_trajectories(trajs)
-    assert len(states) == 4 and len(actions) == 3
-    assert states[0].shape == (4, 2) and actions[0].shape == (4, 1)
+    states, actions, xi = stack_trajectories(trajs)
+    assert states.shape == (4, 4, 2) and actions.shape == (4, 3, 1)
     assert xi is None
-    np.testing.assert_array_equal(states[2][1], trajs[1].states[2])
+    np.testing.assert_array_equal(states[1, 2], trajs[1].states[2])
+    # the batched rollout produces the same blocks, so the loss reads one layout
+    x0 = np.stack([t.states[0] for t in trajs])
+    batched = dyn.rollout_tensors(m, lambda z: pol.apply_layers(p.layers, z), x0, None,
+                                  np.zeros((4, 3, 2)), dyn.STATE_FEEDBACK, 1)
+    np.testing.assert_allclose(batched[0].values, states, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(batched[1].values, actions, rtol=0, atol=1e-15)
 
 
 def test_loss_gradient_through_rollout_matches_fd():
@@ -327,3 +345,11 @@ def test_keepout_margin_inflates_penalty_onset():
     assert obj.state_penalty(cs, x, None, 1.0).item() > 0.0
     x_far = np.array([[0.8, 0.0]])  # past the inflated surface too
     assert obj.state_penalty(cs, x_far, None, 1.0).item() == 0.0
+
+
+def test_split_tracking_reference_follows_track_index_order():
+    # reference[k] belongs to track_indices[k], whatever order they come in
+    w = weights(Q_r=1.0, Q_x=1.0)
+    s = obj.StageObjective("split-tracking", track_indices=(3, 1), reference=const(2.0, -1.0))
+    x = np.array([[0.0, -1.0, 0.0, 2.0]])
+    assert obj.stage_cost(s, w, x, np.zeros((1, 1))).item() == 0.0

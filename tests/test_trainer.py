@@ -128,6 +128,34 @@ class TestPolicyGradient:
         assert parts.total.item() == 0.0
         assert all(np.all(g == 0.0) for g in grads)
 
+    def test_obstacle_step_tape_is_independent_of_the_horizon(self, monkeypatch):
+        # ex3 desk: N=20, 4x100 policy, keep-out and terminal smoothing.  The
+        # rollout and loss record whole time blocks, so a step's tape holds the
+        # policy layers plus a fixed number of loss nodes (about 1050 when the
+        # loss was built step by step)
+        from pathlib import Path
+
+        from spdpc import autodiff as ad
+        from spdpc.config import load_config
+        from spdpc.sampling import split
+        cfg = load_config(Path(__file__).resolve().parents[1] / "configs"
+                          / "ex3_obstacle_desk.json")
+        train_set = split(sample_scenarios(cfg.params, cfg.noise, cfg.m, cfg.s,
+                                           cfg.horizon, cfg.seed), cfg.splits)[0]
+        idx = np.arange(cfg.train.minibatch)
+        x0, xi, omega, _ = tr._pair_rows(train_set, idx)
+        sizes = []
+        backward = ad.Tape.backward
+
+        def counting(tape, root):
+            sizes.append(len(tape.nodes))
+            return backward(tape, root)
+
+        monkeypatch.setattr(ad.Tape, "backward", counting)
+        tr.policy_gradient(pol.init_policy(cfg.arch), cfg.model, x0, xi, omega,
+                           cfg.objective, cfg.constraints, cfg.weights, cfg.mode)
+        assert len(sizes) == 1 and sizes[0] <= 120, sizes
+
 
 class TestEvaluate:
     def test_matches_taped_parts_on_one_chunk(self):
