@@ -58,26 +58,6 @@ class Tensor:
         where = f" node={self.node}" if self.tape is not None else ""
         return f"Tensor(shape={self.shape}{where})"
 
-    # Small amount of operator sugar; the named functions below are the API.
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return subtract(self, other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, float(other))
-        return multiply(self, other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
 
 def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
@@ -218,9 +198,6 @@ def _forward(kind, vals, attrs):
     if kind == "sum":
         (a,) = vals
         return np.asarray(a.sum())
-    if kind == "mean":
-        (a,) = vals
-        return np.asarray(a.mean())
     if kind == "scale":
         (a,) = vals
         c = attrs["factor"]
@@ -309,9 +286,6 @@ def _vjp(node, g):
     if kind == "sum":
         (a,) = vals
         return [(0, np.broadcast_to(g, a.shape).copy())]
-    if kind == "mean":
-        (a,) = vals
-        return [(0, np.broadcast_to(g / a.size, a.shape).copy())]
     if kind == "scale":
         return [(0, g * node.attrs["factor"])]
     if kind == "concat":
@@ -389,10 +363,6 @@ def square(a):
 
 def reduce_sum(a):
     return _apply("sum", a)
-
-
-def reduce_mean(a):
-    return _apply("mean", a)
 
 
 def scale(a, factor: float):

@@ -27,22 +27,24 @@ from . import policy as pol
 from .sampling import write_csv
 
 
+# line search: the first trial step, the Armijo sufficient-decrease constant,
+# the backtracking factor and the trials allowed per iteration
+STEP0 = 1.0
+ARMIJO_C = 1e-4
+BACKTRACK = 0.5
+MAX_BACKTRACKS = 40
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     max_iters: int = 500
     tol: float = 1e-8           # stop when the gradient infinity norm drops below
-    step0: float = 1.0
-    armijo_c: float = 1e-4
-    backtrack: float = 0.5
-    max_backtracks: int = 40
 
     def __post_init__(self):
-        if self.max_iters < 1 or self.max_backtracks < 1:
-            raise ValueError("iteration budgets must be >= 1")
-        if not 0 < self.backtrack < 1:
-            raise ValueError(f"backtrack factor must sit in (0, 1), got {self.backtrack}")
-        if self.step0 <= 0 or self.tol < 0 or self.armijo_c <= 0:
-            raise ValueError("step0 and armijo_c must be positive, tol non-negative")
+        if self.max_iters < 1:
+            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
+        if self.tol < 0:
+            raise ValueError(f"tol must be non-negative, got {self.tol}")
 
 
 @dataclass
@@ -61,17 +63,6 @@ def _loss_parts(model, x0, xi, plan, objective, constraints, weights, horizon):
     return obj.total_loss(states, actions, xi, objective, constraints, weights)
 
 
-def objective_value(model, x0, xi, u, objective, constraints, weights) -> float:
-    """Penalized open-loop cost of action sequence ``u`` (N, n_u) from ``x0``."""
-    u = np.asarray(u, dtype=np.float64)
-    x0 = np.atleast_2d(np.asarray(x0, dtype=np.float64))
-    xi = None if xi is None else np.atleast_2d(np.asarray(xi, dtype=np.float64))
-    horizon = u.shape[0]
-    parts = _loss_parts(model, x0, xi, u.reshape(1, -1), objective, constraints,
-                        weights, horizon)
-    return parts.total.item()
-
-
 def solve(model, x0, xi, horizon, objective, constraints, weights,
           cfg: SolverConfig = SolverConfig(), warm_start=None) -> SolveResult:
     """Descend the penalized objective from ``warm_start`` (zeros if absent)."""
@@ -88,7 +79,7 @@ def solve(model, x0, xi, horizon, objective, constraints, weights,
 
     result = SolveResult(actions=u, value=value_at(u), iterations=0, converged=False)
     result.values.append(result.value)
-    trial = cfg.step0
+    trial = STEP0
     prev = None  # (iterate, gradient) of the last iteration
     for it in range(cfg.max_iters):
         tape = ad.Tape()
@@ -111,18 +102,18 @@ def solve(model, x0, xi, horizon, objective, constraints, weights,
                 trial = float(np.sum(s_k * s_k)) / sy
         step = trial
         accepted = False
-        for _ in range(cfg.max_backtracks):
+        for _ in range(MAX_BACKTRACKS):
             candidate = u - step * grad
             if np.array_equal(candidate, u):
                 break  # the step no longer moves any component
             f_new = value_at(candidate)
-            if f_new <= f0 - cfg.armijo_c * step * gnorm2:
+            if f_new <= f0 - ARMIJO_C * step * gnorm2:
                 prev = (u, grad)
                 u = candidate
                 result.values.append(f_new)
                 accepted = True
                 break
-            step *= cfg.backtrack
+            step *= BACKTRACK
         result.iterations = it + 1
         if not accepted:
             break  # no productive step at the smallest trial size

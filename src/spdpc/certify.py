@@ -102,12 +102,10 @@ def empirical_risk(policy, model, scenarios, constraints, terminal, mode,
     all_idx = np.arange(scenarios.size)
     for start in range(0, scenarios.size, chunk):
         idx = all_idx[start:start + chunk]
-        i_idx = idx // scenarios.s
-        j_idx = idx % scenarios.s
-        xi = scenarios.xi[i_idx] if scenarios.xi.shape[1] else None
+        x0, xi, omega, _, _ = scenarios.pair_rows(idx)
         states, actions = dyn.rollout_tensors(
             model, lambda z: pol.apply_layers(policy.layers, z),
-            scenarios.x0[i_idx], xi, scenarios.omega[j_idx], mode, model.n_u)
+            x0, xi, omega, mode, model.n_u)
         flags[idx] = satisfied(states.values, actions.values, xi, constraints, terminal)
     return float(flags.mean()), flags
 

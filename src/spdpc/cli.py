@@ -7,8 +7,8 @@ happen after argument parsing so --threads can pin the BLAS thread count
 through the environment before numpy loads.
 
 Exit codes: 0 on success (a negative certification verdict is still a
-success), 1 for bad input (config errors, missing files), 2 when a run
-fails underway (e.g. training diverges).
+success), 1 for bad input (config errors, missing files, flags out of
+range), 2 when a run fails underway (e.g. training diverges).
 """
 
 from __future__ import annotations
@@ -125,6 +125,8 @@ def run_train(cfg, seed: int, out: Path, checkpoint_every: int = 0):
 
 
 def run_certify(cfg, seed: int, out: Path, checkpoint: str):
+    import numpy as np
+
     from .certify import run_certification, save_report
     from .policy import load_checkpoint
     from .sampling import write_csv
@@ -135,9 +137,9 @@ def run_certify(cfg, seed: int, out: Path, checkpoint: str):
         policy, cfg.model, test_set, cfg.constraints, cfg.terminal, cfg.mode,
         cfg.beta, cfg.delta, policy_checkpoint=Path(checkpoint).name)
     save_report(report, out / "certificate.json")
+    i_idx, j_idx = test_set.pair_index(np.arange(test_set.size))
     write_csv(out / "indicator.csv", ["i", "j", "pass"],
-              [[idx // test_set.s, idx % test_set.s, int(flag)]
-               for idx, flag in enumerate(flags)])
+              [[int(i), int(j), int(flag)] for i, j, flag in zip(i_idx, j_idx, flags)])
     word = "CERTIFIED" if report.verdict else "NOT CERTIFIED"
     print(f"{cfg.name}: success fraction {report.mu_tilde:.4f} on r={report.r}, "
           f"lower bound {report.lower_bound:.4f} vs beta={report.beta}: {word}")
@@ -150,7 +152,7 @@ def run_simulate(cfg, seed: int, out: Path, checkpoint: str,
 
     from . import rng as _rng
     from . import svg
-    from .dynamics import simulate_receding_horizon
+    from .dynamics import simulate
     from .policy import load_checkpoint
     from .sampling import write_csv
 
@@ -158,21 +160,16 @@ def run_simulate(cfg, seed: int, out: Path, checkpoint: str,
     count = cfg.sim_count if count is None else count
     steps = cfg.sim_steps if steps is None else steps
 
-    all_states, all_actions, all_xi = [], [], []
+    x0, xi, noise = [], [], []
     for i in range(count):
         gen = _rng.substream(seed, _rng.SIM_X0, i)
-        x0 = cfg.params.x0.draw(gen)
-        xi = cfg.params.draw_xi(gen)
-        noise = cfg.noise.draw(_rng.substream(seed, _rng.SIM_NOISE, i), steps)
-        states, actions = simulate_receding_horizon(
-            cfg.model, policy, cfg.mode, x0, xi if xi.size else None,
-            lambda k: noise[k], steps)
-        all_states.append(states)
-        all_actions.append(actions)
-        all_xi.append(xi)
-    states = np.stack(all_states)     # (count, steps+1, n_x)
-    actions = np.stack(all_actions)   # (count, steps, n_u)
-    xi = np.stack(all_xi)             # (count, xi_dim)
+        x0.append(cfg.params.x0.draw(gen))
+        xi.append(cfg.params.draw_xi(gen))
+        noise.append(cfg.noise.draw(_rng.substream(seed, _rng.SIM_NOISE, i), steps))
+    xi = np.stack(xi)  # (count, xi_dim)
+    xi_rows = xi if xi.shape[1] else None
+    states, actions = simulate(cfg.model, policy, cfg.mode, np.stack(x0), xi_rows,
+                               np.stack(noise))
 
     n_x, n_u = cfg.model.n_x, cfg.model.n_u
     artifacts = [Path("sim_states.csv"), Path("sim_actions.csv"),
@@ -186,7 +183,6 @@ def run_simulate(cfg, seed: int, out: Path, checkpoint: str,
     write_csv(out / "sim_params.csv", ["sim"] + [f"xi{d}" for d in range(xi.shape[1])],
               [[i] + [float(v) for v in xi[i]] for i in range(count)])
 
-    xi_rows = xi if xi.shape[1] else None
     summary = {
         "count": count,
         "steps": steps,
@@ -200,21 +196,15 @@ def run_simulate(cfg, seed: int, out: Path, checkpoint: str,
         json.dump(summary, fh, indent=1)
         fh.write("\n")
 
-    ks = np.arange(steps + 1)
-    for d in range(n_x):
-        name = f"sim_state_{d}.svg"
-        svg.plot_series(out / name,
-                        [(f"x{d}", ks, states[i, :, d]) for i in range(count)],
-                        title=f"{cfg.name}: state {d}", x_label="step",
-                        y_label=f"x{d}", opacity=0.35, legend=False)
-        artifacts.append(Path(name))
-    for d in range(n_u):
-        name = f"sim_input_{d}.svg"
-        svg.plot_series(out / name,
-                        [(f"u{d}", ks[:-1], actions[i, :, d]) for i in range(count)],
-                        title=f"{cfg.name}: input {d}", x_label="step",
-                        y_label=f"u{d}", opacity=0.35, legend=False)
-        artifacts.append(Path(name))
+    for block, sym, word in ((states, "x", "state"), (actions, "u", "input")):
+        ks = np.arange(block.shape[1])
+        for d in range(block.shape[2]):
+            name = f"sim_{word}_{d}.svg"
+            svg.plot_series(out / name,
+                            [(f"{sym}{d}", ks, block[i, :, d]) for i in range(count)],
+                            title=f"{cfg.name}: {word} {d}", x_label="step",
+                            y_label=f"{sym}{d}", opacity=0.35, legend=False)
+            artifacts.append(Path(name))
     worst = max(summary["final_infnorm"])
     print(f"simulated {count} runs of {steps} steps; "
           f"worst final state infinity norm {worst:.4g}")
@@ -248,6 +238,13 @@ def run_benchmark(cfg, seed: int, out: Path, checkpoint: str, instances=None):
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    for flag, least in (("count", 1), ("steps", 1), ("instances", 1), ("threads", 1),
+                        ("checkpoint_every", 0)):
+        value = getattr(args, flag, None)
+        if value is not None and value < least:
+            print(f"error: --{flag.replace('_', '-')} must be >= {least}, got {value}",
+                  file=sys.stderr)
+            return 1
     if args.threads is not None:
         for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                     "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):

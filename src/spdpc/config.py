@@ -358,12 +358,11 @@ def load_config(path) -> ExperimentConfig:
     if bench_instances < 1 or bench_repeats < 1:
         raise ConfigError("benchmark: instances and repeats must be >= 1")
     solver_entry = _table(_get(bench, "solver", {}), "benchmark.solver",
-                          ("max_iters", "tol", "step0"))
+                          ("max_iters", "tol"))
     try:
         solver = SolverConfig(
             max_iters=int(_get(solver_entry, "max_iters", 500)),
-            tol=float(_get(solver_entry, "tol", 1e-8)),
-            step0=float(_get(solver_entry, "step0", 1.0)))
+            tol=float(_get(solver_entry, "tol", 1e-8)))
     except ValueError as err:
         raise ConfigError(f"benchmark.solver: {err}") from err
 

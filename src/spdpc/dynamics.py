@@ -8,15 +8,18 @@ in two modes:
   * ``state-feedback``: the policy is evaluated on the current state at
     every step.
 
-Rollout arithmetic goes through the autodiff ops, so the same code path is
-eager (plain arrays in, plain arrays out) or differentiable end to end when
-the policy closure produces tape tensors.  A batched rollout is one
-(b, N+1, n_x) state block and one (b, N, n_u) action block.  In full-horizon
-mode the states come from the condensed prediction of linear MPC,
+``rollout_tensors`` is the only place the plant moves.  Its arithmetic goes
+through the autodiff ops, so the same code path is eager (plain arrays in,
+plain arrays out) or differentiable end to end when the policy closure
+produces tape tensors.  A batched rollout is one (b, N+1, n_x) state block
+and one (b, N, n_u) action block.  In full-horizon mode the states come
+from the condensed prediction of linear MPC,
 
     [x_1; ...; x_N] = Phi x0 + Gamma U + Gamma_w W,
 
 so the whole rollout costs one matmul against a constant on the tape.
+State-feedback mode runs the recursion x' = x A^T + u B^T + w, and
+``simulate`` runs that same recursion with a policy that replans every step.
 """
 
 from __future__ import annotations
@@ -147,42 +150,6 @@ class NoiseSpec:
         return w
 
 
-@dataclass
-class Trajectory:
-    """One realized rollout: states (N+1, n_x), actions (N, n_u), noise (N, n_x)."""
-
-    states: np.ndarray
-    actions: np.ndarray
-    noise: np.ndarray
-    scenario: tuple[int, int] = (0, 0)  # (parametric index i, disturbance index j)
-    xi: np.ndarray = field(default_factory=lambda: np.zeros(0))
-
-    @property
-    def horizon(self) -> int:
-        return self.actions.shape[0]
-
-    def reconstruction_residual(self, model: LinearSystem) -> float:
-        """Max abs mismatch when replaying stored actions and noise."""
-        worst = 0.0
-        for k in range(self.horizon):
-            pred = model.A @ self.states[k] + model.B @ self.actions[k] + self.noise[k]
-            worst = max(worst, float(np.abs(self.states[k + 1] - pred).max()))
-        return worst
-
-
-def step(model: LinearSystem, x, u, omega):
-    """One plant update; differentiable in x and u.
-
-    Accepts single vectors ((n_x,), (n_u,)) or batches ((b, n_x), (b, n_u)).
-    """
-    xv = ad.as_tensor(x)
-    if xv.values.ndim == 2:
-        out = ad.add(ad.matmul(xv, model.A.T), ad.matmul(u, model.B.T))
-    else:
-        out = ad.add(ad.matmul(model.A, xv), ad.matmul(model.B, u))
-    return ad.add(out, omega)
-
-
 def rollout_tensors(model, policy_fn, x0, xi, omega, mode, n_u):
     """Roll the closed loop over a batch; returns the state and action blocks.
 
@@ -217,65 +184,30 @@ def rollout_tensors(model, policy_fn, x0, xi, omega, mode, n_u):
     actions = []
     for k in range(horizon):
         actions.append(policy_fn(states[k]))
-        states.append(step(model, states[k], actions[k], omega[:, k, :]))
+        # x' = x A^T + u B^T + w, row by row
+        drift = ad.add(ad.matmul(states[k], model.A.T), ad.matmul(actions[k], model.B.T))
+        states.append(ad.add(drift, omega[:, k, :]))
     return (ad.reshape(ad.concat(states, axis=1), (batch, horizon + 1, n_x)),
             ad.reshape(ad.concat(actions, axis=1), (batch, horizon, n_u)))
 
 
-def rollout(model, policy, mode, x0, xi, omega, scenario=(0, 0)) -> Trajectory:
-    """Single-scenario closed-loop rollout (eager)."""
-    omega = np.asarray(omega, dtype=np.float64)
-    xi_arr = None if xi is None else np.atleast_2d(np.asarray(xi, dtype=np.float64))
-    states, actions = rollout_tensors(
-        model,
-        lambda z: ad.as_tensor(pol.apply_layers(policy.layers, z)),
-        np.atleast_2d(np.asarray(x0, dtype=np.float64)),
-        xi_arr,
-        omega[None, :, :],
-        mode,
-        model.n_u,
-    )
-    return Trajectory(
-        states=states.values[0],
-        actions=actions.values[0],
-        noise=omega,
-        scenario=tuple(scenario),
-        xi=np.zeros(0) if xi is None else np.asarray(xi, dtype=np.float64),
-    )
+def simulate(model, policy, mode, x0, xi, omega):
+    """Receding-horizon closed loop of c runs at once, eager; ``x0`` is
+    (c, n_x), ``xi`` (c, d) or None and ``omega`` (c, steps, n_x).
 
-
-def rollout_open_loop(model, x0, actions, omega) -> Trajectory:
-    """Apply a fixed action sequence; useful for superposition checks and solvers."""
-    actions = np.asarray(actions, dtype=np.float64)
-    omega = np.asarray(omega, dtype=np.float64)
-    states = [np.asarray(x0, dtype=np.float64)]
-    for k in range(actions.shape[0]):
-        states.append(model.A @ states[k] + model.B @ actions[k] + omega[k])
-    return Trajectory(np.stack(states), actions.copy(), omega.copy())
-
-
-def simulate_receding_horizon(model, policy, mode, x0, xi, noise_fn, steps: int):
-    """Closed-loop run for ``steps`` plant updates with per-step re-planning.
-
-    In full-horizon mode the policy plans from the current state each step
-    and only the first action is applied; in state-feedback mode the policy
-    output is the action.  ``noise_fn(k)`` supplies the disturbance of step
-    k, so callers control seeding.  ``xi`` may be a fixed vector (or None)
-    or a callable k -> vector for time-varying parameters.
-
-    Returns (states (steps+1, n_x), actions (steps, n_u)).
+    The state-feedback recursion with a policy that replans every step: a
+    full-horizon policy plans from (x, xi) and only the plan's first action
+    is applied.  Returns (states (c, steps+1, n_x), actions (c, steps, n_u)).
     """
     if mode not in MODES:
         raise ValueError(f"unknown rollout mode {mode!r}")
-    x = np.asarray(x0, dtype=np.float64)
-    states, actions = [x], []
-    for k in range(steps):
-        xi_k = xi(k) if callable(xi) else xi
-        if mode == FULL_HORIZON:
-            u = pol.action_sequence(policy, x, xi_k, model.n_u)[0]
-        else:
-            u = pol.forward(policy, x)
-        x = model.A @ x + model.B @ u + np.asarray(noise_fn(k), dtype=np.float64)
-        actions.append(u)
-        states.append(x)
-    return np.stack(states), np.stack(actions)
+
+    def decide(x):
+        if mode == STATE_FEEDBACK:
+            return pol.apply_layers(policy.layers, x)
+        z = x if xi is None else ad.concat([x, xi], axis=1)
+        return ad.narrow(pol.apply_layers(policy.layers, z), 1, 0, model.n_u)
+
+    states, actions = rollout_tensors(model, decide, x0, None, omega, STATE_FEEDBACK,
+                                      model.n_u)
+    return states.values, actions.values

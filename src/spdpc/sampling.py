@@ -139,9 +139,17 @@ class ScenarioSet:
     def horizon(self) -> int:
         return self.omega.shape[1]
 
-    def pairs(self):
-        """All (parametric row, disturbance index) scenario pairs."""
-        return [(i, j) for i in range(self.m) for j in range(self.s)]
+    def pair_index(self, idx):
+        """(i, j) of the flat pair indices ``idx``: pair idx = i * s + j, so
+        every i's pairs are contiguous."""
+        return idx // self.s, idx % self.s
+
+    def pair_rows(self, idx):
+        """Rollout inputs of the pairs ``idx``: (x0 (b, n_x), xi (b, d) or
+        None when xi is empty, omega (b, N, n_x), i, j)."""
+        i, j = self.pair_index(idx)
+        xi = self.xi[i] if self.xi.shape[1] else None
+        return self.x0[i], xi, self.omega[j], i, j
 
 
 def sample_scenarios(spec: ParamSpec, noise: NoiseSpec, m: int, s: int,

@@ -112,14 +112,6 @@ def policy_gradient(policy, model, x0, xi, omega, objective, constraints,
     return parts, grads
 
 
-def _pair_rows(scenarios, idx):
-    """Map flat pair indices to (x0, xi, omega) minibatch arrays."""
-    i_idx = idx // scenarios.s
-    j_idx = idx % scenarios.s
-    xi = scenarios.xi[i_idx] if scenarios.xi.shape[1] else None
-    return scenarios.x0[i_idx], xi, scenarios.omega[j_idx], i_idx
-
-
 def evaluate(policy, model, scenarios, objective, constraints, weights, mode,
              chunk: int = 512) -> dict[str, float]:
     """Mean loss parts over every scenario pair, computed untaped."""
@@ -127,7 +119,7 @@ def evaluate(policy, model, scenarios, objective, constraints, weights, mode,
     all_idx = np.arange(scenarios.size)
     for start in range(0, scenarios.size, chunk):
         idx = all_idx[start:start + chunk]
-        x0, xi, omega, _ = _pair_rows(scenarios, idx)
+        x0, xi, omega, _, _ = scenarios.pair_rows(idx)
         states, actions = dyn.rollout_tensors(
             model, lambda z: pol.apply_layers(policy.layers, z),
             x0, xi, omega, mode, model.n_u)
@@ -144,7 +136,6 @@ HISTORY_COLUMNS = ("epoch", "train_loss", "dev_loss", "objective_cost",
 @dataclass
 class TrainResult:
     policy: pol.MlpPolicy          # weights from the best dev epoch
-    last: pol.MlpPolicy            # weights after the final update
     history: list = field(default_factory=list)
     best_epoch: int = -1
     best_dev_loss: float = float("inf")
@@ -159,13 +150,13 @@ def train(model, policy, train_set, dev_set, objective, constraints, weights,
     """
     params = flat_params(policy)
     state = AdamWState.for_params(params)
-    result = TrainResult(policy=policy, last=policy)
+    result = TrainResult(policy=policy)
     for epoch in range(cfg.epochs):
         perm = _rng.substream(seed, _rng.SHUFFLE, epoch).permutation(train_set.size)
         acc = {k: 0.0 for k in ("total", "objective", "state", "inputs", "terminal")}
         for start in range(0, train_set.size, cfg.minibatch):
             idx = perm[start:start + cfg.minibatch]
-            x0, xi, omega, i_idx = _pair_rows(train_set, idx)
+            x0, xi, omega, i_idx, _ = train_set.pair_rows(idx)
             try:
                 parts, grads = policy_gradient(
                     policy, model, x0, xi, omega, objective, constraints, weights, mode)
@@ -207,7 +198,6 @@ def train(model, policy, train_set, dev_set, objective, constraints, weights,
             result.policy = pol.MlpPolicy(policy.arch, copy.deepcopy(policy.layers))
         if on_epoch is not None:
             on_epoch(epoch, policy, dev["total"])
-    result.last = policy
     return result
 
 

@@ -321,18 +321,27 @@ def test_quadcopter_parameter_count():
 
 
 def test_core_property_rollup():
-    # open-loop rollouts superpose (linear dynamics)
+    # open-loop rollouts superpose (linear dynamics): a full-horizon rollout
+    # whose policy emits a fixed plan, rolls a, b and a + b in one batch
     gen = np.random.default_rng(11)
     model = dyn.LinearSystem(np.array([[1.2, 1.0], [0.0, 1.0]]),
                              np.array([[1.0], [0.5]]))
     x0a, x0b = gen.normal(size=2), gen.normal(size=2)
     ua, ub = gen.normal(size=(4, 1)), gen.normal(size=(4, 1))
     wa, wb = gen.normal(size=(4, 2)), gen.normal(size=(4, 2))
-    ta = dyn.rollout_open_loop(model, x0a, ua, wa)
-    tb = dyn.rollout_open_loop(model, x0b, ub, wb)
-    tsum = dyn.rollout_open_loop(model, x0a + x0b, ua + ub, wa + wb)
-    sup_err = np.abs(tsum.states - (ta.states + tb.states)).max()
+    plans = np.stack([ua, ub, ua + ub]).reshape(3, -1)
+    rolled, _ = dyn.rollout_tensors(
+        model, lambda z: ad.as_tensor(plans), np.stack([x0a, x0b, x0a + x0b]), None,
+        np.stack([wa, wb, wa + wb]), dyn.FULL_HORIZON, 1)
+    ta, tb, tsum = rolled.values
+    sup_err = np.abs(tsum - (ta + tb)).max()
     assert sup_err <= 1e-10
+    # and the condensed rollout replays through x' = A x + B u + w
+    for x0, u, w, states in ((x0a, ua, wa, ta), (x0b, ub, wb, tb)):
+        for k in range(4):
+            pred = model.A @ states[k] + model.B @ u[k] + w[k]
+            assert np.abs(states[k + 1] - pred).max() <= 1e-12
+        assert np.array_equal(states[0], x0)
 
     # loss is nonnegative and penalties vanish exactly inside the sets
     objective = StageObjective(kind="stabilization")

@@ -117,9 +117,9 @@ class TestSolver:
         assert again.value == pytest.approx(first.value, rel=1e-12)
 
     def test_config_validation(self):
-        with pytest.raises(ValueError, match="backtrack"):
-            bl.SolverConfig(backtrack=1.0)
-        with pytest.raises(ValueError, match="budgets"):
+        with pytest.raises(ValueError, match="tol"):
+            bl.SolverConfig(tol=-1.0)
+        with pytest.raises(ValueError, match="max_iters"):
             bl.SolverConfig(max_iters=0)
 
     def test_shift_warm_start(self):

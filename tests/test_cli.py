@@ -91,6 +91,23 @@ class TestExitCodes:
                    "--checkpoint", str(tmp_path / "ghost.json")) == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ("simulate", "--count", "0"),
+        ("simulate", "--count", "-3"),
+        ("simulate", "--steps", "0"),
+        ("benchmark", "--instances", "0"),
+        ("train", "--checkpoint-every", "-1"),
+        ("sample", "--threads", "0"),
+    ])
+    def test_override_below_its_minimum(self, tmp_path, capsys, argv):
+        path = micro_config(tmp_path)
+        checkpoint = [] if argv[0] in ("train", "sample") else ["--checkpoint", "policy.json"]
+        out = tmp_path / "out"
+        assert run(*argv, *checkpoint, "--config", str(path), "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert f"error: {argv[1]} must be >=" in err and f"got {argv[2]}" in err
+        assert not out.exists()
+
     @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
     def test_divergence_exits_2(self, tmp_path, capsys):
         path = micro_config(
@@ -188,6 +205,23 @@ class TestPipeline:
         saved = sorted(p.name for p in (out / "checkpoints").iterdir())
         assert saved == ["epoch_0001.json", "epoch_0003.json"]
         check_manifest(out, config)
+
+    def test_overrides_at_their_minimum(self, tmp_path):
+        config = micro_config(tmp_path)
+        train_out = tmp_path / "trained"
+        assert run("train", "--config", str(config), "--out", str(train_out),
+                   "--checkpoint-every", "0") == 0
+        assert not (train_out / "checkpoints").exists()
+        checkpoint = str(train_out / "policy.json")
+        sim_out = tmp_path / "sim"
+        assert run("simulate", "--config", str(config), "--out", str(sim_out),
+                   "--checkpoint", checkpoint, "--count", "1", "--steps", "1") == 0
+        summary = json.loads((sim_out / "summary.json").read_text())
+        assert (summary["count"], summary["steps"]) == (1, 1)
+        bench_out = tmp_path / "bench"
+        assert run("benchmark", "--config", str(config), "--out", str(bench_out),
+                   "--checkpoint", checkpoint, "--instances", "1") == 0
+        assert len((bench_out / "benchmark.csv").read_text().splitlines()) == 2
 
     def test_threads_flag_sets_environment(self, tmp_path, monkeypatch):
         monkeypatch.setenv("OMP_NUM_THREADS", "4")

@@ -243,6 +243,12 @@ class TestStrictSchema:
         table["training"]["clip"] = 1.0
         self.check(tmp_path, table, r"training\.clip")
 
+    def test_solver_step0_is_not_an_option(self, tmp_path):
+        # the line-search constants are fixed in baseline.py
+        table = base_config()
+        table["benchmark"] = {"solver": {"max_iters": 5, "step0": 0.5}}
+        self.check(tmp_path, table, r"benchmark\.solver\.step0: unknown field")
+
     def test_misspelt_top_level_table(self, tmp_path):
         table = base_config()
         table["certfication"] = {"beta": 0.9}

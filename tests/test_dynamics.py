@@ -31,24 +31,75 @@ def zero_policy(n_in, n_out):
     return p
 
 
+def step(model, x, u, w):
+    """One plant update as an N=1 state-feedback rollout whose policy returns ``u``.
+
+    Takes single vectors or (b, .) batches and returns x_1 in the same rank.
+    """
+    single = np.ndim(x) == 1
+    x, u, w = (np.atleast_2d(np.asarray(v, dtype=float)) for v in (x, u, w))
+    states, _ = dyn.rollout_tensors(model, lambda z: ad.as_tensor(u), x, None,
+                                    w[:, None, :], dyn.STATE_FEEDBACK, u.shape[1])
+    return states.values[0, 1] if single else states.values[:, 1]
+
+
+def rollout(model, policy, mode, x0, xi, omega):
+    """Eager rollout of one scenario; returns states (N+1, n_x) and actions (N, n_u)."""
+    states, actions = dyn.rollout_tensors(
+        model, lambda z: pol.apply_layers(policy.layers, z),
+        np.atleast_2d(np.asarray(x0, dtype=float)),
+        None if xi is None else np.atleast_2d(xi), np.asarray(omega)[None], mode, model.n_u)
+    return states.values[0], actions.values[0]
+
+
+def open_loop(model, x0, actions, omega):
+    """States (N+1, n_x) under a fixed action sequence (N, n_u): a full-horizon
+    rollout whose policy ignores its input and emits the given plan."""
+    plan = ad.as_tensor(np.asarray(actions, dtype=float).reshape(1, -1))
+    states, _ = dyn.rollout_tensors(model, lambda z: plan, np.atleast_2d(x0), None,
+                                    np.asarray(omega)[None], dyn.FULL_HORIZON, model.n_u)
+    return states.values[0]
+
+
+def fixed_inputs(model, x0, actions, omega):
+    """The same through the state-feedback recursion: the policy plays
+    ``actions`` in order, whatever the state."""
+    queue = iter(np.asarray(actions, dtype=float))
+    states, _ = dyn.rollout_tensors(model, lambda z: ad.as_tensor(next(queue)[None]),
+                                    np.atleast_2d(x0), None, np.asarray(omega)[None],
+                                    dyn.STATE_FEEDBACK, model.n_u)
+    return states.values[0]
+
+
+def _recursion(model, x0, actions, omega):
+    """x' = A x + B u + w, one step at a time, over a batch."""
+    states = [x0]
+    for k in range(actions.shape[1]):
+        states.append(states[k] @ model.A.T + actions[:, k] @ model.B.T + omega[:, k])
+    return np.stack(states, axis=1)
+
+
+CONFIGS = sorted(p.stem for p in (REPO / "configs").glob("ex*.json"))
+
+
 # ---------------------------------------------------------------------------
 # step
 
 def test_step_drift_only():
     m = make_model([[1.0, 1.0], [0.0, 1.0]], [[0.0], [1.0]])
-    out = dyn.step(m, [1.0, 0.0], [0.0], [0.0, 0.0])
-    np.testing.assert_array_equal(out.values, [1.0, 0.0])
+    out = step(m, [1.0, 0.0], [0.0], [0.0, 0.0])
+    np.testing.assert_array_equal(out, [1.0, 0.0])
 
 
 def test_step_pure_disturbance():
     m = make_model(np.zeros((2, 2)), [[1.0], [0.0]])
-    out = dyn.step(m, [0.0, 0.0], [0.0], [0.3, -0.7])
-    np.testing.assert_array_equal(out.values, [0.3, -0.7])
+    out = step(m, [0.0, 0.0], [0.0], [0.3, -0.7])
+    np.testing.assert_array_equal(out, [0.3, -0.7])
 
 
 def test_step_matches_hand_value(double_integrator):
-    out = dyn.step(double_integrator, [1.0, 1.0], [-1.0], [0.0, 0.0])
-    np.testing.assert_allclose(out.values, [1.2, 0.5], atol=1e-15)
+    out = step(double_integrator, [1.0, 1.0], [-1.0], [0.0, 0.0])
+    np.testing.assert_allclose(out, [1.2, 0.5], atol=1e-15)
 
 
 def test_step_batched_matches_single(double_integrator):
@@ -56,9 +107,9 @@ def test_step_batched_matches_single(double_integrator):
     xs = rng.normal(size=(5, 2))
     us = rng.normal(size=(5, 1))
     ws = rng.normal(size=(5, 2))
-    batch = dyn.step(double_integrator, xs, us, ws).values
+    batch = step(double_integrator, xs, us, ws)
     for k in range(5):
-        single = dyn.step(double_integrator, xs[k], us[k], ws[k]).values
+        single = step(double_integrator, xs[k], us[k], ws[k])
         np.testing.assert_allclose(batch[k], single, atol=1e-14)
 
 
@@ -143,31 +194,38 @@ def test_noise_validation():
 
 def test_zero_policy_zero_noise_stays_at_origin(double_integrator):
     p = zero_policy(2, 1)
-    traj = dyn.rollout(double_integrator, p, dyn.STATE_FEEDBACK, [0.0, 0.0], None, np.zeros((3, 2)))
-    assert not traj.states.any()
-    assert not traj.actions.any()
+    states, actions = rollout(double_integrator, p, dyn.STATE_FEEDBACK, [0.0, 0.0], None,
+                              np.zeros((3, 2)))
+    assert not states.any()
+    assert not actions.any()
 
 
 def test_drift_hold_point():
     m = make_model([[1.0, 0.1], [0.0, 1.0]], np.eye(2))
     p = zero_policy(2, 2)
-    traj = dyn.rollout(m, p, dyn.STATE_FEEDBACK, [1.0, 0.0], None, np.zeros((2, 2)))
-    np.testing.assert_array_equal(traj.states, [[1.0, 0.0]] * 3)
+    states, _ = rollout(m, p, dyn.STATE_FEEDBACK, [1.0, 0.0], None, np.zeros((2, 2)))
+    np.testing.assert_array_equal(states, [[1.0, 0.0]] * 3)
 
 
 def test_rollout_shapes(double_integrator):
     p = zero_policy(2, 1)
-    traj = dyn.rollout(double_integrator, p, dyn.STATE_FEEDBACK, [1.0, -1.0], None, np.zeros((3, 2)))
-    assert traj.states.shape == (4, 2)
-    assert traj.actions.shape == (3, 1)
+    states, actions = rollout(double_integrator, p, dyn.STATE_FEEDBACK, [1.0, -1.0], None,
+                              np.zeros((3, 2)))
+    assert states.shape == (4, 2)
+    assert actions.shape == (3, 1)
 
 
 def test_trajectory_reconstruction_residual(double_integrator):
+    # replaying the stored actions and noise through x' = A x + B u + w
+    # reproduces every state
     arch = pol.PolicyArchitecture(2, (8,), 1, seed=4)
     p = pol.init_policy(arch)
     omega = dyn.NoiseSpec("gaussian", [0.1, 0.1]).draw(np.random.default_rng(4), 5)
-    traj = dyn.rollout(double_integrator, p, dyn.STATE_FEEDBACK, [1.0, 2.0], None, omega)
-    assert traj.reconstruction_residual(double_integrator) <= 1e-12
+    states, actions = rollout(double_integrator, p, dyn.STATE_FEEDBACK, [1.0, 2.0], None, omega)
+    for k in range(5):
+        pred = (double_integrator.A @ states[k] + double_integrator.B @ actions[k]
+                + omega[k])
+        assert np.abs(states[k + 1] - pred).max() <= 1e-12
 
 
 def test_full_horizon_rollout_applies_plan(double_integrator):
@@ -175,43 +233,51 @@ def test_full_horizon_rollout_applies_plan(double_integrator):
     p = pol.init_policy(arch)
     x0 = np.array([0.5, -0.5])
     omega = np.random.default_rng(5).normal(0, 0.1, size=(3, 2))
-    traj = dyn.rollout(double_integrator, p, dyn.FULL_HORIZON, x0, None, omega)
+    states, actions = rollout(double_integrator, p, dyn.FULL_HORIZON, x0, None, omega)
     plan = pol.action_sequence(p, x0, None, n_u=1)
-    np.testing.assert_allclose(traj.actions, plan, atol=1e-14)
-    replay = dyn.rollout_open_loop(double_integrator, x0, plan, omega)
-    np.testing.assert_allclose(traj.states, replay.states, atol=1e-14)
+    np.testing.assert_allclose(actions, plan, atol=1e-14)
+    replay = _recursion(double_integrator, x0[None], plan[None], omega[None])[0]
+    np.testing.assert_allclose(states, replay, atol=1e-14)
 
 
 def test_full_horizon_passes_xi_to_policy(double_integrator):
     arch = pol.PolicyArchitecture(4, (6,), 2, seed=9)  # input x0 (2) + xi (2)
     p = pol.init_policy(arch)
     xi = np.array([0.3, 0.7])
-    traj = dyn.rollout(double_integrator, p, dyn.FULL_HORIZON, [1.0, 0.0], xi, np.zeros((2, 2)))
+    _, actions = rollout(double_integrator, p, dyn.FULL_HORIZON, [1.0, 0.0], xi,
+                         np.zeros((2, 2)))
     plan = pol.action_sequence(p, [1.0, 0.0], xi, n_u=1)
-    np.testing.assert_allclose(traj.actions, plan, atol=1e-14)
+    np.testing.assert_allclose(actions, plan, atol=1e-14)
 
 
 def test_full_horizon_width_mismatch_rejected(double_integrator):
     arch = pol.PolicyArchitecture(2, (4,), 5, seed=1)  # 5 is not 3 * n_u
     p = pol.init_policy(arch)
     with pytest.raises(ValueError, match="width"):
-        dyn.rollout(double_integrator, p, dyn.FULL_HORIZON, [0.0, 0.0], None, np.zeros((3, 2)))
+        rollout(double_integrator, p, dyn.FULL_HORIZON, [0.0, 0.0], None, np.zeros((3, 2)))
 
 
 def test_unknown_mode_rejected(double_integrator):
     with pytest.raises(ValueError, match="mode"):
-        dyn.rollout(double_integrator, zero_policy(2, 1), "open-loop", [0.0, 0.0], None, np.zeros((2, 2)))
+        rollout(double_integrator, zero_policy(2, 1), "open-loop", [0.0, 0.0], None,
+                np.zeros((2, 2)))
+    with pytest.raises(ValueError, match="mode"):
+        dyn.simulate(double_integrator, zero_policy(2, 1), "open-loop", np.zeros((1, 2)),
+                     None, np.zeros((1, 2, 2)))
 
 
 def test_open_loop_superposition(double_integrator):
+    # rollouts under fixed inputs superpose (linear dynamics), on the
+    # condensed path and on the step recursion alike
     rng = np.random.default_rng(6)
     x0a, x0b = rng.normal(size=2), rng.normal(size=2)
     ua, ub = rng.normal(size=(4, 1)), rng.normal(size=(4, 1))
     wa, wb = rng.normal(size=(4, 2)), rng.normal(size=(4, 2))
-    ta = dyn.rollout_open_loop(double_integrator, x0a, ua, wa)
-    tb = dyn.rollout_open_loop(double_integrator, x0b, ub, wb)
-    tsum = dyn.rollout_open_loop(double_integrator, x0a + x0b, ua + ub, wa + wb)
-    np.testing.assert_allclose(tsum.states, ta.states + tb.states, rtol=0, atol=1e-10)
+    for roll in (open_loop, fixed_inputs):
+        ta = roll(double_integrator, x0a, ua, wa)
+        tb = roll(double_integrator, x0b, ub, wb)
+        tsum = roll(double_integrator, x0a + x0b, ua + ub, wa + wb)
+        np.testing.assert_allclose(tsum, ta + tb, rtol=0, atol=1e-10)
 
 
 def test_rollout_gradient_matches_fd(double_integrator):
@@ -254,15 +320,7 @@ def test_rollout_gradient_matches_fd(double_integrator):
         assert np.all(err <= np.maximum(1e-5, 1e-4 * np.abs(numeric)))
 
 
-def _recursion(model, x0, actions, omega):
-    """x' = A x + B u + w, one step at a time, over a batch."""
-    states = [x0]
-    for k in range(actions.shape[1]):
-        states.append(states[k] @ model.A.T + actions[:, k] @ model.B.T + omega[:, k])
-    return np.stack(states, axis=1)
-
-
-@pytest.mark.parametrize("name", sorted(p.stem for p in (REPO / "configs").glob("ex*.json")))
+@pytest.mark.parametrize("name", CONFIGS)
 @pytest.mark.parametrize("mode", dyn.MODES)
 def test_block_rollout_matches_step_recursion(name, mode):
     from spdpc.config import load_config
@@ -308,32 +366,58 @@ def test_prediction_matrices_hand_value(double_integrator):
 
 def test_receding_horizon_zero_noise_matches_rollout(double_integrator):
     p = pol.init_policy(pol.PolicyArchitecture(2, (8, 8), 1, seed=13))
-    traj = dyn.rollout(double_integrator, p, dyn.STATE_FEEDBACK, [0.4, -0.2], None, np.zeros((6, 2)))
-    states, actions = dyn.simulate_receding_horizon(
-        double_integrator, p, dyn.STATE_FEEDBACK, [0.4, -0.2], None,
-        lambda k: np.zeros(2), steps=6,
-    )
-    np.testing.assert_allclose(states, traj.states, atol=1e-12)
-    np.testing.assert_allclose(actions, traj.actions, atol=1e-12)
+    ref_states, ref_actions = rollout(double_integrator, p, dyn.STATE_FEEDBACK, [0.4, -0.2],
+                                      None, np.zeros((6, 2)))
+    states, actions = dyn.simulate(double_integrator, p, dyn.STATE_FEEDBACK,
+                                   np.array([[0.4, -0.2]]), None, np.zeros((1, 6, 2)))
+    np.testing.assert_allclose(states[0], ref_states, atol=1e-12)
+    np.testing.assert_allclose(actions[0], ref_actions, atol=1e-12)
 
 
 def test_receding_horizon_replans_full_horizon(double_integrator):
     p = pol.init_policy(pol.PolicyArchitecture(2, (6,), 4, seed=14))  # plans 4 steps
-    states, actions = dyn.simulate_receding_horizon(
-        double_integrator, p, dyn.FULL_HORIZON, [0.2, 0.1], None,
-        lambda k: np.zeros(2), steps=3,
-    )
-    assert states.shape == (4, 2) and actions.shape == (3, 1)
+    states, actions = dyn.simulate(double_integrator, p, dyn.FULL_HORIZON,
+                                   np.array([[0.2, 0.1]]), None, np.zeros((1, 3, 2)))
+    assert states.shape == (1, 4, 2) and actions.shape == (1, 3, 1)
     for k in range(3):
-        plan = pol.action_sequence(p, states[k], None, n_u=1)
-        np.testing.assert_allclose(actions[k], plan[0], atol=1e-14)
+        plan = pol.action_sequence(p, states[0, k], None, n_u=1)
+        np.testing.assert_allclose(actions[0, k], plan[0], atol=1e-14)
 
 
 def test_receding_horizon_single_step(double_integrator):
     p = zero_policy(2, 1)
-    states, actions = dyn.simulate_receding_horizon(
-        double_integrator, p, dyn.STATE_FEEDBACK, [1.0, 1.0], None,
-        lambda k: np.zeros(2), steps=1,
-    )
-    assert states.shape == (2, 2) and actions.shape == (1, 1)
-    np.testing.assert_allclose(states[1], [2.2, 1.0], atol=1e-15)
+    states, actions = dyn.simulate(double_integrator, p, dyn.STATE_FEEDBACK,
+                                   np.array([[1.0, 1.0]]), None, np.zeros((1, 1, 2)))
+    assert states.shape == (1, 2, 2) and actions.shape == (1, 1, 1)
+    np.testing.assert_allclose(states[0, 1], [2.2, 1.0], atol=1e-15)
+
+
+@pytest.mark.parametrize("name", CONFIGS)
+def test_simulate_matches_numpy_per_run_loop(name):
+    # the batched simulation against one run and one vector at a time, with
+    # each decision from the deployed single-input forward pass
+    from spdpc.config import load_config
+    cfg = load_config(REPO / "configs" / f"{name}.json")
+    model, n_u, full = cfg.model, cfg.model.n_u, cfg.mode == dyn.FULL_HORIZON
+    policy = pol.init_policy(cfg.arch)
+    gen = np.random.default_rng(31)
+    count, steps = 3, 7
+    x0 = np.stack([cfg.params.x0.draw(gen) for _ in range(count)])
+    xi = np.stack([cfg.params.draw_xi(gen) for _ in range(count)])
+    omega = np.stack([cfg.noise.draw(gen, steps) for _ in range(count)])
+    states, actions = dyn.simulate(model, policy, cfg.mode, x0,
+                                   xi if xi.shape[1] else None, omega)
+    ref_states = np.zeros_like(states)
+    ref_actions = np.zeros_like(actions)
+    for c in range(count):
+        ref_states[c, 0] = x = x0[c]
+        for k in range(steps):
+            u = (pol.action_sequence(policy, x, xi[c], n_u)[0] if full
+                 else pol.forward(policy, x))
+            x = model.A @ x + model.B @ u + omega[c, k]
+            ref_actions[c, k], ref_states[c, k + 1] = u, x
+    assert states.shape == (count, steps + 1, model.n_x)
+    assert actions.shape == (count, steps, n_u)
+    for got, want in ((states, ref_states), (actions, ref_actions)):
+        err = np.abs(got - want).max()
+        assert err <= 1e-12 * np.abs(want).max(), err

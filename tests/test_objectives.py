@@ -22,14 +22,6 @@ def blocks(states, actions):
     return np.stack(states, axis=1), np.stack(actions, axis=1)
 
 
-def stack_trajectories(trajectories):
-    """Eager single-scenario trajectories stacked into (states, actions, xi) blocks."""
-    states = np.stack([t.states for t in trajectories])
-    actions = np.stack([t.actions for t in trajectories])
-    xi = np.stack([t.xi for t in trajectories]) if trajectories[0].xi.size else None
-    return states, actions, xi
-
-
 # ---------------------------------------------------------------------------
 # weights and refs
 
@@ -258,23 +250,27 @@ def test_mismatched_states_actions_rejected():
 
 
 def test_batch_from_trajectories_layout():
+    # a batch of 4 rollouts is 4 batches of 1 stacked along the first axis,
+    # so the loss reads one layout whatever the batch size
     m = dyn.LinearSystem(np.array([[1.2, 1.0], [0.0, 1.0]]), np.array([[1.0], [0.5]]))
     p = pol.init_policy(pol.PolicyArchitecture(2, (4,), 1, seed=2))
-    trajs = [
-        dyn.rollout(m, p, dyn.STATE_FEEDBACK, [0.1 * k, -0.1], None, np.zeros((3, 2)),
-                    scenario=(k, 0))
-        for k in range(4)
-    ]
-    states, actions, xi = stack_trajectories(trajs)
+
+    def roll(x0):
+        states, actions = dyn.rollout_tensors(
+            m, lambda z: pol.apply_layers(p.layers, z), x0, None,
+            np.zeros((x0.shape[0], 3, 2)), dyn.STATE_FEEDBACK, 1)
+        return states.values, actions.values
+
+    x0 = np.array([[0.1 * k, -0.1] for k in range(4)])
+    states, actions = roll(x0)
     assert states.shape == (4, 4, 2) and actions.shape == (4, 3, 1)
-    assert xi is None
-    np.testing.assert_array_equal(states[1, 2], trajs[1].states[2])
-    # the batched rollout produces the same blocks, so the loss reads one layout
-    x0 = np.stack([t.states[0] for t in trajs])
-    batched = dyn.rollout_tensors(m, lambda z: pol.apply_layers(p.layers, z), x0, None,
-                                  np.zeros((4, 3, 2)), dyn.STATE_FEEDBACK, 1)
-    np.testing.assert_allclose(batched[0].values, states, rtol=0, atol=1e-15)
-    np.testing.assert_allclose(batched[1].values, actions, rtol=0, atol=1e-15)
+    singles = [roll(x0[k:k + 1]) for k in range(4)]
+    np.testing.assert_array_equal(states[:, 0], x0)
+    # atol: BLAS rounding between batch and single-row products
+    np.testing.assert_allclose(states, np.concatenate([s for s, _ in singles]),
+                               rtol=0, atol=1e-15)
+    np.testing.assert_allclose(actions, np.concatenate([a for _, a in singles]),
+                               rtol=0, atol=1e-15)
 
 
 def test_loss_gradient_through_rollout_matches_fd():

@@ -118,9 +118,13 @@ class TestSampling:
     def test_cross_product_count(self):
         ss = sample_scenarios(box_spec(), ZERO2, m=3333, s=10, horizon=2, seed=1)
         assert ss.size == 33330
-        pairs = ss.pairs()
-        assert len(pairs) == 33330
-        assert pairs[10] == (1, 0)  # all j for i=0 come first
+        x0, xi, omega, i, j = ss.pair_rows(np.arange(ss.size))
+        assert len(i) == len(j) == 33330
+        assert (i[10], j[10]) == (1, 0)  # all j for i=0 come first
+        assert (i[9], j[9]) == (0, 9)
+        np.testing.assert_array_equal(x0[10], ss.x0[1])
+        np.testing.assert_array_equal(omega[9], ss.omega[9])
+        assert xi is None  # the spec has no parameter components
 
     def test_bad_counts_rejected(self):
         with pytest.raises(ValueError, match="horizon"):

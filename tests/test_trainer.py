@@ -143,7 +143,7 @@ class TestPolicyGradient:
         train_set = split(sample_scenarios(cfg.params, cfg.noise, cfg.m, cfg.s,
                                            cfg.horizon, cfg.seed), cfg.splits)[0]
         idx = np.arange(cfg.train.minibatch)
-        x0, xi, omega, _ = tr._pair_rows(train_set, idx)
+        x0, xi, omega, _, _ = train_set.pair_rows(idx)
         sizes = []
         backward = ad.Tape.backward
 
@@ -168,7 +168,7 @@ class TestEvaluate:
                                 m=4, s=3, horizon=2, seed=1)
         got = tr.evaluate(policy, model, scen, objective, constraints, weights,
                           dyn.FULL_HORIZON)
-        x0, xi, omega, _ = tr._pair_rows(scen, np.arange(scen.size))
+        x0, xi, omega, _, _ = scen.pair_rows(np.arange(scen.size))
         parts, _ = tr.policy_gradient(policy, model, x0, xi, omega, objective,
                                       constraints, weights, dyn.FULL_HORIZON)
         for key, val in parts.floats().items():
@@ -197,12 +197,12 @@ class TestTraining:
         scen = sample_scenarios(spec, noise, m=m, s=s, horizon=horizon, seed=seed)
         return split(scen, (0.5, 0.5))
 
-    def run(self, epochs=5, seed=11):
+    def run(self, epochs=5, seed=11, policy=None):
         model = double_integrator()
         train_set, dev_set = self.make_sets()
-        arch = pol.PolicyArchitecture(input_dim=2, hidden=(8,),
-                                      output_dim=3, seed=9)
-        policy = pol.init_policy(arch)
+        if policy is None:
+            policy = pol.init_policy(pol.PolicyArchitecture(input_dim=2, hidden=(8,),
+                                                            output_dim=3, seed=9))
         objective, constraints, weights = stabilization_setup()
         cfg = tr.TrainConfig(epochs=epochs, lr=1e-2, minibatch=8)
         result = tr.train(model, policy, train_set, dev_set, objective,
@@ -233,9 +233,11 @@ class TestTraining:
             assert np.array_equal(ba, bb)
 
     def test_best_policy_is_a_snapshot_not_a_view(self):
-        result = self.run(epochs=3)
+        live = pol.init_policy(pol.PolicyArchitecture(input_dim=2, hidden=(8,),
+                                                      output_dim=3, seed=9))
+        result = self.run(epochs=3, policy=live)
         before = [w.copy() for w, _ in result.policy.layers]
-        for w, b in result.last.layers:
+        for w, b in live.layers:  # the weights after the final update
             w += 1.0
         for snap, (w, _) in zip(before, result.policy.layers):
             assert np.array_equal(snap, w)
