@@ -6,66 +6,24 @@ success fraction into a distribution-free lower confidence bound on the true
 success probability via Hoeffding's inequality.  The policy certifies at
 level beta when that lower bound reaches beta.
 
-The indicator checks state and input constraints at steps 0..N-1 and
-membership of the final state in the terminal set, all non-strict, so a
-trajectory that rides a boundary still passes.  A contraction term in the
-constraint set shapes training but is not part of the pass/fail decision.
+The indicator reads the residuals the training penalty reads: state and
+input constraints at steps 0..N-1, the terminal set at step N, each met
+when every residual is <= 0, so a trajectory that rides a boundary still
+passes.  Training margins and the contraction term shape the loss only and
+are not part of the pass/fail decision.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import dynamics as dyn
 from . import policy as pol
-
-TERMINAL_KINDS = ("box", "ball")
-
-
-@dataclass(frozen=True)
-class TerminalSet:
-    """Where the final state must land: an axis box or a 2-norm ball.
-
-    A ball may be centered on a parameter block (``center`` resolving per
-    scenario) or on the origin when ``center`` is None.
-    """
-
-    kind: str
-    lower: tuple = ()
-    upper: tuple = ()
-    radius: float = 0.0
-    center: object = None  # Constant | XiSlice | None
-
-    def __post_init__(self):
-        if self.kind not in TERMINAL_KINDS:
-            raise ValueError(f"unknown terminal set kind {self.kind!r}")
-        if self.kind == "box":
-            lo = np.asarray(self.lower, dtype=np.float64)
-            hi = np.asarray(self.upper, dtype=np.float64)
-            if lo.size == 0 or lo.shape != hi.shape or np.any(lo > hi):
-                raise ValueError("terminal box needs matching lower <= upper vectors")
-            object.__setattr__(self, "lower", tuple(lo.tolist()))
-            object.__setattr__(self, "upper", tuple(hi.tolist()))
-        else:
-            if self.radius <= 0:
-                raise ValueError(f"terminal ball radius must be positive, got {self.radius}")
-
-    def contains(self, x_final: np.ndarray, xi) -> np.ndarray:
-        """Boolean per row; boundaries count as inside."""
-        x_final = np.atleast_2d(np.asarray(x_final, dtype=np.float64))
-        if self.kind == "box":
-            lo = np.asarray(self.lower)
-            hi = np.asarray(self.upper)
-            return np.all((x_final >= lo) & (x_final <= hi), axis=1)
-        center = 0.0
-        if self.center is not None:
-            center = np.asarray(self.center.resolve(xi, x_final.shape[0]))
-        return np.linalg.norm(x_final - center, axis=1) <= self.radius
 
 
 def _rows_ok(residuals) -> np.ndarray:
@@ -74,8 +32,9 @@ def _rows_ok(residuals) -> np.ndarray:
     return np.all(vals.reshape(vals.shape[0], -1) <= 0.0, axis=1)
 
 
-def satisfied(states, actions, xi, constraints, terminal: TerminalSet) -> np.ndarray:
-    """Exact per-scenario indicator over stacked rollouts.
+def satisfied(states, actions, xi, constraints) -> np.ndarray:
+    """Exact (b, K) pass flags over stacked rollouts, one column per entry
+    of ``constraints.checked()``; a scenario succeeds when its row is all True.
 
     ``states`` is (b, N+1, n_x), ``actions`` (b, N, n_u), ``xi`` (b, d) or
     None.  State and input constraints apply at steps 0..N-1 only; the final
@@ -87,18 +46,17 @@ def satisfied(states, actions, xi, constraints, terminal: TerminalSet) -> np.nda
     n_steps = actions.shape[1]
     if states.shape[1] != n_steps + 1:
         raise ValueError(f"{states.shape[1]} states do not bracket {n_steps} actions")
-    ok = terminal.contains(states[:, -1, :], xi)
-    for c in constraints.state:
-        ok &= _rows_ok(c.residuals(states[:, :-1, :], xi))
-    for c in constraints.inputs:
-        ok &= _rows_ok(c.residuals(actions, xi))
-    return ok
+    blocks = {"state": states[:, :-1, :], "inputs": actions, "terminal": states[:, -1:, :]}
+    checked = constraints.checked()
+    passes = np.ones((states.shape[0], len(checked)), dtype=bool)
+    for k, (part, c) in enumerate(checked):
+        passes[:, k] = _rows_ok(c.residuals(blocks[part], xi))
+    return passes
 
 
-def empirical_risk(policy, model, scenarios, constraints, terminal, mode,
-                   chunk: int = 1024):
-    """Success fraction and the per-pair pass flags, in pair order."""
-    flags = np.zeros(scenarios.size, dtype=bool)
+def empirical_risk(policy, model, scenarios, constraints, mode, chunk: int = 1024):
+    """Success fraction and the (pairs, K) pass flags of ``satisfied``, in pair order."""
+    passes = np.zeros((scenarios.size, len(constraints.checked())), dtype=bool)
     all_idx = np.arange(scenarios.size)
     for start in range(0, scenarios.size, chunk):
         idx = all_idx[start:start + chunk]
@@ -106,8 +64,8 @@ def empirical_risk(policy, model, scenarios, constraints, terminal, mode,
         states, actions = dyn.rollout_tensors(
             model, lambda z: pol.apply_layers(policy.layers, z),
             x0, xi, omega, mode, model.n_u)
-        flags[idx] = satisfied(states.values, actions.values, xi, constraints, terminal)
-    return float(flags.mean()), flags
+        passes[idx] = satisfied(states.values, actions.values, xi, constraints)
+    return float(passes.all(axis=1).mean()), passes
 
 
 def hoeffding_alpha(r: int, delta: float) -> float:
@@ -159,12 +117,15 @@ def certify(mu_tilde: float, r: int, m: int, s: int, beta: float, delta: float,
 
 def run_certification(policy, model, scenarios, constraints, terminal, mode,
                       beta, delta, policy_checkpoint="", chunk: int = 1024):
-    """Roll, score and bound in one call; returns (report, pass flags)."""
-    mu_tilde, flags = empirical_risk(
-        policy, model, scenarios, constraints, terminal, mode, chunk=chunk)
+    """Roll, score and bound in one call; returns (report, per-pair pass flags).
+
+    ``terminal`` is the set checked at step N in place of ``constraints.terminal``.
+    """
+    mu_tilde, passes = empirical_risk(
+        policy, model, scenarios, replace(constraints, terminal=terminal), mode, chunk=chunk)
     report = certify(mu_tilde, scenarios.size, scenarios.m, scenarios.s,
                      beta, delta, policy_checkpoint, scenarios.seed)
-    return report, flags
+    return report, passes.all(axis=1)
 
 
 def save_report(report: CertificationReport, path) -> None:

@@ -127,22 +127,25 @@ def run_train(cfg, seed: int, out: Path, checkpoint_every: int = 0):
 def run_certify(cfg, seed: int, out: Path, checkpoint: str):
     import numpy as np
 
-    from .certify import run_certification, save_report
+    from .certify import certify, empirical_risk, save_report
     from .policy import load_checkpoint
     from .sampling import write_csv
 
     policy = load_checkpoint(checkpoint)
     _, _, test_set = _sampled_splits(cfg, seed)
-    report, flags = run_certification(
-        policy, cfg.model, test_set, cfg.constraints, cfg.terminal, cfg.mode,
-        cfg.beta, cfg.delta, policy_checkpoint=Path(checkpoint).name)
+    mu_tilde, passes = empirical_risk(policy, cfg.model, test_set, cfg.constraints, cfg.mode)
+    report = certify(mu_tilde, test_set.size, test_set.m, test_set.s, cfg.beta, cfg.delta,
+                     Path(checkpoint).name, test_set.seed)
     save_report(report, out / "certificate.json")
     i_idx, j_idx = test_set.pair_index(np.arange(test_set.size))
     write_csv(out / "indicator.csv", ["i", "j", "pass"],
-              [[int(i), int(j), int(flag)] for i, j, flag in zip(i_idx, j_idx, flags)])
+              [[int(i), int(j), int(flag)]
+               for i, j, flag in zip(i_idx, j_idx, passes.all(axis=1))])
     word = "CERTIFIED" if report.verdict else "NOT CERTIFIED"
     print(f"{cfg.name}: success fraction {report.mu_tilde:.4f} on r={report.r}, "
           f"lower bound {report.lower_bound:.4f} vs beta={report.beta}: {word}")
+    for (part, c), frac in zip(cfg.constraints.checked(), passes.mean(axis=0)):
+        print(f"  {part} {c.kind}: pass fraction {frac:.4f}")
     return [Path("certificate.json"), Path("indicator.csv")]
 
 

@@ -24,9 +24,8 @@ from pathlib import Path
 import numpy as np
 
 from .baseline import SolverConfig
-from .certify import TerminalSet
 from .dynamics import MODES, LinearSystem, NoiseSpec, load_model
-from .objectives import (BoxConstraint, Constant, ConstraintSet,
+from .objectives import (BallConstraint, BoxConstraint, Constant, ConstraintSet,
                          ContractionConstraint, EllipseKeepOut, LossWeights,
                          StageObjective, WEIGHT_FIELDS)
 from .policy import PolicyArchitecture
@@ -101,7 +100,6 @@ class ExperimentConfig:
     splits: tuple
     objective: StageObjective
     constraints: ConstraintSet
-    terminal: TerminalSet
     weights: LossWeights
     train: object                # trainer.TrainConfig, imported lazily below
     beta: float
@@ -111,6 +109,11 @@ class ExperimentConfig:
     bench_instances: int
     bench_repeats: int
     solver: SolverConfig
+
+    @property
+    def terminal(self):
+        """The terminal set, checked at step N: ``constraints.terminal``."""
+        return self.constraints.terminal
 
 
 def _value_ref(entry, params: ParamSpec, where: str, expect_dim=None):
@@ -171,7 +174,7 @@ def _objective(entry: dict, params: ParamSpec, n_x: int) -> StageObjective:
 
 def _constraints(entry: dict, params: ParamSpec, n_x: int, n_u: int) -> ConstraintSet:
     _table(entry, "constraints",
-           ("state_box", "input_box", "terminal_box", "keep_out", "contraction"))
+           ("state_box", "input_box", "keep_out", "contraction"))
     built = ConstraintSet()
     if "state_box" in entry:
         built.state.append(_box(entry["state_box"], n_x, "constraints.state_box"))
@@ -201,32 +204,25 @@ def _constraints(entry: dict, params: ParamSpec, n_x: int, n_u: int) -> Constrai
             built.contraction = ContractionConstraint(rate=float(rate))
         except ValueError as err:
             raise ConfigError(f"constraints.contraction: {err}") from err
-    if "terminal_box" in entry:
-        built.terminal_box = _box(entry["terminal_box"], n_x, "constraints.terminal_box")
     return built
 
 
-def _terminal(entry: dict, params: ParamSpec, n_x: int) -> TerminalSet:
-    kind = _require(_table(entry, "terminal_set", (), TERMINAL_KEYS), "kind", "terminal_set")
+def _terminal(entry: dict, params: ParamSpec, n_x: int):
+    """The terminal set as a BoxConstraint or a BallConstraint."""
+    where = "terminal_set"
+    kind = _require(_table(entry, where, ("margin",), TERMINAL_KEYS), "kind", where)
+    if kind == "box":
+        return _box({k: v for k, v in entry.items() if k != "kind"}, n_x, where)
+    if kind != "ball":
+        raise ConfigError(f"{where}.kind: unknown kind {kind!r}")
+    radius = _require(entry, "radius", where)
+    center = None
+    if "center" in entry:
+        center = _value_ref(entry["center"], params, where + ".center", n_x)
     try:
-        if kind == "box":
-            lower = _require(entry, "lower", "terminal_set")
-            upper = _require(entry, "upper", "terminal_set")
-            if len(lower) != n_x or len(upper) != n_x:
-                raise ConfigError(f"terminal_set: bounds must have {n_x} entries")
-            return TerminalSet(kind="box", lower=tuple(lower), upper=tuple(upper))
-        if kind == "ball":
-            center = None
-            if "center" in entry:
-                center = _value_ref(entry["center"], params, "terminal_set.center", n_x)
-            return TerminalSet(kind="ball",
-                               radius=float(_require(entry, "radius", "terminal_set")),
-                               center=center)
-    except ConfigError:
-        raise
+        return BallConstraint(float(radius), center, margin=float(_get(entry, "margin", 0.0)))
     except ValueError as err:
-        raise ConfigError(f"terminal_set: {err}") from err
-    raise ConfigError(f"terminal_set.kind: unknown kind {kind!r}")
+        raise ConfigError(f"{where}: {err}") from err
 
 
 def load_config(path) -> ExperimentConfig:
@@ -314,7 +310,7 @@ def load_config(path) -> ExperimentConfig:
 
     objective = _objective(_require(raw, "objective", "config"), params, n_x)
     constraints = _constraints(_get(raw, "constraints", {}), params, n_x, n_u)
-    terminal = _terminal(_require(raw, "terminal_set", "config"), params, n_x)
+    constraints.terminal = _terminal(_require(raw, "terminal_set", "config"), params, n_x)
 
     weight_entry = _table(_require(raw, "weights", "config"), "weights", WEIGHT_FIELDS)
     try:
@@ -369,8 +365,7 @@ def load_config(path) -> ExperimentConfig:
     return ExperimentConfig(
         name=name, seed=seed, mode=mode, horizon=horizon, model=model,
         arch=arch, noise=noise, params=params, m=m, s=s, splits=splits,
-        objective=objective, constraints=constraints, terminal=terminal,
-        weights=weights, train=train, beta=beta, delta=delta,
-        sim_count=sim_count, sim_steps=sim_steps,
+        objective=objective, constraints=constraints, weights=weights,
+        train=train, beta=beta, delta=delta, sim_count=sim_count, sim_steps=sim_steps,
         bench_instances=bench_instances, bench_repeats=bench_repeats,
         solver=solver)

@@ -6,11 +6,13 @@ The training loss over a batch of rollouts is
         [ sum_k (stage cost + state penalty + input penalty) + terminal term ]
 
 with ReLU-squared penalties standing in for the hard constraints during
-training.  Everything is built from autodiff ops, so a loss evaluated on
-eager arrays (monitoring, certification) and one evaluated on a tape
-(training) share the same arithmetic.  Each term is evaluated once over a
-whole (b, steps, n) time block rather than step by step, so a loss records
-a fixed number of tape nodes whatever the horizon.
+training.  Each constraint maps a block to residuals that are <= 0 where it
+holds: the penalty is relu(residual + margin)^2, and certification asks
+that every residual be <= 0.  Everything is built from autodiff ops, so a
+loss evaluated on eager arrays (monitoring, certification) and one evaluated
+on a tape (training) share the same arithmetic.  Each term is evaluated once
+over a whole (b, steps, n) time block rather than step by step, so a loss
+records a fixed number of tape nodes whatever the horizon.
 
 Objective kinds:
   * ``stabilization``: quadratic state + action cost.
@@ -38,8 +40,8 @@ class LossWeights:
     """Non-negative weights; unused entries stay at zero.
 
     Q_r tracking, Q_u action effort, Q_x state magnitude, Q_h state-constraint
-    penalty, Q_g action-constraint penalty, Q_f terminal, Q_c contraction,
-    Q_du action smoothing, Q_dx state smoothing.
+    penalty, Q_g action-constraint penalty, Q_f terminal state and terminal-set
+    penalty, Q_c contraction, Q_du action smoothing, Q_dx state smoothing.
     """
 
     Q_r: float = 0.0
@@ -118,6 +120,7 @@ class BoxConstraint:
     lower: tuple
     upper: tuple
     margin: float = 0.0
+    kind = "box"
 
     def __post_init__(self):
         lo = np.asarray(self.lower, dtype=np.float64)
@@ -150,6 +153,7 @@ class EllipseKeepOut:
     center_x: Constant | XiSlice
     center_y: Constant | XiSlice
     margin: float = 0.0
+    kind = "keep-out"
 
     def __post_init__(self):
         object.__setattr__(self, "margin", _check_margin(self.margin))
@@ -173,6 +177,34 @@ class EllipseKeepOut:
 
 
 @dataclass(frozen=True)
+class BallConstraint:
+    """||x - center|| <= radius over the last axis, around the origin without
+    a center.  residual = ||x - center|| - radius, so ``margin`` tightens the
+    penalty in distance units; a parametric center holds at every step.
+    """
+
+    radius: float
+    center: Constant | XiSlice | None = None
+    margin: float = 0.0
+    kind = "ball"
+
+    def __post_init__(self):
+        radius = float(self.radius)
+        if not (np.isfinite(radius) and radius > 0.0):
+            raise ValueError(f"ball radius must be positive, got {self.radius}")
+        object.__setattr__(self, "radius", radius)
+        object.__setattr__(self, "margin", _check_margin(self.margin))
+
+    def residuals(self, x, xi=None):
+        """(...) residuals of a (..., n) vector or block; <= 0 inside."""
+        xv = ad.as_tensor(x)
+        if self.center is not None:
+            center = self.center.resolve(xi, xv.values.shape[0])
+            xv = ad.subtract(xv, _per_scenario(center, xv.values.ndim))
+        return ad.subtract(ad.l2norm(xv), self.radius)
+
+
+@dataclass(frozen=True)
 class ContractionConstraint:
     """||x_next|| <= rate * ||x||: pulls successive states toward the origin."""
 
@@ -182,13 +214,26 @@ class ContractionConstraint:
         if not 0.0 < self.rate:
             raise ValueError(f"contraction rate must be positive, got {self.rate}")
 
+    def residuals(self, x, x_next):
+        """||x_next|| - rate * ||x||, row by row over (..., n_x) blocks."""
+        return ad.subtract(ad.l2norm(x_next), ad.scale(ad.l2norm(x), self.rate))
+
 
 @dataclass
 class ConstraintSet:
+    """Constraints by the part of a rollout they bind: ``state`` and
+    ``inputs`` at steps 0..N-1, ``terminal`` at step N.  ``contraction``
+    links successive states and only shapes training."""
+
     state: list = field(default_factory=list)
     inputs: list = field(default_factory=list)
     contraction: ContractionConstraint | None = None
-    terminal_box: BoxConstraint | None = None
+    terminal: BoxConstraint | BallConstraint | None = None
+
+    def checked(self) -> list:
+        """(part, constraint) for every constraint a rollout must meet."""
+        parts = [("state", c) for c in self.state] + [("inputs", c) for c in self.inputs]
+        return parts + ([] if self.terminal is None else [("terminal", self.terminal)])
 
 
 # ---------------------------------------------------------------------------
@@ -212,22 +257,6 @@ def _sum(terms):
     for t in terms:
         total = t if total is None else ad.add(total, t)
     return ad.as_tensor(0.0) if total is None else total
-
-
-def state_penalty(constraints: ConstraintSet, x, xi, weight: float):
-    """Penalty of every state constraint over a state vector or block."""
-    return _sum(penalty(c.residuals(x, xi), weight, c.margin) for c in constraints.state)
-
-
-def input_penalty(constraints: ConstraintSet, u, xi, weight: float):
-    """Penalty of every input constraint over an action vector or block."""
-    return _sum(penalty(c.residuals(u, xi), weight, c.margin) for c in constraints.inputs)
-
-
-def contraction_penalty(x, x_next, rate: float, weight: float):
-    """Penalty on ||x_next|| > rate * ||x||, row by row over (..., n_x) blocks."""
-    gap = ad.subtract(ad.l2norm(x_next), ad.scale(ad.l2norm(x), rate))
-    return _quad(ad.relu(gap), weight)
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +331,8 @@ def total_loss(states, actions, xi, objective, constraints, weights) -> LossPart
     ``states`` (b, N+1, n_x) and ``actions`` (b, N, n_u) are the blocks from
     ``rollout_tensors`` (tensors or plain arrays); ``xi`` is the (b, d)
     parameter block or None.  Stage costs and penalties apply at steps
-    0..N-1, the terminal terms at step N.
+    0..N-1, the terminal terms at step N.  A penalty whose weight is 0 is
+    not built, so it records no tape nodes.
     """
     states, actions = ad.as_tensor(states), ad.as_tensor(actions)
     if states.values.ndim != 3 or actions.values.ndim != 3:
@@ -329,20 +359,17 @@ def total_loss(states, actions, xi, objective, constraints, weights) -> LossPart
     else:
         obj = stage_cost(objective, weights, running, actions, xi)
 
-    sp = state_penalty(constraints, running, xi, weights.Q_h)
-    if constraints.contraction is not None:
-        sp = ad.add(sp, contraction_penalty(running, after, constraints.contraction.rate,
-                                            weights.Q_c))
-    ip = input_penalty(constraints, actions, xi, weights.Q_g)
-
-    term = _quad(final, weights.Q_f)
-    if constraints.terminal_box is not None:
-        term = ad.add(term, penalty(constraints.terminal_box.residuals(final, xi),
-                                    weights.Q_f, constraints.terminal_box.margin))
+    blocks = {"state": running, "inputs": actions, "terminal": final}
+    weight = {"state": weights.Q_h, "inputs": weights.Q_g, "terminal": weights.Q_f}
+    terms = {"state": [], "inputs": [], "terminal": [_quad(final, weights.Q_f)]}
+    for part, c in constraints.checked():
+        if weight[part]:
+            terms[part].append(penalty(c.residuals(blocks[part], xi), weight[part], c.margin))
+    if constraints.contraction is not None and weights.Q_c:
+        terms["state"].append(
+            penalty(constraints.contraction.residuals(running, after), weights.Q_c))
 
     obj = ad.scale(obj, norm)
-    sp = ad.scale(sp, norm)
-    ip = ad.scale(ip, norm)
-    term = ad.scale(term, norm)
+    sp, ip, term = (ad.scale(_sum(terms[part]), norm) for part in ("state", "inputs", "terminal"))
     total = ad.add(ad.add(obj, sp), ad.add(ip, term))
     return LossParts(total, obj, sp, ip, term)

@@ -29,7 +29,7 @@ from spdpc import objectives as obj
 from spdpc import policy as pol
 from spdpc import trainer as tr
 from spdpc import baseline as bl
-from spdpc.certify import TerminalSet, certify, hoeffding_alpha
+from spdpc.certify import certify, hoeffding_alpha
 from spdpc.config import load_config
 from spdpc.objectives import (BoxConstraint, Constant, ConstraintSet,
                               ContractionConstraint, EllipseKeepOut,
@@ -97,11 +97,11 @@ def _random_setup(gen, kind):
     inputs = [BoxConstraint(tuple(-gen.uniform(0.5, 1.5, n_u)),
                             tuple(gen.uniform(0.5, 1.5, n_u)))]
     contraction = ContractionConstraint(rate=0.9) if gen.random() < 0.3 else None
-    terminal_box = BoxConstraint(tuple(-gen.uniform(0.5, 1.5, n_x)),
-                                 tuple(gen.uniform(0.5, 1.5, n_x))) \
+    terminal = BoxConstraint(tuple(-gen.uniform(0.5, 1.5, n_x)),
+                             tuple(gen.uniform(0.5, 1.5, n_x))) \
         if gen.random() < 0.5 else None
     constraints = ConstraintSet(state=state, inputs=inputs,
-                                contraction=contraction, terminal_box=terminal_box)
+                                contraction=contraction, terminal=terminal)
     weights = LossWeights(*(float(gen.uniform(0.1, 5.0)) for _ in range(9)))
 
     out_dim = horizon * n_u if mode == dyn.FULL_HORIZON else n_u
@@ -348,7 +348,7 @@ def test_core_property_rollup():
     constraints = ConstraintSet(
         state=[BoxConstraint((-5.0, -5.0), (5.0, 5.0))],
         inputs=[BoxConstraint((-5.0,), (5.0,))],
-        terminal_box=BoxConstraint((-5.0, -5.0), (5.0, 5.0)))
+        terminal=BoxConstraint((-5.0, -5.0), (5.0, 5.0)))
     weights = LossWeights(Q_x=1.0, Q_u=0.1, Q_h=10.0, Q_g=10.0, Q_f=1.0)
     arch = pol.PolicyArchitecture(2, (4,), 1, seed=3)
     policy = pol.init_policy(arch)

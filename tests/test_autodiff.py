@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import zlib
+
 import numpy as np
 import pytest
 
@@ -192,7 +194,7 @@ def test_gradient_maps_from_independent_tapes_merge_by_addition():
     "reshape", "reshape_block", "l2norm_block",
 ])
 def test_single_op_gradients_match_fd(case):
-    rng = np.random.default_rng(hash(case) % 2**32)
+    rng = np.random.default_rng(zlib.crc32(case.encode()))
 
     def build(w):
         if case == "add":

@@ -1,10 +1,14 @@
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from spdpc import certify as cert
 from spdpc import dynamics as dyn
 from spdpc import policy as pol
-from spdpc.objectives import (BoxConstraint, Constant, ConstraintSet,
+from spdpc.config import load_config
+from spdpc.objectives import (BallConstraint, BoxConstraint, Constant, ConstraintSet,
                               ContractionConstraint, EllipseKeepOut, XiSlice)
 from spdpc.sampling import ScenarioSet
 
@@ -69,71 +73,92 @@ class TestVerdict:
             cert.certify(0.5, 10, 10, 1, beta=0.0, delta=0.1)
 
 
+def lands_in(terminal, x_final, xi=None):
+    """Per row: does a one-step rollout ending at ``x_final`` pass ``terminal``?"""
+    x_final = np.asarray(x_final, dtype=float)
+    states = np.stack([np.zeros_like(x_final), x_final], axis=1)
+    actions = np.zeros((x_final.shape[0], 1, 1))
+    passes = cert.satisfied(states, actions, xi, ConstraintSet(terminal=terminal))
+    return passes[:, 0].tolist()
+
+
 class TestTerminalSet:
     def test_box_membership_including_boundary(self):
-        box = cert.TerminalSet(kind="box", lower=(-0.1, -0.1), upper=(0.1, 0.1))
+        box = BoxConstraint((-0.1, -0.1), (0.1, 0.1))
         x = np.array([[0.0, 0.0], [0.1, -0.1], [0.11, 0.0], [0.0, -0.2]])
-        assert box.contains(x, None).tolist() == [True, True, False, False]
+        assert lands_in(box, x) == [True, True, False, False]
 
     def test_ball_at_origin(self):
-        ball = cert.TerminalSet(kind="ball", radius=1.0)
+        ball = BallConstraint(radius=1.0)
         x = np.array([[0.6, 0.8], [0.7, 0.8], [0.0, 0.0]])
-        assert ball.contains(x, None).tolist() == [True, False, True]
+        assert lands_in(ball, x) == [True, False, True]
 
     def test_ball_with_constant_center(self):
-        ball = cert.TerminalSet(kind="ball", radius=0.5, center=Constant((1.0, 1.0)))
+        ball = BallConstraint(radius=0.5, center=Constant((1.0, 1.0)))
         x = np.array([[1.0, 1.4], [1.0, 1.6]])
-        assert ball.contains(x, None).tolist() == [True, False]
+        assert lands_in(ball, x) == [True, False]
 
     def test_ball_centered_per_scenario(self):
-        ball = cert.TerminalSet(kind="ball", radius=0.5, center=XiSlice(0, 2))
+        ball = BallConstraint(radius=0.5, center=XiSlice(0, 2))
         xi = np.array([[0.0, 0.0], [5.0, 5.0]])
         x = np.array([[0.1, 0.1], [0.1, 0.1]])
-        assert ball.contains(x, xi).tolist() == [True, False]
+        assert lands_in(ball, x, xi) == [True, False]
+
+    def test_ball_boundary_passes_and_margin_stays_out(self):
+        # ||x - c|| == r exactly on the first row; margin only tightens training
+        ball = BallConstraint(radius=5.0, center=XiSlice(0, 2), margin=1.0)
+        xi = np.array([[1.0, 1.0], [1.0, 1.0], [-2.0, 0.0]])
+        x = np.array([[4.0, 5.0], [4.0, np.nextafter(5.0, 6.0)], [-2.0, 4.5]])
+        assert lands_in(ball, x, xi) == [True, False, True]
 
     def test_validation(self):
-        with pytest.raises(ValueError, match="kind"):
-            cert.TerminalSet(kind="cone")
-        with pytest.raises(ValueError, match="lower <= upper"):
-            cert.TerminalSet(kind="box", lower=(1.0,), upper=(0.0,))
+        with pytest.raises(ValueError, match="lower > upper"):
+            BoxConstraint(lower=(1.0,), upper=(0.0,))
         with pytest.raises(ValueError, match="radius"):
-            cert.TerminalSet(kind="ball", radius=0.0)
+            BallConstraint(radius=0.0)
+        with pytest.raises(ValueError, match="margin"):
+            BallConstraint(radius=1.0, margin=-0.5)
 
 
 def synthetic(states, actions):
     return np.asarray(states, dtype=float)[None], np.asarray(actions, dtype=float)[None]
 
 
+def passes_all(states, actions, constraints, terminal):
+    """satisfied() of a single rollout, all checked constraints together."""
+    return cert.satisfied(states, actions, None, replace(constraints, terminal=terminal))[0].all()
+
+
 class TestIndicator:
     box_pm1 = ConstraintSet(state=[BoxConstraint((-1.0, -1.0), (1.0, 1.0))],
                             inputs=[BoxConstraint((-0.5,), (0.5,))])
-    wide_terminal = cert.TerminalSet(kind="ball", radius=100.0)
+    wide_terminal = BallConstraint(radius=100.0)
 
     def test_clean_trajectory_passes(self):
         s, a = synthetic([[0.0, 0.0], [0.5, 0.5], [0.9, 0.9]], [[0.1], [0.2]])
-        assert cert.satisfied(s, a, None, self.box_pm1, self.wide_terminal)[0]
+        assert passes_all(s, a, self.box_pm1, self.wide_terminal)
 
     def test_state_violation_fails(self):
         s, a = synthetic([[0.0, 0.0], [1.5, 0.0], [0.0, 0.0]], [[0.1], [0.2]])
-        assert not cert.satisfied(s, a, None, self.box_pm1, self.wide_terminal)[0]
+        assert not passes_all(s, a, self.box_pm1, self.wide_terminal)
 
     def test_input_violation_fails(self):
         s, a = synthetic([[0.0, 0.0], [0.1, 0.0], [0.0, 0.0]], [[0.6], [0.0]])
-        assert not cert.satisfied(s, a, None, self.box_pm1, self.wide_terminal)[0]
+        assert not passes_all(s, a, self.box_pm1, self.wide_terminal)
 
     def test_terminal_miss_fails(self):
-        tight = cert.TerminalSet(kind="box", lower=(-0.1, -0.1), upper=(0.1, 0.1))
+        tight = BoxConstraint((-0.1, -0.1), (0.1, 0.1))
         s, a = synthetic([[0.0, 0.0], [0.5, 0.0], [0.5, 0.0]], [[0.1], [0.1]])
-        assert not cert.satisfied(s, a, None, self.box_pm1, tight)[0]
+        assert not passes_all(s, a, self.box_pm1, tight)
 
     def test_final_state_answers_to_terminal_set_not_state_box(self):
         # x_N breaks the running state box but sits inside the terminal set
         s, a = synthetic([[0.0, 0.0], [0.9, 0.0], [1.5, 0.0]], [[0.1], [0.1]])
-        assert cert.satisfied(s, a, None, self.box_pm1, self.wide_terminal)[0]
+        assert passes_all(s, a, self.box_pm1, self.wide_terminal)
 
     def test_boundary_riding_passes(self):
         s, a = synthetic([[1.0, 1.0], [1.0, -1.0], [0.0, 0.0]], [[0.5], [-0.5]])
-        assert cert.satisfied(s, a, None, self.box_pm1, self.wide_terminal)[0]
+        assert passes_all(s, a, self.box_pm1, self.wide_terminal)
 
     def test_training_margin_never_enters_the_decision(self):
         # tightened constraints shape the loss; the verdict is about the
@@ -142,13 +167,13 @@ class TestIndicator:
             state=[BoxConstraint((-1.0, -1.0), (1.0, 1.0), margin=0.2)],
             inputs=[BoxConstraint((-0.5,), (0.5,), margin=0.1)])
         s, a = synthetic([[1.0, 1.0], [1.0, -1.0], [0.0, 0.0]], [[0.5], [-0.5]])
-        assert cert.satisfied(s, a, None, padded, self.wide_terminal)[0]
+        assert passes_all(s, a, padded, self.wide_terminal)
 
     def test_contraction_never_enters_the_decision(self):
         grows = ConstraintSet(state=[BoxConstraint((-10.0, -10.0), (10.0, 10.0))],
                               contraction=ContractionConstraint(rate=0.5))
         s, a = synthetic([[0.1, 0.0], [5.0, 0.0], [9.0, 0.0]], [[0.0], [0.0]])
-        assert cert.satisfied(s, a, None, grows, self.wide_terminal)[0]
+        assert passes_all(s, a, grows, self.wide_terminal)
 
     def test_keep_out_boundary_is_clear_inside_is_not(self):
         keep_out = ConstraintSet(state=[EllipseKeepOut(
@@ -156,13 +181,76 @@ class TestIndicator:
             center_x=Constant((0.0,)), center_y=Constant((0.0,)))])
         on_edge, a = synthetic([[1.0, 0.0], [2.0, 0.0], [2.0, 0.0]], [[0.0], [0.0]])
         inside, _ = synthetic([[0.5, 0.0], [2.0, 0.0], [2.0, 0.0]], [[0.0], [0.0]])
-        assert cert.satisfied(on_edge, a, None, keep_out, self.wide_terminal)[0]
-        assert not cert.satisfied(inside, a, None, keep_out, self.wide_terminal)[0]
+        assert passes_all(on_edge, a, keep_out, self.wide_terminal)
+        assert not passes_all(inside, a, keep_out, self.wide_terminal)
 
     def test_mismatched_shapes_rejected(self):
         with pytest.raises(ValueError, match="bracket"):
-            cert.satisfied(np.zeros((1, 2, 2)), np.zeros((1, 2, 1)), None,
-                           self.box_pm1, self.wide_terminal)
+            passes_all(np.zeros((1, 2, 2)), np.zeros((1, 2, 1)),
+                       self.box_pm1, self.wide_terminal)
+
+
+CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("ex*.json"))
+
+
+def reference_passes(c, block, xi):
+    """Plain-numpy test of one constraint over a (b, steps, n) block."""
+    if isinstance(c, BoxConstraint):
+        return np.all((block >= c.lower) & (block <= c.upper), axis=(1, 2))
+    batch = block.shape[0]
+    if isinstance(c, BallConstraint):
+        center = 0.0 if c.center is None else c.center.resolve(xi, batch)[:, None, :]
+        return np.all(np.linalg.norm(block - center, axis=-1) <= c.radius, axis=1)
+    radius, shape, cx, cy = (ref.resolve(xi, batch)
+                             for ref in (c.radius, c.shape, c.center_x, c.center_y))
+    dx, dy = block[:, :, 0] - cx, block[:, :, 1] - cy
+    return np.all(radius * radius - shape * (dx * dx) - dy * dy <= 0.0, axis=1)
+
+
+def straddle(c, block, xi, gen):
+    """Move one step of every other row onto, just inside or just past ``c``'s boundary."""
+    batch, steps, n = block.shape
+    rows = np.arange(0, batch, 2)
+    ks = gen.integers(0, steps, rows.size)
+    if isinstance(c, BoxConstraint):
+        d = gen.integers(0, n, rows.size)
+        edge = np.where(gen.random(rows.size) < 0.5, c.lower[d], c.upper[d])
+        nudge = gen.choice([-np.inf, 0.0, np.inf], rows.size)
+        block[rows, ks, d] = np.where(nudge == 0.0, edge, np.nextafter(edge, nudge))
+        return
+    scale = gen.choice([1.0 - 1e-12, 1.0, 1.0 + 1e-12], rows.size)
+    if isinstance(c, BallConstraint):
+        center = 0.0 if c.center is None else c.center.resolve(xi, batch)[rows]
+        axis = np.eye(n)[gen.integers(0, n, rows.size)]
+        block[rows, ks] = center + c.radius * scale[:, None] * axis
+        return
+    radius, shape, cx, cy = (ref.resolve(xi, batch)[rows, 0]
+                             for ref in (c.radius, c.shape, c.center_x, c.center_y))
+    angle = gen.uniform(0.0, 2.0 * np.pi, rows.size)
+    block[rows, ks, 0] = cx + radius * scale * np.cos(angle) / np.sqrt(shape)
+    block[rows, ks, 1] = cy + radius * scale * np.sin(angle)
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.stem)
+def test_satisfied_matches_plain_numpy_on_committed_configs(path):
+    cfg = load_config(path)
+    gen = np.random.default_rng(5)
+    batch, n_x, n_u, horizon = 240, cfg.model.n_x, cfg.model.n_u, cfg.horizon
+    xi = np.stack([cfg.params.draw_xi(gen) for _ in range(batch)])
+    xi = xi if xi.shape[1] else None
+    states = gen.uniform(-1.0, 1.0, (batch, horizon + 1, n_x))
+    actions = gen.uniform(-1.0, 1.0, (batch, horizon, n_u))
+    blocks = {"state": states[:, :-1, :], "inputs": actions, "terminal": states[:, -1:, :]}
+    checked = cfg.constraints.checked()
+    for part, c in checked:
+        straddle(c, blocks[part], xi, gen)
+    passes = cert.satisfied(states, actions, xi, cfg.constraints)
+    assert passes.shape == (batch, len(checked))
+    assert [part for part, _ in checked][-1] == "terminal"
+    for k, (part, c) in enumerate(checked):
+        expect = reference_passes(c, blocks[part], xi)
+        assert np.array_equal(passes[:, k], expect), (part, c.kind)
+        assert 0 < expect.sum() < batch, (part, c.kind)  # the rows really straddle
 
 
 def zero_policy(n_in, n_out):
@@ -183,18 +271,19 @@ class TestEmpiricalRisk:
         scen = ScenarioSet(x0=x0, xi=np.zeros((4, 0)),
                            omega=np.zeros((2, 3, 2)), seed=0)
         policy = zero_policy(2, 3)
-        terminal = cert.TerminalSet(kind="box", lower=(-1.0, -1.0), upper=(1.0, 1.0))
-        mu, flags = cert.empirical_risk(policy, model, scen, ConstraintSet(),
-                                        terminal, dyn.FULL_HORIZON)
+        terminal = BoxConstraint((-1.0, -1.0), (1.0, 1.0))
+        mu, passes = cert.empirical_risk(policy, model, scen,
+                                         ConstraintSet(terminal=terminal), dyn.FULL_HORIZON)
         assert mu == pytest.approx(6 / 8)
-        assert flags.tolist() == [True] * 6 + [False] * 2  # pairs are i-major
+        assert passes.shape == (8, 1)
+        assert passes[:, 0].tolist() == [True] * 6 + [False] * 2  # pairs are i-major
 
     def test_report_wiring(self):
         model = dyn.LinearSystem(A=np.eye(2), B=np.array([[0.0], [1.0]]))
         scen = ScenarioSet(x0=np.zeros((3, 2)), xi=np.zeros((3, 0)),
                            omega=np.zeros((2, 2, 2)), seed=99)
         policy = zero_policy(2, 2)
-        terminal = cert.TerminalSet(kind="ball", radius=1.0)
+        terminal = BallConstraint(radius=1.0)
         report, flags = cert.run_certification(
             policy, model, scen, ConstraintSet(), terminal, dyn.FULL_HORIZON,
             beta=0.5, delta=0.1, policy_checkpoint="policy.json")
@@ -210,11 +299,11 @@ class TestEmpiricalRisk:
         scen = ScenarioSet(x0=gen.uniform(-2, 2, (7, 2)), xi=np.zeros((7, 0)),
                            omega=gen.normal(0, 0.1, (3, 2, 2)), seed=1)
         policy = zero_policy(2, 2)
-        terminal = cert.TerminalSet(kind="box", lower=(-1.0, -1.0), upper=(1.0, 1.0))
-        mu_a, flags_a = cert.empirical_risk(policy, model, scen, ConstraintSet(),
-                                            terminal, dyn.FULL_HORIZON, chunk=1000)
-        mu_b, flags_b = cert.empirical_risk(policy, model, scen, ConstraintSet(),
-                                            terminal, dyn.FULL_HORIZON, chunk=4)
+        constraints = ConstraintSet(terminal=BoxConstraint((-1.0, -1.0), (1.0, 1.0)))
+        mu_a, flags_a = cert.empirical_risk(policy, model, scen, constraints,
+                                            dyn.FULL_HORIZON, chunk=1000)
+        mu_b, flags_b = cert.empirical_risk(policy, model, scen, constraints,
+                                            dyn.FULL_HORIZON, chunk=4)
         assert mu_a == mu_b
         assert np.array_equal(flags_a, flags_b)
 

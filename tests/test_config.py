@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from spdpc.config import ConfigError, load_config
-from spdpc.objectives import Constant, EllipseKeepOut
+from spdpc.objectives import BallConstraint, BoxConstraint, Constant, EllipseKeepOut
 from spdpc.policy import param_count
 from spdpc.sampling import XiSlice
 
@@ -76,6 +76,20 @@ class TestFieldMapping:
         assert cfg.terminal.kind == "ball"
         assert cfg.train.epochs == 4
         assert cfg.train.lr == 1e-3
+
+    def test_terminal_set_is_the_terminal_constraint(self, tmp_path):
+        table = base_config()
+        cfg = load_config(write(tmp_path, table))
+        assert cfg.terminal is cfg.constraints.terminal
+        assert isinstance(cfg.terminal, BallConstraint)
+        assert (cfg.terminal.radius, cfg.terminal.margin) == (0.5, 0.0)
+        assert isinstance(cfg.terminal.center, XiSlice)
+        table["terminal_set"] = {"kind": "box", "lower": [-0.1, -0.2], "upper": [0.1, 0.2],
+                                 "margin": 0.05}
+        cfg = load_config(write(tmp_path, table))
+        assert isinstance(cfg.terminal, BoxConstraint)
+        assert cfg.terminal.upper.tolist() == [0.1, 0.2]
+        assert cfg.terminal.margin == 0.05
 
     def test_policy_seed_defaults_to_config_seed(self, tmp_path):
         table = base_config()
@@ -187,6 +201,11 @@ class TestRejection:
         table["terminal_set"] = {"kind": "box", "lower": [-0.1], "upper": [0.1]}
         self.check(tmp_path, table, "terminal_set")
 
+    def test_terminal_margin_must_be_nonnegative(self, tmp_path):
+        table = base_config()
+        table["terminal_set"]["margin"] = -0.1
+        self.check(tmp_path, table, r"terminal_set: margin")
+
     def test_unknown_terminal_kind(self, tmp_path):
         table = base_config()
         table["terminal_set"] = {"kind": "polytope"}
@@ -232,6 +251,12 @@ class TestStrictSchema:
         table = base_config()
         table["constraints"]["input_bx"] = table["constraints"].pop("input_box")
         self.check(tmp_path, table, r"constraints\.input_bx: unknown field")
+
+    def test_terminal_box_constraint_key_is_gone(self, tmp_path):
+        # the terminal set lives in terminal_set alone
+        table = base_config()
+        table["constraints"]["terminal_box"] = {"lower": [-0.1, -0.1], "upper": [0.1, 0.1]}
+        self.check(tmp_path, table, r"constraints\.terminal_box: unknown field")
 
     def test_misspelt_training_key(self, tmp_path):
         table = base_config()

@@ -74,10 +74,39 @@ def test_penalty_doubles_with_weight():
 
 def test_contraction_penalty_hand_values():
     x = np.array([[1.0, 0.0]])
-    assert obj.contraction_penalty(x, x, 0.8, 1.0).item() == pytest.approx(0.04, abs=1e-12)
-    assert obj.contraction_penalty(x, x, 0.9, 1.0).item() == pytest.approx(0.01, abs=1e-12)
+
+    def contraction_penalty(x, x_next, rate):
+        return obj.penalty(obj.ContractionConstraint(rate).residuals(x, x_next), 1.0).item()
+
+    assert contraction_penalty(x, x, 0.8) == pytest.approx(0.04, abs=1e-12)
+    assert contraction_penalty(x, x, 0.9) == pytest.approx(0.01, abs=1e-12)
     shrunk = np.array([[0.8, 0.0]])
-    assert obj.contraction_penalty(x, shrunk, 0.8, 1.0).item() == 0.0
+    assert contraction_penalty(x, shrunk, 0.8) == 0.0
+
+
+def test_ball_residual_hand_values():
+    ball = obj.BallConstraint(radius=5.0)
+    r = ball.residuals(np.array([[3.0, 4.0], [0.0, 0.0], [6.0, 8.0]])).values
+    np.testing.assert_array_equal(r, [0.0, -5.0, 5.0])  # boundary residual is exactly 0
+    assert obj.penalty(ball.residuals(np.array([[6.0, 8.0]])), 2.0).item() == 50.0
+
+
+def test_ball_residual_with_parametric_center_and_margin():
+    ball = obj.BallConstraint(radius=1.0, center=obj.XiSlice(1, 3), margin=0.5)
+    xi = np.array([[9.0, 1.0, 1.0], [9.0, -2.0, 0.0]])
+    block = np.array([[[1.0, 1.5], [1.0, 2.0]], [[-2.0, 0.0], [-2.0, 0.25]]])  # (b, steps, n)
+    r = ball.residuals(block, xi).values
+    np.testing.assert_allclose(r, [[-0.5, 0.0], [-1.0, -0.75]], atol=1e-15)
+    # margin 0.5 tightens the penalty: relu(r + 0.5)^2 = 0 + 0.25 + 0 + 0
+    assert obj.penalty(ball.residuals(block, xi), 1.0, ball.margin).item() == 0.25
+    # the residual itself, which certification reads, ignores the margin
+    assert np.all(r <= 0.0)
+
+
+def test_ball_validation():
+    for bad in (0.0, -1.0, float("inf")):
+        with pytest.raises(ValueError, match="radius"):
+            obj.BallConstraint(radius=bad)
 
 
 def test_keepout_residual_hand_values():
@@ -167,7 +196,7 @@ def test_total_loss_counts_terminal_and_penalties():
     cs = obj.ConstraintSet(
         state=[obj.BoxConstraint((-1.0, -1.0), (1.0, 1.0))],
         inputs=[obj.BoxConstraint((-0.5,), (0.5,))],
-        terminal_box=obj.BoxConstraint((-0.1, -0.1), (0.1, 0.1)),
+        terminal=obj.BoxConstraint((-0.1, -0.1), (0.1, 0.1)),
     )
     states = np.array([[[2.0, 0.0], [0.2, 0.0]]])
     actions = np.array([[[1.5]]])
@@ -201,6 +230,27 @@ def test_contraction_enters_state_bucket():
     assert parts.state.item() == pytest.approx(0.04, abs=1e-12)
 
 
+def test_zero_weight_penalty_records_no_tape_nodes():
+    rng = np.random.default_rng(14)
+    states, actions = rng.normal(size=(3, 4, 2)), rng.normal(size=(3, 3, 1))
+    s = obj.StageObjective("stabilization")
+    every = obj.ConstraintSet(state=[obj.BoxConstraint((-0.5, -0.5), (0.5, 0.5))],
+                              inputs=[obj.BoxConstraint((-0.1,), (0.1,))],
+                              contraction=obj.ContractionConstraint(0.5),
+                              terminal=obj.BallConstraint(0.1))
+
+    def taped(constraints, w):
+        tape = ad.Tape()
+        loss = obj.total_loss(tape.leaf(states), tape.leaf(actions), None, s, constraints, w)
+        return len(tape.nodes), loss.total.item()
+
+    bare = taped(obj.ConstraintSet(), weights(Q_x=1.0, Q_u=1.0))
+    assert taped(every, weights(Q_x=1.0, Q_u=1.0)) == bare
+    for name in ("Q_h", "Q_g", "Q_c", "Q_f"):
+        nodes, loss = taped(every, weights(Q_x=1.0, Q_u=1.0, **{name: 1.0}))
+        assert nodes > bare[0] and loss > bare[1], name
+
+
 def test_loss_nonnegative_on_random_rollouts():
     rng = np.random.default_rng(11)
     w = weights(Q_x=5.0, Q_u=0.2, Q_h=10.0, Q_g=100.0, Q_f=1.0)
@@ -218,7 +268,7 @@ def test_decomposition_sums_to_total():
     rng = np.random.default_rng(12)
     w = weights(Q_x=5.0, Q_u=0.2, Q_h=10.0, Q_g=100.0, Q_f=1.0)
     cs = simple_constraints()
-    cs.terminal_box = obj.BoxConstraint((-0.1, -0.1), (0.1, 0.1))
+    cs.terminal = obj.BoxConstraint((-0.1, -0.1), (0.1, 0.1))
     states, actions = blocks([rng.normal(scale=3, size=(4, 2)) for _ in range(4)],
                              [rng.normal(scale=2, size=(4, 1)) for _ in range(3)])
     parts = obj.total_loss(states, actions, None, obj.StageObjective("stabilization"), cs, w)
@@ -278,11 +328,16 @@ def test_loss_gradient_through_rollout_matches_fd():
     arch = pol.PolicyArchitecture(2, (6,), 1, seed=3)
     p = pol.init_policy(arch)
     w = weights(Q_x=5.0, Q_u=0.2, Q_h=10.0, Q_g=100.0, Q_f=1.0)
-    cs = simple_constraints()
     s = obj.StageObjective("stabilization")
     x0 = np.array([[0.7, -0.4], [-0.5, 0.9]])
     omega = np.random.default_rng(14).normal(0, 0.05, size=(2, 2, 2))
+    with_ball = simple_constraints()
+    with_ball.terminal = obj.BallConstraint(0.1, center=const(0.05, 0.0), margin=0.02)
+    for cs in (simple_constraints(), with_ball):
+        check_loss_gradient(m, p, x0, omega, s, cs, w)
 
+
+def check_loss_gradient(m, p, x0, omega, s, cs, w):
     def loss_for(layers):
         states, actions = dyn.rollout_tensors(
             m, lambda z: pol.apply_layers(layers, z), x0, None, omega, dyn.STATE_FEEDBACK, 1)
@@ -313,11 +368,10 @@ def test_margin_tightens_penalty_only():
     # residual + margin = 0.05 on the upper face, so relu^2 = 0.0025
     tight = obj.BoxConstraint((-1.0,), (1.0,), margin=0.1)
     v = np.array([0.95])
-    assert obj.state_penalty(
-        obj.ConstraintSet(state=[tight]), v, None, 1.0).item() == pytest.approx(0.0025, abs=1e-15)
-    assert obj.state_penalty(
-        obj.ConstraintSet(state=[obj.BoxConstraint((-1.0,), (1.0,))]),
-        v, None, 1.0).item() == 0.0
+    assert obj.penalty(tight.residuals(v), 1.0, tight.margin).item() == pytest.approx(
+        0.0025, abs=1e-15)
+    loose = obj.BoxConstraint((-1.0,), (1.0,))
+    assert obj.penalty(loose.residuals(v), 1.0, loose.margin).item() == 0.0
     # the raw residuals are what certification checks, and they ignore margin
     assert np.all(tight.residuals(v).values <= 0.0)
 
@@ -337,10 +391,9 @@ def test_keepout_margin_inflates_penalty_onset():
                                   margin=0.1)
     x = np.array([[0.55, 0.0]])  # clear of the true ellipse, inside the margin band
     assert np.all(keep_out.residuals(x).values <= 0.0)
-    cs = obj.ConstraintSet(state=[keep_out])
-    assert obj.state_penalty(cs, x, None, 1.0).item() > 0.0
+    assert obj.penalty(keep_out.residuals(x), 1.0, keep_out.margin).item() > 0.0
     x_far = np.array([[0.8, 0.0]])  # past the inflated surface too
-    assert obj.state_penalty(cs, x_far, None, 1.0).item() == 0.0
+    assert obj.penalty(keep_out.residuals(x_far), 1.0, keep_out.margin).item() == 0.0
 
 
 def test_split_tracking_reference_follows_track_index_order():
