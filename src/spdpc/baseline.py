@@ -107,6 +107,9 @@ def solve(model, x0, xi, horizon, objective, constraints, weights,
             if np.array_equal(candidate, u):
                 break  # the step no longer moves any component
             f_new = value_at(candidate)
+            # <=, not f_new < f0: at the float floor steps that leave f unchanged
+            # still move u toward the optimum, and a strict decrease stops some
+            # LQ starts unconverged (test_lq_neighbourhood_converges_at_the_float_floor)
             if f_new <= f0 - ARMIJO_C * step * gnorm2:
                 prev = (u, grad)
                 u = candidate
@@ -150,9 +153,9 @@ def _time_ns(fn, repeats: int):
     samples = []
     for _ in range(repeats):
         t0 = time.perf_counter_ns()
-        fn()
+        out = fn()
         samples.append(time.perf_counter_ns() - t0)
-    return float(np.mean(samples)), int(np.max(samples))
+    return float(np.mean(samples)), int(np.max(samples)), out
 
 
 def benchmark(policy, model, instances, horizon, objective, constraints,
@@ -168,17 +171,16 @@ def benchmark(policy, model, instances, horizon, objective, constraints,
     for t, (x0, xi) in enumerate(instances):
         pol.forward(policy, np.asarray(x0, dtype=np.float64),
                     None if xi is None else np.asarray(xi, dtype=np.float64))
-        p_mean, p_max = _time_ns(
+        p_mean, p_max, _ = _time_ns(
             lambda: pol.forward(policy, np.asarray(x0, dtype=np.float64),
                                 None if xi is None else np.asarray(xi, dtype=np.float64)),
             repeats)
         warm = None if prev is None else shift_warm_start(prev)
-        b_mean, b_max = _time_ns(
+        b_mean, b_max, solved = _time_ns(
             lambda: solve(model, x0, xi, horizon, objective, constraints,
                           weights, cfg, warm_start=warm),
             repeats)
-        prev = solve(model, x0, xi, horizon, objective, constraints, weights,
-                     cfg, warm_start=warm).actions
+        prev = solved.actions
         rows.append(BenchmarkRow(
             instance=t, policy_ns_mean=p_mean, policy_ns_max=p_max,
             baseline_ns_mean=b_mean, baseline_ns_max=b_max,

@@ -12,7 +12,8 @@ Value references appear wherever a quantity can vary per scenario: either
 parameter component.
 
 Every table is strict: a key the schema does not name is an error, so a
-typo cannot silently drop a constraint or a setting.
+typo cannot silently drop a constraint or a setting.  Every number must be
+finite; a NaN or an infinity is rejected with its JSON path.
 """
 
 from __future__ import annotations
@@ -61,6 +62,18 @@ def _table(entry, where: str, allowed, by_kind=None) -> dict:
                           f"field{'s' if len(unknown) > 1 else ''}, expected one of "
                           f"{sorted(allowed)}")
     return entry
+
+
+def _reject_non_finite(node, where: str = "") -> None:
+    """Raise at the first NaN or infinity (``NaN``, ``Infinity``, ``1e999``)."""
+    if isinstance(node, float) and not np.isfinite(node):
+        raise ConfigError(f"{where}: must be finite, got {node}")
+    if isinstance(node, dict):
+        for key, value in node.items():
+            _reject_non_finite(value, f"{where}.{key}" if where else key)
+    elif isinstance(node, list):
+        for pos, value in enumerate(node):
+            _reject_non_finite(value, f"{where}[{pos}]")
 
 
 TOP_LEVEL_KEYS = ("name", "seed", "mode", "horizon", "model", "noise", "x0", "parameters",
@@ -237,6 +250,7 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError(f"{path}: not valid JSON ({err})") from err
 
     _table(raw, "config", TOP_LEVEL_KEYS)
+    _reject_non_finite(raw)
     name = str(_require(raw, "name", "config"))
     seed = int(_require(raw, "seed", "config"))
     if seed < 0:

@@ -52,6 +52,11 @@ class LinearSystem:
             raise ValueError(f"A must be square, got {self.A.shape}")
         if self.B.ndim != 2 or self.B.shape[0] != self.A.shape[0]:
             raise ValueError(f"B must be ({self.A.shape[0]}, n_u), got {self.B.shape}")
+        for name, matrix in (("A", self.A), ("B", self.B)):
+            bad = np.argwhere(~np.isfinite(matrix))
+            if bad.size:
+                i, j = bad[0]
+                raise ValueError(f"{name}[{i}][{j}]: must be finite, got {matrix[i, j]}")
         rank = controllability_rank(self.A, self.B)
         if rank < self.n_x:
             warnings.warn(
@@ -104,6 +109,8 @@ def load_model(path) -> LinearSystem:
         return LinearSystem(np.asarray(doc["A"]), np.asarray(doc["B"]))
     except KeyError as exc:
         raise ValueError(f"model fixture {path} is missing key {exc}") from None
+    except ValueError as exc:
+        raise ValueError(f"model fixture {path}: {exc}") from None
 
 
 @dataclass
@@ -197,7 +204,8 @@ def simulate(model, policy, mode, x0, xi, omega):
 
     The state-feedback recursion with a policy that replans every step: a
     full-horizon policy plans from (x, xi) and only the plan's first action
-    is applied.  Returns (states (c, steps+1, n_x), actions (c, steps, n_u)).
+    is applied.  Returns (states (c, steps+1, n_x), actions (c, steps, n_u));
+    a state that leaves the floats raises ValueError naming its run and step.
     """
     if mode not in MODES:
         raise ValueError(f"unknown rollout mode {mode!r}")
@@ -210,4 +218,8 @@ def simulate(model, policy, mode, x0, xi, omega):
 
     states, actions = rollout_tensors(model, decide, x0, None, omega, STATE_FEEDBACK,
                                       model.n_u)
+    bad = np.argwhere(~np.all(np.isfinite(states.values), axis=2))
+    if bad.size:
+        run, k = bad[0]
+        raise ValueError(f"simulate: the state of run {run} left the floats at step {k}")
     return states.values, actions.values

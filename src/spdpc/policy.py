@@ -162,4 +162,7 @@ def load_checkpoint(path) -> MlpPolicy:
             raise ValueError(
                 f"layer {k}: shapes W{w.shape} b{b.shape} do not match ({rows}, {cols})"
             )
+        for name, values in (("W", w), ("b", b)):
+            if not np.all(np.isfinite(values)):
+                raise ValueError(f"checkpoint {path}: layer {k} {name} is not finite")
     return MlpPolicy(arch, layers)

@@ -53,6 +53,9 @@ class DistSpec:
                 raise ValueError(f"{self.kind} needs two equal-length vectors")
             if self.kind == "uniform" and np.any(a > b):
                 raise ValueError("uniform has lower > upper")
+            with np.errstate(over="ignore", invalid="ignore"):
+                if self.kind == "uniform" and not np.all(np.isfinite(b - a)):
+                    raise ValueError("uniform width upper - lower is not finite")
             if self.kind == "gaussian" and np.any(b < 0):
                 raise ValueError("gaussian std must be non-negative")
         object.__setattr__(self, "a", tuple(a.tolist()))

@@ -4,7 +4,8 @@ Each step draws a minibatch of (parametric, disturbance) scenario pairs,
 replays the closed loop on a tape, backpropagates the normalized loss to
 the policy weights and applies a decoupled weight-decay Adam update.  Dev
 loss is evaluated untaped after every epoch and the weights with the best
-dev loss are the ones returned.
+dev loss are the ones returned.  A loss, gradient, updated weight or dev
+loss that is not finite raises ``TrainingDiverged``.
 
 Everything downstream of the seed is deterministic: shuffles come from a
 counter-keyed stream per epoch, so a rerun reproduces the history and the
@@ -27,7 +28,7 @@ from .sampling import write_csv
 
 
 class TrainingDiverged(RuntimeError):
-    """Loss or an intermediate value left the floats."""
+    """The loss, a gradient or a weight left the floats."""
 
 
 @dataclass(frozen=True)
@@ -157,32 +158,25 @@ def train(model, policy, train_set, dev_set, objective, constraints, weights,
         for start in range(0, train_set.size, cfg.minibatch):
             idx = perm[start:start + cfg.minibatch]
             x0, xi, omega, i_idx, _ = train_set.pair_rows(idx)
-            try:
-                parts, grads = policy_gradient(
-                    policy, model, x0, xi, omega, objective, constraints, weights, mode)
-            except ad.NonFiniteError as err:
-                rows = sorted(set(int(i) for i in i_idx))
-                raise TrainingDiverged(
-                    f"non-finite value at epoch {epoch}, parametric rows {rows}: {err}"
-                ) from err
+            parts, grads = policy_gradient(
+                policy, model, x0, xi, omega, objective, constraints, weights, mode)
             loss = parts.total.item()
             if not np.isfinite(loss):
+                fault = f"loss is {loss}"
+            elif not all(np.all(np.isfinite(g)) for g in grads):
+                fault = "gradient left the floats"
+            else:
+                adamw_step(params, grads, state, cfg)
+                fault = (None if all(np.all(np.isfinite(p)) for p in params)
+                         else "weights left the floats after the update")
+            if fault is not None:
                 rows = sorted(set(int(i) for i in i_idx))
-                raise TrainingDiverged(
-                    f"loss is {loss} at epoch {epoch}, parametric rows {rows}")
-            adamw_step(params, grads, state, cfg)
-            if not all(np.all(np.isfinite(p)) for p in params):
-                rows = sorted(set(int(i) for i in i_idx))
-                raise TrainingDiverged(
-                    f"weights left the floats after the update at epoch {epoch}, "
-                    f"parametric rows {rows}")
+                raise TrainingDiverged(f"{fault} at epoch {epoch}, parametric rows {rows}")
             for key, val in parts.floats().items():
                 acc[key] += val * len(idx)
-        try:
-            dev = evaluate(policy, model, dev_set, objective, constraints, weights, mode)
-        except ad.NonFiniteError as err:
-            raise TrainingDiverged(
-                f"non-finite dev loss at epoch {epoch}: {err}") from err
+        dev = evaluate(policy, model, dev_set, objective, constraints, weights, mode)
+        if not np.isfinite(dev["total"]):
+            raise TrainingDiverged(f"dev loss is {dev['total']} at epoch {epoch}")
         result.history.append({
             "epoch": epoch,
             "train_loss": acc["total"] / train_set.size,

@@ -133,6 +133,32 @@ class TestBenchmark:
                                       output_dim=horizon, seed=4)
         return pol.init_policy(arch)
 
+    def test_solves_repeats_times_and_warm_starts_from_the_last(self, monkeypatch):
+        model = double_integrator()
+        objective, constraints, weights = stabilization()
+        horizon, repeats = 3, 3
+        cfg = bl.SolverConfig(max_iters=25, tol=1e-6)
+        instances = [(np.array([1.0, 0.0]), None), (np.array([0.5, -0.3]), None),
+                     (np.array([-0.2, 0.4]), None)]
+        warm_starts = []
+        exact = bl.solve
+
+        def counted(*args, warm_start=None):
+            warm_starts.append(None if warm_start is None else warm_start.copy())
+            return exact(*args, warm_start=warm_start)
+
+        monkeypatch.setattr(bl, "solve", counted)
+        bl.benchmark(self.make_policy(horizon), model, instances, horizon, objective,
+                     constraints, weights, cfg, repeats=repeats)
+        assert len(warm_starts) == len(instances) * repeats
+        expect, prev = [], None
+        for x0, xi in instances:
+            warm = None if prev is None else bl.shift_warm_start(prev)
+            expect += [warm] * repeats
+            prev = exact(model, x0, xi, horizon, objective, constraints, weights, cfg,
+                         warm_start=warm).actions
+        assert all(np.array_equal(got, want) for got, want in zip(warm_starts, expect))
+
     def test_rows_and_csv_schema(self, tmp_path):
         model = double_integrator()
         objective, constraints, weights = stabilization()

@@ -253,6 +253,30 @@ def test_satisfied_matches_plain_numpy_on_committed_configs(path):
         assert 0 < expect.sum() < batch, (part, c.kind)  # the rows really straddle
 
 
+@pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.stem)
+def test_non_finite_state_fails_its_row_on_committed_configs(path):
+    # rows that rest at the terminal set's center pass; one NaN or +-inf
+    # entry at any step, terminal step included, must fail the row
+    cfg = load_config(path)
+    horizon, n_x = cfg.horizon, cfg.model.n_x
+    values = np.repeat([np.nan, np.inf, -np.inf], horizon + 1)
+    batch = values.size
+    gen = np.random.default_rng(6)
+    xi = np.stack([cfg.params.draw_xi(gen) for _ in range(batch)])
+    xi = xi if xi.shape[1] else None
+    terminal = cfg.constraints.terminal
+    if isinstance(terminal, BoxConstraint):
+        center = np.add(terminal.lower, terminal.upper) / 2.0
+    else:
+        center = 0.0 if terminal.center is None else terminal.center.resolve(xi, batch)
+    states = np.broadcast_to(center, (batch, n_x))[:, None, :].repeat(horizon + 1, axis=1)
+    actions = np.zeros((batch, horizon, cfg.model.n_u))
+    assert cert.satisfied(states, actions, xi, cfg.constraints).all()
+    rows = np.arange(batch)
+    states[rows, rows % (horizon + 1), gen.integers(0, n_x, batch)] = values
+    assert not cert.satisfied(states, actions, xi, cfg.constraints).all(axis=1).any()
+
+
 def zero_policy(n_in, n_out):
     p = pol.init_policy(pol.PolicyArchitecture(
         input_dim=n_in, hidden=(4,), output_dim=n_out, seed=0))

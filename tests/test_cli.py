@@ -8,7 +8,8 @@ import pytest
 
 from spdpc import cli
 from spdpc.certify import REPORT_KEYS
-from spdpc.policy import load_checkpoint
+from spdpc.config import load_config
+from spdpc.policy import init_policy, load_checkpoint, save_checkpoint
 from spdpc.trainer import HISTORY_COLUMNS
 
 
@@ -107,6 +108,55 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"error: {argv[1]} must be >=" in err and f"got {argv[2]}" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("literal, shown", [("NaN", "nan"), ("Infinity", "inf"),
+                                                ("1e999", "inf")])
+    @pytest.mark.parametrize("where, keys", [
+        ("x0.lower[0]", ("x0", "lower", 0)),
+        ("constraints.input_box.upper[0]", ("constraints", "input_box", "upper", 0)),
+        ("weights.Q_u", ("weights", "Q_u")),
+        ("model.A[1][0]", ("model", "A", 1, 0)),
+        ("model fixture", None),
+    ])
+    def test_non_finite_number_named_by_its_path(self, tmp_path, capsys, where, keys,
+                                                 literal, shown):
+        # JSON as Python reads it admits NaN, Infinity and overflowing literals
+        bad = "__non_finite__"
+        path = micro_config(tmp_path)
+        table = json.loads(path.read_text())
+        if keys is None:
+            fixture = tmp_path / "model.json"
+            fixture.write_text(json.dumps({"A": [[1.0, bad], [0.0, 1.0]], "B": [[0.0], [0.1]]})
+                               .replace(f'"{bad}"', literal))
+            table["model"] = {"file": fixture.name}
+            expect = f"model: model fixture {fixture}: A[0][1]: must be finite, got {shown}"
+        else:
+            node = table
+            for key in keys[:-1]:
+                node = node[key]
+            node[keys[-1]] = bad
+            expect = f"{where}: must be finite, got {shown}"
+        path.write_text(json.dumps(table).replace(f'"{bad}"', literal))
+        for command in ("train", "simulate"):
+            checkpoint = ["--checkpoint", "policy.json"] if command == "simulate" else []
+            assert run(command, *checkpoint, "--config", str(path),
+                       "--out", str(tmp_path / "out")) == 1
+            assert capsys.readouterr().err == f"config error: {expect}\n"
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                                "ignore:invalid value encountered:RuntimeWarning")
+    def test_simulate_that_leaves_the_floats_writes_no_summary(self, tmp_path, capsys):
+        config = micro_config(tmp_path)
+        policy = init_policy(load_config(config).arch)
+        for w, _ in policy.layers:
+            w *= 1e200
+        save_checkpoint(policy, tmp_path / "big.json")
+        out = tmp_path / "sim"
+        assert run("simulate", "--config", str(config), "--out", str(out),
+                   "--checkpoint", str(tmp_path / "big.json")) == 1
+        assert "error: simulate: the state of run 0 left the floats at step 1" \
+            in capsys.readouterr().err
+        assert not (out / "summary.json").exists()
 
     @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
     def test_divergence_exits_2(self, tmp_path, capsys):

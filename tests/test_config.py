@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -163,6 +164,16 @@ class TestRejection:
         table = base_config()
         table["noise"]["scale"] = [0.01]
         self.check(tmp_path, table, "noise.scale")
+
+    @pytest.mark.parametrize("where", ["x0", "parameters[0]"])
+    def test_uniform_width_must_fit_the_floats(self, tmp_path, where):
+        table = base_config()
+        dist = table["x0"] if where == "x0" else table["parameters"][0]
+        dist["lower"], dist["upper"] = [-1e308, 0.0], [1e308, 1.0]
+        self.check(tmp_path, table, rf"^{re.escape(where)}: uniform width upper - lower "
+                                    "is not finite")
+        dist["lower"], dist["upper"] = [1.0, 0.0], [-1.0, 1.0]
+        self.check(tmp_path, table, rf"^{re.escape(where)}: uniform has lower > upper")
 
     def test_x0_dimension(self, tmp_path):
         table = base_config()

@@ -421,3 +421,22 @@ def test_simulate_matches_numpy_per_run_loop(name):
     for got, want in ((states, ref_states), (actions, ref_actions)):
         err = np.abs(got - want).max()
         assert err <= 1e-12 * np.abs(want).max(), err
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+def test_simulate_names_the_run_and_step_that_leave_the_floats(double_integrator):
+    # run 0 rests at the origin; runs 1 and 2 are driven by a gain of 1e200
+    # until their states overflow, and the error names the first of them
+    p = pol.init_policy(pol.PolicyArchitecture(2, (), 1))
+    p.layers = [(np.full((1, 2), 1e200), np.zeros(1))]
+    x0 = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 0.0]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        x, first = x0[1], None
+        for k in range(1, 7):
+            x = double_integrator.A @ x + double_integrator.B @ (p.layers[0][0] @ x)
+            if first is None and not np.all(np.isfinite(x)):
+                first = k
+    assert first is not None
+    with pytest.raises(ValueError, match=f"run 1 left the floats at step {first}$"):
+        dyn.simulate(double_integrator, p, dyn.STATE_FEEDBACK, x0, None, np.zeros((3, 6, 2)))

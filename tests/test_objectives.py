@@ -241,7 +241,7 @@ def test_zero_weight_penalty_records_no_tape_nodes():
 
     def taped(constraints, w):
         tape = ad.Tape()
-        loss = obj.total_loss(tape.leaf(states), tape.leaf(actions), None, s, constraints, w)
+        loss = obj.total_loss(tape.param(states), tape.param(actions), None, s, constraints, w)
         return len(tape.nodes), loss.total.item()
 
     bare = taped(obj.ConstraintSet(), weights(Q_x=1.0, Q_u=1.0))

@@ -155,3 +155,16 @@ def test_checkpoint_rejects_shape_mismatch(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match="layer 0"):
         pol.load_checkpoint(path)
+
+
+def test_checkpoint_rejects_non_finite_weights(tmp_path):
+    p = pol.init_policy(arch(2, [3], 1))
+    path = tmp_path / "ckpt.json"
+    pol.save_checkpoint(p, path)
+    import json
+
+    doc = json.loads(path.read_text())
+    doc["layers"][1]["W"][0][2] = float("nan")
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="layer 1 W is not finite"):
+        pol.load_checkpoint(path)

@@ -255,7 +255,8 @@ class TestTraining:
                  on_epoch=lambda e, p, d: seen.append((e, d)))
         assert [e for e, _ in seen] == [0, 1, 2]
 
-    @pytest.mark.filterwarnings("ignore:overflow")
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                                "ignore:invalid value encountered:RuntimeWarning")
     def test_divergence_aborts_with_context(self):
         model = dyn.LinearSystem(A=np.array([[2.0, 0.0], [0.0, 2.0]]),
                                  B=np.eye(2))
@@ -268,6 +269,27 @@ class TestTraining:
         with pytest.raises(tr.TrainingDiverged, match="epoch"):
             tr.train(model, policy, train_set, dev_set, objective,
                      constraints, weights, cfg, dyn.FULL_HORIZON, seed=2)
+
+    def test_non_finite_gradient_aborts_before_the_update(self, monkeypatch):
+        # a finite loss whose gradient is not finite must stop the run
+        # before AdamW writes NaN into the weights
+        exact = tr.policy_gradient
+
+        def poisoned(*args):
+            parts, grads = exact(*args)
+            grads[2] = grads[2].copy()
+            grads[2].flat[1] = np.nan
+            return parts, grads
+
+        monkeypatch.setattr(tr, "policy_gradient", poisoned)
+        policy = pol.init_policy(pol.PolicyArchitecture(input_dim=2, hidden=(8,),
+                                                        output_dim=3, seed=9))
+        before = [(w.copy(), b.copy()) for w, b in policy.layers]
+        with pytest.raises(tr.TrainingDiverged,
+                           match=r"gradient left the floats at epoch 0, parametric rows \["):
+            self.run(policy=policy)
+        for (w, b), (w0, b0) in zip(policy.layers, before):
+            assert np.array_equal(w, w0) and np.array_equal(b, b0)
 
 
 class TestHistoryFile:
