@@ -23,7 +23,6 @@ from pathlib import Path
 import numpy as np
 
 from . import dynamics as dyn
-from . import policy as pol
 
 
 def _rows_ok(residuals) -> np.ndarray:
@@ -57,13 +56,7 @@ def satisfied(states, actions, xi, constraints) -> np.ndarray:
 def empirical_risk(policy, model, scenarios, constraints, mode, chunk: int = 1024):
     """Success fraction and the (pairs, K) pass flags of ``satisfied``, in pair order."""
     passes = np.zeros((scenarios.size, len(constraints.checked())), dtype=bool)
-    all_idx = np.arange(scenarios.size)
-    for start in range(0, scenarios.size, chunk):
-        idx = all_idx[start:start + chunk]
-        x0, xi, omega, _, _ = scenarios.pair_rows(idx)
-        states, actions = dyn.rollout_tensors(
-            model, lambda z: pol.apply_layers(policy.layers, z),
-            x0, xi, omega, mode, model.n_u)
+    for idx, xi, states, actions in dyn.rollout_pairs(model, policy, scenarios, mode, chunk):
         passes[idx] = satisfied(states.values, actions.values, xi, constraints)
     return float(passes.all(axis=1).mean()), passes
 

@@ -132,6 +132,9 @@ class NoiseSpec:
         self.scale = np.atleast_1d(np.asarray(self.scale, dtype=np.float64))
         if np.any(self.scale < 0):
             raise ValueError("noise scale must be non-negative")
+        with np.errstate(over="ignore"):
+            if self.kind == "gaussian" and not np.all(np.isfinite(8.0 * self.scale)):
+                raise ValueError("gaussian 8 * scale is not finite")
         if self.bound == "default":
             self.bound = 4.0 * float(self.scale.max()) if self.kind == "gaussian" else None
         if self.bound is not None:
@@ -173,10 +176,7 @@ def rollout_tensors(model, policy_fn, x0, xi, omega, mode, n_u):
     omega = np.asarray(omega, dtype=np.float64)
     batch, horizon, n_x = omega.shape
     if mode == FULL_HORIZON:
-        z = x0
-        if xi is not None and np.asarray(xi).size:
-            z = ad.concat([x0, np.asarray(xi, dtype=np.float64)], axis=1)
-        plan = policy_fn(z)
+        plan = ad.as_tensor(policy_fn(pol.join_input(x0, xi)))
         if plan.values.shape[1] != horizon * n_u:
             raise ValueError(
                 f"policy emits width {plan.values.shape[1]}, "
@@ -190,12 +190,30 @@ def rollout_tensors(model, policy_fn, x0, xi, omega, mode, n_u):
     states = [ad.as_tensor(x0)]
     actions = []
     for k in range(horizon):
-        actions.append(policy_fn(states[k]))
+        actions.append(ad.as_tensor(policy_fn(states[k])))
         # x' = x A^T + u B^T + w, row by row
         drift = ad.add(ad.matmul(states[k], model.A.T), ad.matmul(actions[k], model.B.T))
         states.append(ad.add(drift, omega[:, k, :]))
     return (ad.reshape(ad.concat(states, axis=1), (batch, horizon + 1, n_x)),
             ad.reshape(ad.concat(actions, axis=1), (batch, horizon, n_u)))
+
+
+def rollout_pairs(model, policy, scenarios, mode, chunk: int):
+    """Untaped rollouts of ``scenarios``, ``chunk`` pairs at a time; yields
+    (pair indices, xi rows or None, states, actions) per chunk.  A full-horizon
+    plan depends on the draw i alone and pair idx = i * s + j keeps each draw's
+    pairs contiguous, so the network runs once per draw and plans are gathered."""
+    for start in range(0, scenarios.size, chunk):
+        idx = np.arange(start, min(start + chunk, scenarios.size))
+        x0, xi, omega, i, _ = scenarios.pair_rows(idx)
+        if mode == FULL_HORIZON:
+            lo, hi = i[0], i[-1] + 1
+            plans = pol.forward(policy, scenarios.x0[lo:hi], scenarios.xi[lo:hi])
+            policy_fn = lambda z: plans[i - lo]
+        else:
+            policy_fn = lambda z: pol.apply_layers(policy.layers, z)
+        states, actions = rollout_tensors(model, policy_fn, x0, xi, omega, mode, model.n_u)
+        yield idx, xi, states, actions
 
 
 def simulate(model, policy, mode, x0, xi, omega):
@@ -211,10 +229,7 @@ def simulate(model, policy, mode, x0, xi, omega):
         raise ValueError(f"unknown rollout mode {mode!r}")
 
     def decide(x):
-        if mode == STATE_FEEDBACK:
-            return pol.apply_layers(policy.layers, x)
-        z = x if xi is None else ad.concat([x, xi], axis=1)
-        return ad.narrow(pol.apply_layers(policy.layers, z), 1, 0, model.n_u)
+        return pol.forward(policy, x.values, None if mode == STATE_FEEDBACK else xi)[:, :model.n_u]
 
     states, actions = rollout_tensors(model, decide, x0, None, omega, STATE_FEEDBACK,
                                       model.n_u)

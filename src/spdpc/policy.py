@@ -3,8 +3,9 @@
 A policy maps the rollout input (current state, optionally concatenated
 with the scenario parameter vector) to either a single action or a flat
 action sequence for the whole horizon.  One ``apply_layers`` implementation
-serves plain-numpy evaluation and taped training alike, so the trained and
-deployed forward passes cannot drift apart.
+serves taped training and untaped evaluation: on tape tensors it records the
+layer ops, on plain arrays it makes the same numpy calls untaped, so trained
+and deployed passes give the same bits and a decision needs no autodiff.
 """
 
 from __future__ import annotations
@@ -63,43 +64,50 @@ def init_policy(arch: PolicyArchitecture) -> MlpPolicy:
     return MlpPolicy(arch, layers)
 
 
+def _on_tape(x) -> bool:
+    return isinstance(x, ad.Tensor) and x.tape is not None
+
+
 def apply_layers(layers, z):
-    """Hidden layers are relu(W z + b); the output layer is affine.
+    """Hidden layers are relu(z W^T + b); the output layer is affine.
 
-    ``z`` is a single input (d,) or a batch (n, d); layer entries may be
-    numpy arrays (eager) or tape tensors (training).
+    ``z`` is a batch (n, d); ``layers`` holds arrays or tape tensors.  With a
+    tape tensor among ``layers`` or in ``z`` the ops are recorded and a tensor
+    is returned; otherwise the pass runs untaped, as the same numpy calls,
+    and returns an (n, out) array.
     """
-    out = ad.as_tensor(z)
-    batched = out.values.ndim == 2
+    last = len(layers) - 1
+    if _on_tape(z) or any(_on_tape(w) for w, _ in layers):
+        for k, (w, b) in enumerate(layers):
+            z = ad.add(ad.matmul(z, ad.transpose(w)), b)
+            if k < last:
+                z = ad.relu(z)
+        return z
+    z = z.values if isinstance(z, ad.Tensor) else np.asarray(z, dtype=np.float64)
     for k, (w, b) in enumerate(layers):
-        if batched:
-            out = ad.add(ad.matmul(out, ad.transpose(w)), b)
-        else:
-            out = ad.add(ad.matmul(w, out), b)
-        if k < len(layers) - 1:
-            out = ad.relu(out)
-    return out
+        z = np.add(np.matmul(z, w.T), b)
+        if k < last:
+            z = np.maximum(z, 0.0)
+    return z
 
 
-def _join_input(x, xi):
-    x = ad.as_tensor(x)
-    if xi is None:
+def join_input(x, xi):
+    """``x`` with ``xi`` appended on the last axis; ``x`` alone when ``xi`` is None or empty."""
+    x = np.asarray(x, dtype=np.float64)
+    if xi is None or np.size(xi) == 0:
         return x
-    xi = np.asarray(xi, dtype=np.float64)
-    if xi.size == 0:
-        return x
-    axis = 1 if x.values.ndim == 2 else 0
-    return ad.concat([x, xi], axis=axis)
+    return np.concatenate([x, np.asarray(xi, dtype=np.float64)], axis=x.ndim - 1)
 
 
 def forward(policy: MlpPolicy, x, xi=None) -> np.ndarray:
     """Evaluate the policy on one input (d,) -> (out,) or a batch (n, d) -> (n, out)."""
-    z = _join_input(x, xi)
+    z = join_input(x, xi)
     expected = policy.arch.input_dim
-    got = z.values.shape[-1]
+    got = z.shape[-1]
     if got != expected:
         raise ValueError(f"policy expects input width {expected}, got {got}")
-    return apply_layers(policy.layers, z).values
+    out = apply_layers(policy.layers, np.atleast_2d(z))
+    return out[0] if z.ndim == 1 else out
 
 
 def action_sequence(policy: MlpPolicy, x0, xi, n_u: int) -> np.ndarray:

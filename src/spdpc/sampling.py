@@ -53,26 +53,30 @@ class DistSpec:
                 raise ValueError(f"{self.kind} needs two equal-length vectors")
             if self.kind == "uniform" and np.any(a > b):
                 raise ValueError("uniform has lower > upper")
+            if self.kind == "gaussian" and np.any(b < 0):
+                raise ValueError("gaussian std must be non-negative")
             with np.errstate(over="ignore", invalid="ignore"):
                 if self.kind == "uniform" and not np.all(np.isfinite(b - a)):
                     raise ValueError("uniform width upper - lower is not finite")
-            if self.kind == "gaussian" and np.any(b < 0):
-                raise ValueError("gaussian std must be non-negative")
+                if self.kind == "gaussian" and not np.all(np.isfinite(np.abs(a) + 8.0 * b)):
+                    raise ValueError("gaussian |mean| + 8 std is not finite")
         object.__setattr__(self, "a", tuple(a.tolist()))
         object.__setattr__(self, "b", tuple(b.tolist()) if b is not None else ())
+        # draw() is Generator.uniform's and Generator.normal's arithmetic
+        spread = b - a if self.kind == "uniform" else b
+        object.__setattr__(self, "_low_spread", (a, spread))
 
     @property
     def dim(self) -> int:
         return len(self.a)
 
     def draw(self, gen: np.random.Generator) -> np.ndarray:
-        a = np.asarray(self.a)
-        if self.kind == "constant":
-            return a.copy()
-        b = np.asarray(self.b)
+        low, spread = self._low_spread
         if self.kind == "uniform":
-            return gen.uniform(a, b)
-        return gen.normal(a, b)
+            return low + spread * gen.random(low.shape)
+        if self.kind == "gaussian":
+            return low + spread * gen.standard_normal(low.shape)
+        return low.copy()
 
 
 @dataclass(frozen=True)

@@ -117,13 +117,7 @@ def evaluate(policy, model, scenarios, objective, constraints, weights, mode,
              chunk: int = 512) -> dict[str, float]:
     """Mean loss parts over every scenario pair, computed untaped."""
     totals = {k: 0.0 for k in ("total", "objective", "state", "inputs", "terminal")}
-    all_idx = np.arange(scenarios.size)
-    for start in range(0, scenarios.size, chunk):
-        idx = all_idx[start:start + chunk]
-        x0, xi, omega, _, _ = scenarios.pair_rows(idx)
-        states, actions = dyn.rollout_tensors(
-            model, lambda z: pol.apply_layers(policy.layers, z),
-            x0, xi, omega, mode, model.n_u)
+    for idx, xi, states, actions in dyn.rollout_pairs(model, policy, scenarios, mode, chunk):
         parts = obj.total_loss(states, actions, xi, objective, constraints, weights)
         for key, val in parts.floats().items():
             totals[key] += val * len(idx)

@@ -6,11 +6,13 @@ import pytest
 
 from spdpc import certify as cert
 from spdpc import dynamics as dyn
+from spdpc import objectives as obj
 from spdpc import policy as pol
+from spdpc import trainer as tr
 from spdpc.config import load_config
 from spdpc.objectives import (BallConstraint, BoxConstraint, Constant, ConstraintSet,
                               ContractionConstraint, EllipseKeepOut, XiSlice)
-from spdpc.sampling import ScenarioSet
+from spdpc.sampling import ScenarioSet, sample_scenarios
 
 # several fixtures pin the state with A = I on purpose
 pytestmark = pytest.mark.filterwarnings("ignore:.*not controllable")
@@ -349,3 +351,67 @@ class TestReportIO:
         path.write_text('{"r": 10}')
         with pytest.raises(ValueError, match="missing keys"):
             cert.load_report(path)
+
+
+# ---------------------------------------------------------------------------
+# one plan per parametric draw
+
+FULL_CONFIGS = [p for p in CONFIGS if load_config(p).mode == dyn.FULL_HORIZON]
+
+
+def sampled_case(path, m=9, s=4):
+    cfg = load_config(path)
+    scen = sample_scenarios(cfg.params, cfg.noise, m, s, cfg.horizon, seed=8)
+    policy = pol.init_policy(cfg.arch)
+    gen = np.random.default_rng(9)
+    for _, b in policy.layers:
+        b[...] = gen.normal(scale=0.1, size=b.shape)
+    return cfg, scen, policy
+
+
+def pair_reroll(cfg, policy, scen):
+    """Every pair planned from its own input row and rolled in plain numpy,
+    with the condensed prediction X = x0 Phi^T + U Gamma^T + W Gamma_w^T."""
+    x0, xi, omega, _, _ = scen.pair_rows(np.arange(scen.size))
+    z = x0 if xi is None else np.concatenate([x0, xi], axis=1)
+    plans = np.stack([pol.forward(policy, row[None, :])[0] for row in z])
+    phi, gamma, gamma_w = cfg.model.prediction(cfg.horizon)
+    batch, n_x, n_u = scen.size, cfg.model.n_x, cfg.model.n_u
+    moved = plans @ gamma.T + (x0 @ phi.T + omega.reshape(batch, -1) @ gamma_w.T)
+    states = np.concatenate([x0[:, None, :], moved.reshape(batch, cfg.horizon, n_x)], axis=1)
+    return states, plans.reshape(batch, cfg.horizon, n_u), xi
+
+
+@pytest.mark.parametrize("path", FULL_CONFIGS, ids=lambda p: p.stem)
+def test_full_horizon_runs_the_network_once_per_draw(path, monkeypatch):
+    cfg, scen, policy = sampled_case(path)
+    rows = []
+    original = pol.apply_layers
+
+    def counted(layers, z):
+        rows.append(np.shape(z)[0])
+        return original(layers, z)
+
+    monkeypatch.setattr(pol, "apply_layers", counted)
+    cert.empirical_risk(policy, cfg.model, scen, cfg.constraints, cfg.mode)
+    assert sum(rows) == scen.m
+    rows.clear()
+    tr.evaluate(policy, cfg.model, scen, cfg.objective, cfg.constraints, cfg.weights, cfg.mode)
+    assert sum(rows) == scen.m
+
+
+@pytest.mark.parametrize("path", FULL_CONFIGS, ids=lambda p: p.stem)
+@pytest.mark.parametrize("chunk", [7, 1024])
+def test_shared_plans_match_a_per_pair_reroll(path, chunk):
+    # chunk 7 splits draws (s = 4 pairs each) across chunks
+    cfg, scen, policy = sampled_case(path)
+    states, actions, xi = pair_reroll(cfg, policy, scen)
+    _, passes = cert.empirical_risk(policy, cfg.model, scen, cfg.constraints, cfg.mode,
+                                    chunk=chunk)
+    assert np.array_equal(passes, cert.satisfied(states, actions, xi, cfg.constraints))
+    parts = tr.evaluate(policy, cfg.model, scen, cfg.objective, cfg.constraints,
+                        cfg.weights, cfg.mode, chunk=chunk)
+    expect = obj.total_loss(states, actions, xi, cfg.objective, cfg.constraints,
+                            cfg.weights).floats()
+    for key, value in expect.items():
+        assert value == pytest.approx(parts[key], rel=1e-12, abs=0.0), key

@@ -143,6 +143,22 @@ class TestExitCodes:
                        "--out", str(tmp_path / "out")) == 1
             assert capsys.readouterr().err == f"config error: {expect}\n"
 
+    @pytest.mark.parametrize("where, entry, message", [
+        ("x0", {"x0": {"kind": "gaussian", "mean": [0.0, 0.0], "std": [1e308, 1e308]}},
+         "gaussian |mean| + 8 std is not finite"),
+        ("parameters[0]", {"parameters": [{"name": "target", "kind": "gaussian",
+                                           "mean": [1.7e308, 0.0], "std": [1e307, 1.0]}]},
+         "gaussian |mean| + 8 std is not finite"),
+        ("noise", {"noise": {"kind": "gaussian", "scale": [1e308, 1e308]}},
+         "gaussian 8 * scale is not finite"),
+    ])
+    def test_gaussian_that_overflows_is_a_config_error(self, tmp_path, capsys, where, entry,
+                                                       message):
+        path = micro_config(tmp_path, **entry)
+        for command in ("train", "sample"):
+            assert run(command, "--config", str(path), "--out", str(tmp_path / "out")) == 1
+            assert capsys.readouterr().err == f"config error: {where}: {message}\n"
+
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
                                 "ignore:invalid value encountered:RuntimeWarning")
     def test_simulate_that_leaves_the_floats_writes_no_summary(self, tmp_path, capsys):

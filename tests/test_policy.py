@@ -1,10 +1,14 @@
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from spdpc import autodiff as ad
 from spdpc import policy as pol
+from spdpc.config import load_config
+from spdpc.dynamics import FULL_HORIZON, MODES
 
 
 def arch(i, h, o, seed=0):
@@ -168,3 +172,57 @@ def test_checkpoint_rejects_non_finite_weights(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match="layer 1 W is not finite"):
         pol.load_checkpoint(path)
+
+
+# ---------------------------------------------------------------------------
+# untaped forward pass against the taped one, on every committed config
+
+REPO = Path(__file__).resolve().parents[1]
+CONFIGS = sorted(p.stem for p in (REPO / "configs").glob("ex*.json"))
+
+
+def config_policy(name, mode):
+    """The config's hidden widths in either rollout mode, with nonzero biases."""
+    cfg = load_config(REPO / "configs" / f"{name}.json")
+    n_x, n_u = cfg.model.n_x, cfg.model.n_u
+    full = mode == FULL_HORIZON
+    p = pol.init_policy(arch(n_x + cfg.params.xi_dim if full else n_x, cfg.arch.hidden,
+                             cfg.horizon * n_u if full else n_u, seed=cfg.arch.seed))
+    gen = np.random.default_rng(11)
+    for _, b in p.layers:
+        b[...] = gen.normal(scale=0.1, size=b.shape)
+    return p
+
+
+def gemv_reference(layers, z):
+    """The single-vector arithmetic W z + b, layer by layer."""
+    for k, (w, b) in enumerate(layers):
+        z = np.add(np.matmul(w, z), b)
+        if k < len(layers) - 1:
+            z = np.maximum(z, 0.0)
+    return z
+
+
+@pytest.mark.parametrize("name", CONFIGS)
+@pytest.mark.parametrize("mode", MODES)
+def test_untaped_forward_is_the_taped_pass_bit_for_bit(name, mode):
+    p = config_policy(name, mode)
+    xs = np.random.default_rng(12).normal(scale=2.0, size=(25, p.arch.input_dim))
+    untaped = pol.apply_layers(p.layers, xs)
+    assert isinstance(untaped, np.ndarray)
+    taped = pol.apply_layers(pol.taped_layers(ad.Tape(), p), xs)
+    assert np.array_equal(pol.forward(p, xs), taped.values)
+    assert np.array_equal(untaped, taped.values)
+    one = pol.apply_layers(pol.taped_layers(ad.Tape(), p), xs[:1])
+    assert np.array_equal(pol.forward(p, xs[0]), one.values[0])
+
+
+@pytest.mark.parametrize("name", CONFIGS)
+@pytest.mark.parametrize("mode", MODES)
+def test_one_vector_is_the_one_row_batch_bit_for_bit(name, mode):
+    p = config_policy(name, mode)
+    for x in np.random.default_rng(13).normal(scale=2.0, size=(50, p.arch.input_dim)):
+        single = pol.forward(p, x)
+        assert single.shape == (p.arch.output_dim,)
+        assert np.array_equal(single, pol.forward(p, x[None, :])[0])
+        assert np.array_equal(single, gemv_reference(p.layers, x))

@@ -1,6 +1,9 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from spdpc.config import load_config
 from spdpc.dynamics import NoiseSpec
 from spdpc.sampling import (DistSpec, ParamSpec, ScenarioSet, load_bundle,
                             sample_scenarios, save_bundle, split)
@@ -53,6 +56,31 @@ class TestDistSpec:
     def test_constant_draw_is_exact(self):
         dist = DistSpec("constant", (0.25, -3.0))
         assert np.array_equal(dist.draw(np.random.default_rng(0)), [0.25, -3.0])
+
+    @staticmethod
+    def numpy_draw(dist, seed):
+        gen = np.random.default_rng(seed)
+        sample = gen.uniform if dist.kind == "uniform" else gen.normal
+        return sample(np.array(dist.a), np.array(dist.b))
+
+    def test_draw_is_numpys_uniform_and_normal_bit_for_bit(self):
+        specs = []
+        for path in sorted((Path(__file__).resolve().parents[1] / "configs").glob("ex*.json")):
+            params = load_config(path).params
+            specs += [params.x0] + [d for _, d in params.components]
+        gen = np.random.default_rng(17)
+        for _ in range(2000):
+            dim = int(gen.integers(1, 6))
+            a = gen.normal(size=dim) * 10.0 ** gen.integers(-3, 4, dim)
+            width = gen.exponential(size=dim) * 10.0 ** gen.integers(-3, 4, dim)
+            kind = str(gen.choice(["uniform", "gaussian"]))
+            specs.append(DistSpec(kind, tuple(a), tuple(a + width if kind == "uniform"
+                                                        else width)))
+        drawn = [d for d in specs if d.kind != "constant"]
+        assert len(drawn) > 2000  # the committed specs are in
+        for seed, dist in enumerate(drawn):
+            assert np.array_equal(dist.draw(np.random.default_rng(seed)),
+                                  self.numpy_draw(dist, seed)), dist
 
 
 class TestParamSpec:
