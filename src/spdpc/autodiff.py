@@ -7,6 +7,11 @@ small: exactly what closed-loop rollouts, penalty losses and MLP policies
 need.  All arithmetic is plain numpy on float64, so a forward/backward pair
 is bit-deterministic for fixed inputs.
 
+An op makes one pass over its inputs and a taped op appends one slotted
+:class:`Node`.  The fused ``sumsq`` and ``relu_sumsq`` each record one node
+for a squared-penalty chain of up to five, with the same numpy calls in the
+same order, so values and adjoints keep their bits.
+
 Operations also run *eagerly*: applying an op to plain arrays (or tensors
 that live on no tape) computes the value without recording anything.  The
 same loss code therefore serves both training (taped) and evaluation
@@ -22,7 +27,7 @@ Conventions:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,13 +66,13 @@ def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-@dataclass
+@dataclass(slots=True)
 class Node:
     kind: str
-    input_ids: tuple
+    input_ids: tuple      # tape id per input, None for a constant
     input_values: tuple
     values: np.ndarray
-    attrs: dict = field(default_factory=dict)
+    attrs: dict
 
 
 class Tape:
@@ -81,14 +86,11 @@ class Tape:
     def __init__(self):
         self.nodes: list[Node] = []
 
-    def _append(self, node: Node) -> Tensor:
-        self.nodes.append(node)
-        return Tensor(node.values, tape=self, node=len(self.nodes) - 1)
-
     def param(self, values) -> Tensor:
         """Place a trainable input on the tape (copied defensively)."""
         v = np.array(values, dtype=np.float64)
-        return self._append(Node("param", (), (), v))
+        self.nodes.append(Node("param", (), (), v, {}))
+        return Tensor(v, self, len(self.nodes) - 1)
 
     @property
     def param_ids(self) -> list[int]:
@@ -101,19 +103,7 @@ class Tape:
         arrays; the latter two enter the node as constants.  Mixing in a
         tensor from another tape is an error.
         """
-        tensors = [as_tensor(x) for x in inputs]
-        for t in tensors:
-            if t.tape is not None and t.tape is not self:
-                raise ValueError("input tensor belongs to a different tape")
-        values = _forward(kind, [t.values for t in tensors], attrs)
-        node = Node(
-            kind,
-            tuple(t.node if t.tape is self else None for t in tensors),
-            tuple(t.values for t in tensors),
-            values,
-            attrs,
-        )
-        return self._append(node)
+        return _apply(kind, *inputs, _tape=self, **attrs)
 
     def backward(self, root: Tensor) -> dict[int, np.ndarray]:
         """Reverse sweep from a scalar root.
@@ -178,6 +168,12 @@ def _forward(kind, vals, attrs):
     if kind == "scale":
         (a,) = vals
         return a * attrs["factor"]
+    if kind in ("sumsq", "relu_sumsq"):
+        (a,) = vals
+        if kind == "relu_sumsq":  # keep the relu for the VJP
+            shift = attrs["shift"]
+            a = attrs["relu"] = np.maximum(np.add(a, shift) if shift else a, 0.0)
+        return np.asarray((a * a).sum()) * attrs["weight"]
     if kind == "concat":
         axis = attrs["axis"]
         try:
@@ -220,6 +216,8 @@ def _forward(kind, vals, attrs):
 
 def _unbroadcast(g, shape):
     """Reduce an adjoint back to the shape of a broadcast operand."""
+    if g.shape == shape:
+        return g
     while g.ndim > len(shape):
         g = g.sum(axis=0)
     for axis, dim in enumerate(shape):
@@ -259,6 +257,11 @@ def _vjp(node, g):
         return [(0, np.broadcast_to(g, a.shape).copy())]
     if kind == "scale":
         return [(0, g * node.attrs["factor"])]
+    if kind == "sumsq":
+        return [(0, 2.0 * vals[0] * (g * node.attrs["weight"]))]
+    if kind == "relu_sumsq":
+        h = node.attrs["relu"]
+        return [(0, 2.0 * h * (g * node.attrs["weight"]) * (h > 0.0))]
     if kind == "concat":
         axis = node.attrs["axis"]
         out, offset = [], 0
@@ -293,19 +296,28 @@ def _vjp(node, g):
 # ---------------------------------------------------------------------------
 # functional front end: taped when any input is taped, eager otherwise
 
-def _apply(kind, *inputs, **attrs):
-    tensors = [as_tensor(x) for x in inputs]
-    tape = None
-    for t in tensors:
-        if t.tape is None:
-            continue
-        if tape is None:
-            tape = t.tape
-        elif tape is not t.tape:
-            raise ValueError("cannot combine tensors from different tapes")
-    if tape is not None:
-        return tape.record(kind, *tensors, **attrs)
-    return Tensor(_forward(kind, [t.values for t in tensors], attrs))
+def _apply(kind, *inputs, _tape=None, **attrs):
+    """Run one op in a single pass over its inputs.  It is recorded on
+    ``_tape``, or else on the tape of its taped inputs, and runs eagerly
+    when there is none."""
+    tape, values, ids = _tape, [], []
+    for x in inputs:
+        if isinstance(x, Tensor):
+            if x.tape is not None and x.tape is not tape:
+                if tape is not None:
+                    raise ValueError("cannot combine tensors from different tapes")
+                tape = x.tape
+            values.append(x.values)
+            ids.append(x.node)
+        else:
+            values.append(np.asarray(x, dtype=np.float64))
+            ids.append(None)
+    out = _forward(kind, values, attrs)
+    if tape is None:
+        return Tensor(out)
+    out = Tensor(out, tape, len(tape.nodes))
+    tape.nodes.append(Node(kind, tuple(ids), tuple(values), out.values, attrs))
+    return out
 
 
 def add(a, b):
@@ -338,6 +350,16 @@ def reduce_sum(a):
 
 def scale(a, factor: float):
     return _apply("scale", a, factor=float(factor))
+
+
+def sumsq(a, weight: float):
+    """weight * sum of a^2 over every entry: scale(reduce_sum(square(a)))."""
+    return _apply("sumsq", a, weight=float(weight))
+
+
+def relu_sumsq(a, weight: float, shift: float = 0.0):
+    """weight * sum of relu(a + shift)^2 over every entry, as one node."""
+    return _apply("relu_sumsq", a, weight=float(weight), shift=float(shift))
 
 
 def concat(parts, axis: int = 0):

@@ -6,7 +6,8 @@ the same tape and loss as training (batch of one, disturbances off).  Each
 line search starts from the Barzilai-Borwein step s's / s'y of the last two
 iterates, backtracks until the Armijo condition holds (so the objective
 never increases), and a shifted previous solution warm-starts the next
-receding-horizon step.
+receding-horizon step.  Each trial's loss is taped, and the accepted trial's
+tape gives the next gradient, so a solve evaluates no point twice.
 
 The benchmark times one decision of each method on the same instances:
 a single policy forward pass against a single warm-started solve.
@@ -73,21 +74,20 @@ def solve(model, x0, xi, horizon, objective, constraints, weights,
     else:
         u = np.array(warm_start, dtype=np.float64).reshape(horizon, model.n_u)
 
-    def value_at(u_mat) -> float:
-        return _loss_parts(model, x0, xi, u_mat.reshape(1, -1), objective,
-                           constraints, weights, horizon).total.item()
+    def taped(u_mat):
+        """The loss at ``u_mat`` on a fresh tape and the plan's node on it."""
+        plan = ad.Tape().param(u_mat.reshape(1, -1))
+        return _loss_parts(model, x0, xi, plan, objective, constraints, weights,
+                           horizon).total, plan.node
 
-    result = SolveResult(actions=u, value=value_at(u), iterations=0, converged=False)
+    loss, plan_id = taped(u)
+    result = SolveResult(actions=u, value=loss.item(), iterations=0, converged=False)
     result.values.append(result.value)
     trial = STEP0
     prev = None  # (iterate, gradient) of the last iteration
     for it in range(cfg.max_iters):
-        tape = ad.Tape()
-        plan = tape.param(u.reshape(1, -1))
-        parts = _loss_parts(model, x0, xi, plan, objective, constraints,
-                            weights, horizon)
-        grad = tape.backward(parts.total)[plan.node].reshape(horizon, model.n_u)
-        f0 = parts.total.item()
+        grad = loss.tape.backward(loss)[plan_id].reshape(horizon, model.n_u)
+        f0 = loss.item()
         gnorm2 = float(np.sum(grad * grad))
         if np.sqrt(gnorm2) == 0.0 or np.max(np.abs(grad)) <= cfg.tol:
             result.converged = True
@@ -106,13 +106,14 @@ def solve(model, x0, xi, horizon, objective, constraints, weights,
             candidate = u - step * grad
             if np.array_equal(candidate, u):
                 break  # the step no longer moves any component
-            f_new = value_at(candidate)
+            trial_loss, trial_id = taped(candidate)
+            f_new = trial_loss.item()
             # <=, not f_new < f0: at the float floor steps that leave f unchanged
             # still move u toward the optimum, and a strict decrease stops some
             # LQ starts unconverged (test_lq_neighbourhood_converges_at_the_float_floor)
             if f_new <= f0 - ARMIJO_C * step * gnorm2:
                 prev = (u, grad)
-                u = candidate
+                u, loss, plan_id = candidate, trial_loss, trial_id
                 result.values.append(f_new)
                 accepted = True
                 break

@@ -253,6 +253,8 @@ def main(argv=None) -> int:
                     "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
             os.environ[var] = str(args.threads)
 
+    import numpy as np
+
     from .config import ConfigError, load_config
     from .trainer import TrainingDiverged
 
@@ -265,19 +267,21 @@ def main(argv=None) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
+    # a run that leaves the floats ends in one error line, not numpy warnings
     try:
-        if args.command == "sample":
-            artifacts = run_sample(cfg, seed, out)
-        elif args.command == "train":
-            artifacts = run_train(cfg, seed, out, args.checkpoint_every)
-        elif args.command == "certify":
-            artifacts = run_certify(cfg, seed, out, args.checkpoint)
-        elif args.command == "simulate":
-            artifacts = run_simulate(cfg, seed, out, args.checkpoint,
-                                     args.count, args.steps)
-        else:
-            artifacts = run_benchmark(cfg, seed, out, args.checkpoint,
-                                      args.instances)
+        with np.errstate(over="ignore", invalid="ignore"):
+            if args.command == "sample":
+                artifacts = run_sample(cfg, seed, out)
+            elif args.command == "train":
+                artifacts = run_train(cfg, seed, out, args.checkpoint_every)
+            elif args.command == "certify":
+                artifacts = run_certify(cfg, seed, out, args.checkpoint)
+            elif args.command == "simulate":
+                artifacts = run_simulate(cfg, seed, out, args.checkpoint,
+                                         args.count, args.steps)
+            else:
+                artifacts = run_benchmark(cfg, seed, out, args.checkpoint,
+                                          args.instances)
     except (FileNotFoundError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

@@ -239,16 +239,9 @@ class ConstraintSet:
 # ---------------------------------------------------------------------------
 # penalties
 
-def _quad(v, weight: float):
-    """weight * sum of squares over every entry of ``v``."""
-    return ad.scale(ad.reduce_sum(ad.square(v)), weight)
-
-
 def penalty(residual, weight: float, margin: float = 0.0):
     """weight * sum relu(residual + margin)^2; zero iff every residual <= -margin."""
-    if margin:
-        residual = ad.add(residual, margin)
-    return _quad(ad.relu(residual), weight)
+    return ad.relu_sumsq(residual, weight, margin)
 
 
 def _sum(terms):
@@ -289,11 +282,11 @@ def stage_cost(objective: StageObjective, weights: LossWeights, x, u, xi=None):
         raise ValueError("stage_cost expects batched (b, n) inputs")
     batch = xv.values.shape[0]
     if objective.kind == "stabilization":
-        return ad.add(_quad(xv, weights.Q_x), _quad(uv, weights.Q_u))
+        return ad.add(ad.sumsq(xv, weights.Q_x), ad.sumsq(uv, weights.Q_u))
     if objective.kind in ("tracking", "split-tracking"):
         ref = _per_scenario(objective.reference.resolve(xi, batch), xv.values.ndim)
     if objective.kind == "tracking":
-        return ad.add(_quad(ad.subtract(ref, xv), weights.Q_r), _quad(uv, weights.Q_u))
+        return ad.add(ad.sumsq(ad.subtract(ref, xv), weights.Q_r), ad.sumsq(uv, weights.Q_u))
     if objective.kind == "split-tracking":
         # Q_r on the tracked components' error, Q_x on every other component
         cols = list(objective.track_indices)
@@ -348,20 +341,20 @@ def total_loss(states, actions, xi, objective, constraints, weights) -> LossPart
 
     if objective.kind == "terminal-smoothing":
         target = _per_scenario(objective.target.resolve(xi, batch), 3)
-        terms = [_quad(ad.subtract(final, target), weights.Q_r)]
+        terms = [ad.sumsq(ad.subtract(final, target), weights.Q_r)]
         if horizon > 1:
             du = ad.subtract(ad.narrow(actions, 1, 1, horizon),
                              ad.narrow(actions, 1, 0, horizon - 1))
-            terms.append(_quad(du, weights.Q_du))
-        terms.append(_quad(ad.subtract(after, running), weights.Q_dx))
-        terms.append(_quad(actions, weights.Q_u))
+            terms.append(ad.sumsq(du, weights.Q_du))
+        terms.append(ad.sumsq(ad.subtract(after, running), weights.Q_dx))
+        terms.append(ad.sumsq(actions, weights.Q_u))
         obj = _sum(terms)
     else:
         obj = stage_cost(objective, weights, running, actions, xi)
 
     blocks = {"state": running, "inputs": actions, "terminal": final}
     weight = {"state": weights.Q_h, "inputs": weights.Q_g, "terminal": weights.Q_f}
-    terms = {"state": [], "inputs": [], "terminal": [_quad(final, weights.Q_f)]}
+    terms = {"state": [], "inputs": [], "terminal": [ad.sumsq(final, weights.Q_f)]}
     for part, c in constraints.checked():
         if weight[part]:
             terms[part].append(penalty(c.residuals(blocks[part], xi), weight[part], c.margin))

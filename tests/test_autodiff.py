@@ -187,11 +187,15 @@ def test_gradient_maps_from_independent_tapes_merge_by_addition():
 # ---------------------------------------------------------------------------
 # backward: finite-difference sweeps per op
 
+FUSED_SHIFT = 0.4
+
+
 @pytest.mark.parametrize("case", [
     "add", "add_bias", "add_scalar", "subtract", "multiply", "multiply_bcast",
     "matmul_mm", "matmul_mv", "matmul_vm", "relu", "square", "sum", "mean",
     "scale", "concat", "narrow", "transpose", "l2norm_vec", "l2norm_rows",
-    "reshape", "reshape_block", "l2norm_block",
+    "reshape", "reshape_block", "l2norm_block", "sumsq", "relu_sumsq",
+    "relu_sumsq_shift",
 ])
 def test_single_op_gradients_match_fd(case):
     rng = np.random.default_rng(zlib.crc32(case.encode()))
@@ -242,6 +246,12 @@ def test_single_op_gradients_match_fd(case):
             return ad.narrow(ad.multiply(ad.reshape(w, (2, 2, 3)), bias), 1, 1, 2)
         if case == "l2norm_block":
             return ad.l2norm(ad.reshape(w, (2, 2, 3)))
+        if case == "sumsq":
+            return ad.sumsq(w, 0.75)
+        if case == "relu_sumsq":
+            return ad.relu_sumsq(w, 1.25)
+        if case == "relu_sumsq_shift":
+            return ad.relu_sumsq(w, 1.25, FUSED_SHIFT)
         raise AssertionError(case)
 
     if case == "l2norm_vec":
@@ -256,6 +266,9 @@ def test_single_op_gradients_match_fd(case):
     # keep relu inputs away from the kink so the FD probe is valid
     if case == "relu":
         w0 = np.where(np.abs(w0) < 1e-3, 0.5, w0)
+    if case.startswith("relu_sumsq"):
+        kink = FUSED_SHIFT if case == "relu_sumsq_shift" else 0.0
+        w0 = np.where(np.abs(w0 + kink) < 1e-3, 0.5, w0)
 
     def scalar(expr):
         return mean(ad.square(expr)) if case != "mean" else mean(expr)
@@ -267,6 +280,44 @@ def test_single_op_gradients_match_fd(case):
     w = tape.param(w0)
     grads = tape.backward(scalar(build(w)))
     assert_close_grad(grads[w.node], fd_gradient(feval, w0.copy()))
+
+
+def unfused_sumsq(v, weight):
+    """The chain ``sumsq`` stands for: scale(sum(square(v)), weight)."""
+    return ad.scale(ad.reduce_sum(ad.square(v)), weight)
+
+
+def unfused_relu_sumsq(v, weight, shift=0.0):
+    """The chain ``relu_sumsq`` stands for: add, relu, square, sum, scale."""
+    if shift:
+        v = ad.add(v, shift)
+    return unfused_sumsq(ad.relu(v), weight)
+
+
+@pytest.mark.parametrize("shift", [0.0, 0.25])
+def test_fused_squares_are_the_unfused_chains_bit_for_bit(shift):
+    rng = np.random.default_rng(21)
+    for _ in range(20):
+        block = rng.normal(size=(5, 4, 3))
+        block[rng.random(block.shape) < 0.2] = 0.0
+        block[rng.random(block.shape) < 0.2] = -shift  # exactly on the relu kink
+        weight = float(rng.uniform(0.1, 50.0))
+        outer = float(rng.normal())  # an upstream adjoint of either sign
+        pairs = ((lambda v: ad.sumsq(v, weight), lambda v: unfused_sumsq(v, weight)),
+                 (lambda v: ad.relu_sumsq(v, weight, shift),
+                  lambda v: unfused_relu_sumsq(v, weight, shift)))
+        for fused, chain in pairs:
+            bits = []
+            for f in (fused, chain):
+                tape = ad.Tape()
+                w = tape.param(block)
+                root = ad.scale(f(w), outer)
+                bits.append((root.values.tobytes(), tape.backward(root)[w.node].tobytes(),
+                             f(block).values.tobytes()))
+                if f is fused:
+                    assert [n.kind for n in tape.nodes][1:] in (["sumsq", "scale"],
+                                                                ["relu_sumsq", "scale"])
+            assert bits[0] == bits[1]
 
 
 def test_l2norm_gradient_zero_at_origin():

@@ -1,9 +1,15 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from spdpc import autodiff as ad
 from spdpc import baseline as bl
 from spdpc import dynamics as dyn
+from spdpc import objectives as obj
 from spdpc import policy as pol
+from spdpc.config import load_config
+from spdpc.sampling import sample_scenarios
 from spdpc.objectives import BoxConstraint, ConstraintSet, LossWeights, StageObjective
 
 
@@ -125,6 +131,107 @@ class TestSolver:
     def test_shift_warm_start(self):
         shifted = bl.shift_warm_start(np.array([[1.0], [2.0], [3.0]]))
         assert shifted.tolist() == [[2.0], [3.0], [3.0]]
+
+
+REPO = Path(__file__).resolve().parents[1]
+CONFIGS = sorted(p.stem for p in (REPO / "configs").glob("ex*.json"))
+
+
+def eager_trial_solve(model, x0, xi, horizon, objective, constraints, weights, cfg,
+                      warm_start=None):
+    """The solver with eager line-search trials, which evaluates the accepted
+    point a second time on a fresh tape for its gradient.  Returns the
+    result and the number of line-search trials."""
+    x0 = np.atleast_2d(np.asarray(x0, dtype=np.float64))
+    xi = None if xi is None else np.atleast_2d(np.asarray(xi, dtype=np.float64))
+    if warm_start is None:
+        u = np.zeros((horizon, model.n_u))
+    else:
+        u = np.array(warm_start, dtype=np.float64).reshape(horizon, model.n_u)
+
+    def value_at(u_mat):
+        return bl._loss_parts(model, x0, xi, u_mat.reshape(1, -1), objective,
+                              constraints, weights, horizon).total.item()
+
+    result = bl.SolveResult(actions=u, value=value_at(u), iterations=0, converged=False)
+    result.values.append(result.value)
+    trial, prev, trials = bl.STEP0, None, 0
+    for it in range(cfg.max_iters):
+        tape = ad.Tape()
+        plan = tape.param(u.reshape(1, -1))
+        parts = bl._loss_parts(model, x0, xi, plan, objective, constraints, weights, horizon)
+        grad = tape.backward(parts.total)[plan.node].reshape(horizon, model.n_u)
+        f0 = parts.total.item()
+        gnorm2 = float(np.sum(grad * grad))
+        if np.sqrt(gnorm2) == 0.0 or np.max(np.abs(grad)) <= cfg.tol:
+            result.converged = True
+            break
+        if prev is not None:
+            s_k, y_k = u - prev[0], grad - prev[1]
+            sy = float(np.sum(s_k * y_k))
+            if sy > 0.0:
+                trial = float(np.sum(s_k * s_k)) / sy
+        step, accepted = trial, False
+        for _ in range(bl.MAX_BACKTRACKS):
+            candidate = u - step * grad
+            if np.array_equal(candidate, u):
+                break
+            trials += 1
+            f_new = value_at(candidate)
+            if f_new <= f0 - bl.ARMIJO_C * step * gnorm2:
+                prev = (u, grad)
+                u = candidate
+                result.values.append(f_new)
+                accepted = True
+                break
+            step *= bl.BACKTRACK
+        result.iterations = it + 1
+        if not accepted:
+            break
+        trial = step * 2.0
+    result.actions = u
+    result.value = result.values[-1]
+    return result, trials
+
+
+def config_instances(name, count=3, max_iters=60):
+    """A config's problem, its solver capped at ``max_iters``, and ``count``
+    (x0, xi) instances drawn from its scenario spec."""
+    cfg = load_config(REPO / "configs" / f"{name}.json")
+    scenarios = sample_scenarios(cfg.params, cfg.noise, count, 1, cfg.horizon, cfg.seed)
+    xis = [xi if xi.size else None for xi in scenarios.xi]
+    solver = bl.SolverConfig(max_iters=min(cfg.solver.max_iters, max_iters), tol=cfg.solver.tol)
+    problem = (cfg.model, cfg.horizon, cfg.objective, cfg.constraints, cfg.weights)
+    return problem, solver, list(zip(scenarios.x0, xis))
+
+
+@pytest.mark.parametrize("name", CONFIGS)
+def test_taped_trials_solve_as_eager_trials_did(name, monkeypatch):
+    (model, horizon, objective, constraints, weights), cfg, instances = config_instances(name)
+    calls = []
+    exact = obj.total_loss
+
+    def counted(*args):
+        calls.append(1)
+        return exact(*args)
+
+    prev = None
+    for x0, xi in instances:
+        warm = None if prev is None else bl.shift_warm_start(prev)
+        want, trials = eager_trial_solve(model, x0, xi, horizon, objective, constraints,
+                                         weights, cfg, warm_start=warm)
+        calls.clear()
+        monkeypatch.setattr(obj, "total_loss", counted)
+        got = bl.solve(model, x0, xi, horizon, objective, constraints, weights, cfg,
+                       warm_start=warm)
+        monkeypatch.setattr(obj, "total_loss", exact)
+        assert got.values == want.values
+        assert np.array_equal(got.actions, want.actions)
+        assert (got.iterations, got.converged) == (want.iterations, want.converged)
+        # one loss for the start and one per trial: an accepted trial's tape
+        # gives the next gradient, so no point is evaluated twice
+        assert len(calls) == 1 + trials
+        prev = got.actions
 
 
 class TestBenchmark:

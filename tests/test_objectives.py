@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,9 @@ from spdpc import autodiff as ad
 from spdpc import dynamics as dyn
 from spdpc import objectives as obj
 from spdpc import policy as pol
+from spdpc import trainer
+from spdpc.config import load_config
+from spdpc.sampling import sample_scenarios
 
 
 def weights(**kw):
@@ -402,3 +407,49 @@ def test_split_tracking_reference_follows_track_index_order():
     s = obj.StageObjective("split-tracking", track_indices=(3, 1), reference=const(2.0, -1.0))
     x = np.array([[0.0, -1.0, 0.0, 2.0]])
     assert obj.stage_cost(s, w, x, np.zeros((1, 1))).item() == 0.0
+
+
+# ---------------------------------------------------------------------------
+# fused squared penalties against the op chains they stand for
+
+REPO = Path(__file__).resolve().parents[1]
+CONFIGS = sorted(p.stem for p in (REPO / "configs").glob("ex*.json"))
+
+
+def unfused_quad(v, weight):
+    """weight * sum of squares as a square -> sum -> scale chain."""
+    return ad.scale(ad.reduce_sum(ad.square(v)), weight)
+
+
+def unfused_penalty(residual, weight, margin=0.0):
+    """weight * sum relu(residual + margin)^2 as an add -> relu -> square ->
+    sum -> scale chain."""
+    if margin:
+        residual = ad.add(residual, margin)
+    return unfused_quad(ad.relu(residual), weight)
+
+
+def loss_bits(cfg, policy, scenarios):
+    """Taped loss parts and gradients, and the untaped evaluation, as bytes."""
+    x0, xi, omega, _, _ = scenarios.pair_rows(np.arange(scenarios.size))
+    parts, grads = trainer.policy_gradient(policy, cfg.model, x0, xi, omega, cfg.objective,
+                                           cfg.constraints, cfg.weights, cfg.mode)
+    evaluated = trainer.evaluate(policy, cfg.model, scenarios, cfg.objective,
+                                 cfg.constraints, cfg.weights, cfg.mode)
+    return ([np.float64(v).tobytes() for v in parts.floats().values()]
+            + [g.tobytes() for g in grads]
+            + [np.float64(v).tobytes() for v in evaluated.values()])
+
+
+@pytest.mark.parametrize("name", CONFIGS)
+def test_total_loss_is_the_unfused_loss_bit_for_bit(name, monkeypatch):
+    cfg = load_config(REPO / "configs" / f"{name}.json")
+    scenarios = sample_scenarios(cfg.params, cfg.noise, 8, 2, cfg.horizon, cfg.seed)
+    policy = pol.init_policy(cfg.arch)
+    gen = np.random.default_rng(5)
+    for _, b in policy.layers:
+        b[...] = gen.normal(scale=2.0, size=b.shape)  # plans that cross the constraints
+    fused = loss_bits(cfg, policy, scenarios)
+    monkeypatch.setattr(ad, "sumsq", unfused_quad)
+    monkeypatch.setattr(obj, "penalty", unfused_penalty)
+    assert loss_bits(cfg, policy, scenarios) == fused
