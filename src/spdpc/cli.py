@@ -163,12 +163,10 @@ def run_simulate(cfg, seed: int, out: Path, checkpoint: str,
     count = cfg.sim_count if count is None else count
     steps = cfg.sim_steps if steps is None else steps
 
-    x0, xi, noise = [], [], []
-    for i in range(count):
-        gen = _rng.substream(seed, _rng.SIM_X0, i)
-        x0.append(cfg.params.x0.draw(gen))
-        xi.append(cfg.params.draw_xi(gen))
-        noise.append(cfg.noise.draw(_rng.substream(seed, _rng.SIM_NOISE, i), steps))
+    # x0 then xi from one generator per run
+    x0, xi = zip(*_rng.each(seed, _rng.SIM_X0, count,
+                            lambda gen: (cfg.params.x0.draw(gen), cfg.params.draw_xi(gen))))
+    noise = _rng.each(seed, _rng.SIM_NOISE, count, lambda gen: cfg.noise.draw(gen, steps))
     xi = np.stack(xi)  # (count, xi_dim)
     xi_rows = xi if xi.shape[1] else None
     states, actions = simulate(cfg.model, policy, cfg.mode, np.stack(x0), xi_rows,
@@ -186,14 +184,18 @@ def run_simulate(cfg, seed: int, out: Path, checkpoint: str,
     write_csv(out / "sim_params.csv", ["sim"] + [f"xi{d}" for d in range(xi.shape[1])],
               [[i] + [float(v) for v in xi[i]] for i in range(count)])
 
+    # largest residual of each part over all runs and steps, 0.0 when all are met
+    blocks = {"state": states, "inputs": actions, "terminal": states[:, -1:]}
+    worst = dict.fromkeys(blocks, 0.0)
+    for part, c in cfg.constraints.checked():
+        worst[part] = max(worst[part], float(c.residuals(blocks[part], xi_rows).values.max()))
     summary = {
         "count": count,
         "steps": steps,
         "final_infnorm": [float(np.max(np.abs(states[i, -1]))) for i in range(count)],
-        "input_violation_max": max([0.0] + [float(c.residuals(actions).values.max())
-                                            for c in cfg.constraints.inputs]),
-        "state_violation_max": max([0.0] + [float(c.residuals(states, xi_rows).values.max())
-                                            for c in cfg.constraints.state]),
+        "input_violation_max": worst["inputs"],
+        "state_violation_max": worst["state"],
+        "terminal_violation_max": worst["terminal"],
     }
     with open(out / "summary.json", "w") as fh:
         json.dump(summary, fh, indent=1)
@@ -223,12 +225,9 @@ def run_benchmark(cfg, seed: int, out: Path, checkpoint: str, instances=None):
 
     policy = load_checkpoint(checkpoint)
     n = cfg.bench_instances if instances is None else instances
-    cases = []
-    for t in range(n):
-        gen = _rng.substream(seed, _rng.BENCH, t)
-        x0 = cfg.params.x0.draw(gen)
-        xi = cfg.params.draw_xi(gen)
-        cases.append((x0, xi if xi.size else None))
+    drawn = _rng.each(seed, _rng.BENCH, n,
+                      lambda gen: (cfg.params.x0.draw(gen), cfg.params.draw_xi(gen)))
+    cases = [(x0, xi if xi.size else None) for x0, xi in drawn]
     rows = benchmark(policy, cfg.model, cases, cfg.horizon, cfg.objective,
                      cfg.constraints, cfg.weights, cfg.solver,
                      repeats=cfg.bench_repeats)

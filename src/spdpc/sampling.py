@@ -163,10 +163,9 @@ def sample_scenarios(spec: ParamSpec, noise: NoiseSpec, m: int, s: int,
                      horizon: int, seed: int) -> ScenarioSet:
     if m < 1 or s < 1 or horizon < 1:
         raise ValueError(f"need m, s, horizon >= 1, got {(m, s, horizon)}")
-    x0 = np.stack([spec.x0.draw(_rng.substream(seed, _rng.X0, i)) for i in range(m)])
-    xi = np.stack([spec.draw_xi(_rng.substream(seed, _rng.XI, i)) for i in range(m)]) \
-        if spec.xi_dim else np.zeros((m, 0))
-    omega = np.stack([noise.draw(_rng.substream(seed, _rng.OMEGA, j), horizon) for j in range(s)])
+    x0 = np.stack(_rng.each(seed, _rng.X0, m, spec.x0.draw))
+    xi = np.stack(_rng.each(seed, _rng.XI, m, spec.draw_xi)) if spec.xi_dim else np.zeros((m, 0))
+    omega = np.stack(_rng.each(seed, _rng.OMEGA, s, lambda gen: noise.draw(gen, horizon)))
     return ScenarioSet(x0, xi, omega, seed)
 
 

@@ -4,9 +4,10 @@ import json
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from spdpc import cli
+from spdpc import cli, rng
 from spdpc.certify import REPORT_KEYS
 from spdpc.config import load_config
 from spdpc.policy import init_policy, load_checkpoint, save_checkpoint
@@ -298,3 +299,71 @@ class TestPipeline:
                    "--out", str(tmp_path / "out"), "--threads", "1") == 0
         import os
         assert os.environ["OMP_NUM_THREADS"] == "1"
+
+
+COMMITTED = sorted((Path(__file__).resolve().parents[1] / "configs").glob("ex*.json"))
+
+
+def read_rows(path, id_cols):
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    return np.array([[float(v) for v in row[id_cols:]] for row in rows])
+
+
+class TestSimulateAndBenchmarkInputs:
+    @pytest.mark.parametrize("path", COMMITTED, ids=lambda p: p.stem)
+    def test_draws_are_the_per_key_loop(self, tmp_path, monkeypatch, path):
+        """simulate and benchmark draw x0 then xi from one keyed generator per
+        run or instance, and simulate's noise from its own stream."""
+        cfg = load_config(path)
+        checkpoint = tmp_path / "policy.json"
+        save_checkpoint(init_policy(cfg.arch), checkpoint, seed=cfg.seed)
+        seen = {}
+
+        def capture(name):
+            def stand_in(*args, **kwargs):
+                seen[name] = args
+                raise ValueError("inputs captured")
+            return stand_in
+
+        monkeypatch.setattr("spdpc.dynamics.simulate", capture("simulate"))
+        monkeypatch.setattr("spdpc.baseline.benchmark", capture("benchmark"))
+        for argv in (("simulate", "--count", "3", "--steps", "4"),
+                     ("benchmark", "--instances", "3")):
+            assert run(*argv, "--config", str(path), "--out", str(tmp_path / argv[0]),
+                       "--checkpoint", str(checkpoint)) == 1
+        _, _, _, x0, xi, noise = seen["simulate"]
+        cases = seen["benchmark"][2]
+        for k in range(3):
+            gen = rng.substream(cfg.seed, rng.SIM_X0, k)
+            assert np.array_equal(x0[k], cfg.params.x0.draw(gen))
+            want = cfg.params.draw_xi(gen)
+            assert np.array_equal(xi[k], want) if want.size else xi is None
+            assert np.array_equal(noise[k], cfg.noise.draw(
+                rng.substream(cfg.seed, rng.SIM_NOISE, k), 4))
+            gen = rng.substream(cfg.seed, rng.BENCH, k)
+            assert np.array_equal(cases[k][0], cfg.params.x0.draw(gen))
+            want = cfg.params.draw_xi(gen)
+            assert np.array_equal(cases[k][1], want) if want.size else cases[k][1] is None
+
+    @pytest.mark.parametrize("path", COMMITTED, ids=lambda p: p.stem)
+    def test_summary_reports_the_terminal_set(self, tmp_path, path):
+        cfg = load_config(path)
+        checkpoint = tmp_path / "policy.json"
+        save_checkpoint(init_policy(cfg.arch), checkpoint, seed=cfg.seed)
+        out = tmp_path / "sim"
+        assert run("simulate", "--config", str(path), "--out", str(out),
+                   "--checkpoint", str(checkpoint), "--count", "6", "--steps", "5") == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert list(summary) == ["count", "steps", "final_infnorm", "input_violation_max",
+                                 "state_violation_max", "terminal_violation_max"]
+        final = read_rows(out / "sim_states.csv", 2).reshape(6, 6, -1)[:, -1]
+        xi = read_rows(out / "sim_params.csv", 1).reshape(6, -1)
+        terminal = cfg.constraints.terminal
+        if terminal.kind == "box":
+            worst = np.max(np.concatenate([final - terminal.upper, terminal.lower - final]))
+        else:
+            center = 0.0 if terminal.center is None else \
+                xi[:, terminal.center.start:terminal.center.stop]
+            worst = np.max(np.sqrt(np.sum((final - center) ** 2, axis=-1)) - terminal.radius)
+        assert summary["terminal_violation_max"] == pytest.approx(max(worst, 0.0), rel=1e-12)
