@@ -9,8 +9,9 @@ is bit-deterministic for fixed inputs.
 
 An op makes one pass over its inputs and a taped op appends one slotted
 :class:`Node`.  The fused ``sumsq`` and ``relu_sumsq`` each record one node
-for a squared-penalty chain of up to five, with the same numpy calls in the
-same order, so values and adjoints keep their bits.
+for a squared-penalty chain of up to five, and ``affine`` one node for a
+dense layer ``z W^T + b``, with the same numpy calls in the same order as
+the chains they stand for, so values and adjoints keep their bits.
 
 Operations also run *eagerly*: applying an op to plain arrays (or tensors
 that live on no tape) computes the value without recording anything.  The
@@ -156,6 +157,16 @@ def _forward(kind, vals, attrs):
             return _BINARY[kind](a, b)
         except ValueError:
             raise ShapeError(f"{kind}: shapes {a.shape} and {b.shape} do not conform") from None
+    if kind == "affine":
+        z, w, b = vals
+        if z.ndim != 2 or w.ndim != 2:
+            raise ShapeError(f"affine: expected 2-D z and W, got {z.shape} and {w.shape}")
+        try:
+            return np.add(np.matmul(z, w.T), b)
+        except ValueError:
+            raise ShapeError(
+                f"affine: shapes {z.shape}, {w.shape} and {b.shape} do not conform"
+            ) from None
     if kind == "relu":
         (a,) = vals
         return np.maximum(a, 0.0)
@@ -192,11 +203,6 @@ def _forward(kind, vals, attrs):
         index = [slice(None)] * a.ndim
         index[axis] = slice(start, stop)
         return a[tuple(index)]
-    if kind == "transpose":
-        (a,) = vals
-        if a.ndim != 2:
-            raise ShapeError(f"transpose: expected 2-D, got {a.shape}")
-        return a.T
     if kind == "reshape":
         (a,) = vals
         shape = attrs["shape"]
@@ -246,6 +252,9 @@ def _vjp(node, g):
             return [(0, b @ g), (1, np.outer(a, g))]
         # 1-D @ 1-D produces a scalar
         return [(0, g * b), (1, g * a)]
+    if kind == "affine":
+        z, w, b = vals
+        return [(0, g @ w), (1, (z.T @ g).T), (2, _unbroadcast(g, b.shape))]
     if kind == "relu":
         (a,) = vals
         return [(0, g * (a > 0.0))]
@@ -280,8 +289,6 @@ def _vjp(node, g):
         index[axis] = slice(start, stop)
         full[tuple(index)] = g
         return [(0, full)]
-    if kind == "transpose":
-        return [(0, g.T)]
     if kind == "reshape":
         return [(0, g.reshape(vals[0].shape))]
     if kind == "l2norm":
@@ -371,8 +378,9 @@ def narrow(a, axis: int, start: int, stop: int):
     return _apply("narrow", a, axis=int(axis), start=int(start), stop=int(stop))
 
 
-def transpose(a):
-    return _apply("transpose", a)
+def affine(z, w, b):
+    """z W^T + b for a batch z (n, d), weights W (out, d) and a broadcast bias b."""
+    return _apply("affine", z, w, b)
 
 
 def reshape(a, shape):

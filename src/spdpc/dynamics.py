@@ -156,7 +156,8 @@ class NoiseSpec:
         else:
             w = gen.uniform(-1.0, 1.0, size=size) * self.scale
         if self.bound is not None:
-            w = np.clip(w, -self.bound, self.bound)
+            # clip's bits from two plain ufuncs, at half of np.clip's call cost
+            w = np.minimum(np.maximum(w, -self.bound), self.bound)
         return w
 
 

@@ -354,7 +354,8 @@ def total_loss(states, actions, xi, objective, constraints, weights) -> LossPart
 
     blocks = {"state": running, "inputs": actions, "terminal": final}
     weight = {"state": weights.Q_h, "inputs": weights.Q_g, "terminal": weights.Q_f}
-    terms = {"state": [], "inputs": [], "terminal": [ad.sumsq(final, weights.Q_f)]}
+    terms = {"state": [], "inputs": [],
+             "terminal": [ad.sumsq(final, weights.Q_f)] if weights.Q_f else []}
     for part, c in constraints.checked():
         if weight[part]:
             terms[part].append(penalty(c.residuals(blocks[part], xi), weight[part], c.margin))

@@ -79,7 +79,7 @@ def apply_layers(layers, z):
     last = len(layers) - 1
     if _on_tape(z) or any(_on_tape(w) for w, _ in layers):
         for k, (w, b) in enumerate(layers):
-            z = ad.add(ad.matmul(z, ad.transpose(w)), b)
+            z = ad.affine(z, w, b)
             if k < last:
                 z = ad.relu(z)
         return z

@@ -54,16 +54,19 @@ class TrainConfig:
 
 @dataclass
 class AdamWState:
-    """First and second moment estimates, one pair per parameter array."""
+    """First and second moment estimates, one pair per parameter array, and
+    two scratch arrays per parameter that the update reuses every step."""
 
     m: list
     v: list
+    scratch: list
     t: int = 0
 
     @classmethod
     def for_params(cls, params) -> "AdamWState":
         return cls(m=[np.zeros_like(p) for p in params],
-                   v=[np.zeros_like(p) for p in params])
+                   v=[np.zeros_like(p) for p in params],
+                   scratch=[(np.empty_like(p), np.empty_like(p)) for p in params])
 
 
 def flat_params(policy: pol.MlpPolicy) -> list:
@@ -75,22 +78,53 @@ def flat_params(policy: pol.MlpPolicy) -> list:
     return out
 
 
+def pack_params(policy: pol.MlpPolicy) -> np.ndarray:
+    """Copy the weights into one vector and rebind ``policy.layers`` to views of it.
+
+    The vector holds ``flat_params`` order, each array row-major.
+    """
+    flat = np.concatenate(flat_params(policy), axis=None)
+    if flat.size != pol.param_count(policy.arch):
+        raise ValueError(f"policy holds {flat.size} weights, its architecture "
+                         f"{pol.param_count(policy.arch)}")
+    views, start = [], 0
+    for a in flat_params(policy):
+        views.append(flat[start:start + a.size].reshape(a.shape))
+        start += a.size
+    policy.layers = list(zip(views[::2], views[1::2]))
+    return flat
+
+
 def adamw_step(params, grads, state: AdamWState, cfg: TrainConfig) -> None:
     """One decoupled-weight-decay Adam update, in place.
 
     theta <- theta - lr * (mhat / (sqrt(vhat) + eps) + weight_decay * theta)
+
+    Every operation writes into the moments, the parameter or the state's
+    scratch, in the order of the formula, so no step allocates.
     """
     if len(params) != len(grads) or len(params) != len(state.m):
         raise ValueError("params, grads and state lengths disagree")
     state.t += 1
     bc1 = 1.0 - cfg.beta1 ** state.t
     bc2 = 1.0 - cfg.beta2 ** state.t
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        m[...] = cfg.beta1 * m + (1.0 - cfg.beta1) * g
-        v[...] = cfg.beta2 * v + (1.0 - cfg.beta2) * g * g
-        mhat = m / bc1
-        vhat = v / bc2
-        p[...] = p - cfg.lr * (mhat / (np.sqrt(vhat) + cfg.eps) + cfg.weight_decay * p)
+    for p, g, m, v, (s, r) in zip(params, grads, state.m, state.v, state.scratch):
+        np.multiply(m, cfg.beta1, out=m)           # m = b1 m + (1 - b1) g
+        np.multiply(g, 1.0 - cfg.beta1, out=s)
+        np.add(m, s, out=m)
+        np.multiply(v, cfg.beta2, out=v)           # v = b2 v + (1 - b2) g g
+        np.multiply(g, 1.0 - cfg.beta2, out=s)
+        np.multiply(s, g, out=s)
+        np.add(v, s, out=v)
+        np.divide(m, bc1, out=s)                   # s = mhat / (sqrt(vhat) + eps)
+        np.divide(v, bc2, out=r)
+        np.sqrt(r, out=r)
+        np.add(r, cfg.eps, out=r)
+        np.divide(s, r, out=s)
+        np.multiply(p, cfg.weight_decay, out=r)    # p -= lr (s + weight_decay p)
+        np.add(s, r, out=s)
+        np.multiply(s, cfg.lr, out=s)
+        np.subtract(p, s, out=p)
 
 
 def policy_gradient(policy, model, x0, xi, omega, objective, constraints,
@@ -140,11 +174,16 @@ def train(model, policy, train_set, dev_set, objective, constraints, weights,
           cfg: TrainConfig, mode, seed: int, on_epoch=None) -> TrainResult:
     """Optimize ``policy`` in place; returns the best-dev snapshot and history.
 
+    The weights are packed into one vector first: ``policy.layers`` become
+    views of it, and each step updates the whole vector with one AdamW call.
+    ``result.policy`` is a copy that later updates do not touch.
+
     ``on_epoch(epoch, policy, dev_loss)`` runs after each epoch when given,
     for periodic checkpointing.
     """
-    params = flat_params(policy)
-    state = AdamWState.for_params(params)
+    flat = pack_params(policy)
+    grad = np.empty_like(flat)
+    state = AdamWState.for_params([flat])
     result = TrainResult(policy=policy)
     for epoch in range(cfg.epochs):
         perm = _rng.substream(seed, _rng.SHUFFLE, epoch).permutation(train_set.size)
@@ -155,13 +194,14 @@ def train(model, policy, train_set, dev_set, objective, constraints, weights,
             parts, grads = policy_gradient(
                 policy, model, x0, xi, omega, objective, constraints, weights, mode)
             loss = parts.total.item()
+            np.concatenate(grads, axis=None, out=grad)
             if not np.isfinite(loss):
                 fault = f"loss is {loss}"
-            elif not all(np.all(np.isfinite(g)) for g in grads):
+            elif not np.isfinite(grad).all():
                 fault = "gradient left the floats"
             else:
-                adamw_step(params, grads, state, cfg)
-                fault = (None if all(np.all(np.isfinite(p)) for p in params)
+                adamw_step([flat], [grad], state, cfg)
+                fault = (None if np.isfinite(flat).all()
                          else "weights left the floats after the update")
             if fault is not None:
                 rows = sorted(set(int(i) for i in i_idx))

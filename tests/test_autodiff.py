@@ -64,13 +64,42 @@ def test_sum_mean_scale():
     np.testing.assert_array_equal(ad.scale(x, -0.5).values, -0.5 * x)
 
 
-def test_concat_narrow_transpose_forward():
+def test_concat_narrow_affine_forward():
     a = np.arange(6.0).reshape(2, 3)
     b = np.arange(4.0).reshape(2, 2)
     cat = ad.concat([a, b], axis=1)
     assert cat.shape == (2, 5)
     np.testing.assert_array_equal(ad.narrow(cat, 1, 3, 5).values, b)
-    np.testing.assert_array_equal(ad.transpose(a).values, a.T)
+    w = np.array([[1.0, 0.0, 2.0], [0.0, -1.0, 0.5]])
+    np.testing.assert_array_equal(ad.affine(a, w, [10.0, 20.0]).values,
+                                  [[14.0, 20.0], [23.0, 18.5]])
+
+
+def test_affine_shape_errors():
+    with pytest.raises(ad.ShapeError, match=r"\(3,\).*\(2, 3\)"):
+        ad.affine(np.ones(3), np.ones((2, 3)), np.ones(2))
+    with pytest.raises(ad.ShapeError, match=r"\(4, 3\).*\(2, 4\).*\(2,\)"):
+        ad.affine(np.ones((4, 3)), np.ones((2, 4)), np.ones(2))
+    with pytest.raises(ad.ShapeError, match=r"\(3,\)"):
+        ad.affine(np.ones((4, 3)), np.ones((2, 3)), np.ones(3))
+
+
+def test_affine_is_the_bare_numpy_calls_bit_for_bit():
+    # the node a dense layer records: forward np.add(np.matmul(z, W.T), b),
+    # adjoints g @ W, (z^T g)^T and g summed over the batch rows
+    rng = np.random.default_rng(17)
+    for batch, d, out in ((1, 1, 1), (5, 3, 4), (64, 20, 20), (7, 12, 100)):
+        z0, w0 = rng.normal(size=(batch, d)), rng.normal(size=(out, d))
+        b0, g = rng.normal(size=out), rng.normal(size=(batch, out))
+        tape = ad.Tape()
+        z, w, b = tape.param(z0), tape.param(w0), tape.param(b0)
+        y = ad.affine(z, w, b)
+        assert [n.kind for n in tape.nodes] == ["param"] * 3 + ["affine"]
+        assert y.values.tobytes() == np.add(np.matmul(z0, w0.T), b0).tobytes()
+        grads = tape.backward(ad.reduce_sum(ad.multiply(y, g)))
+        assert grads[z.node].tobytes() == (g @ w0).tobytes()
+        assert grads[w.node].tobytes() == np.ascontiguousarray((z0.T @ g).T).tobytes()
+        assert grads[b.node].tobytes() == g.sum(axis=0).tobytes()
 
 
 def test_reshape_forward_and_shape_error():
@@ -193,7 +222,8 @@ FUSED_SHIFT = 0.4
 @pytest.mark.parametrize("case", [
     "add", "add_bias", "add_scalar", "subtract", "multiply", "multiply_bcast",
     "matmul_mm", "matmul_mv", "matmul_vm", "relu", "square", "sum", "mean",
-    "scale", "concat", "narrow", "transpose", "l2norm_vec", "l2norm_rows",
+    "scale", "concat", "narrow", "affine_z", "affine_w", "affine_bias",
+    "l2norm_vec", "l2norm_rows",
     "reshape", "reshape_block", "l2norm_block", "sumsq", "relu_sumsq",
     "relu_sumsq_shift",
 ])
@@ -233,8 +263,12 @@ def test_single_op_gradients_match_fd(case):
             return ad.concat([w, rng2], axis=1)
         if case == "narrow":
             return ad.narrow(w, 1, 1, 3)
-        if case == "transpose":
-            return ad.transpose(w)
+        if case == "affine_z":
+            return ad.affine(w, mat.T, vec5)
+        if case == "affine_w":
+            return ad.affine(rng2[:2], w, vec4)
+        if case == "affine_bias":  # a (12,) bias broadcast over two rows
+            return ad.affine(mat.T[:2], w12, ad.reshape(w, (12,)))
         if case == "l2norm_vec":
             return ad.l2norm(ad.narrow(w, 0, 0, 1))
         if case == "l2norm_rows":
@@ -263,6 +297,8 @@ def test_single_op_gradients_match_fd(case):
     mat = rng.normal(size=(3, 5))
     vec = rng.normal(size=3)
     vec4 = rng.normal(size=4)
+    vec5 = rng.normal(size=5)
+    w12 = rng.normal(size=(12, 3))
     # keep relu inputs away from the kink so the FD probe is valid
     if case == "relu":
         w0 = np.where(np.abs(w0) < 1e-3, 0.5, w0)
@@ -341,8 +377,8 @@ def test_composed_random_graphs_match_fd():
         w2_0 = rng.uniform(-1, 1, size=(1, dh))
 
         def run(w1v, b1v, w2v):
-            h = ad.relu(ad.add(ad.matmul(x, ad.transpose(ad.as_tensor(w1v))), b1v))
-            y = ad.matmul(h, ad.transpose(ad.as_tensor(w2v)))
+            h = ad.relu(ad.affine(x, w1v, b1v))
+            y = ad.affine(h, w2v, 0.0)
             return mean(ad.square(y))
 
         # skip draws that place a preactivation on the relu kink
@@ -352,8 +388,8 @@ def test_composed_random_graphs_match_fd():
 
         tape = ad.Tape()
         w1, b1, w2 = tape.param(w1_0), tape.param(b1_0), tape.param(w2_0)
-        h = ad.relu(ad.add(ad.matmul(x, ad.transpose(w1)), b1))
-        root = mean(ad.square(ad.matmul(h, ad.transpose(w2))))
+        h = ad.relu(ad.affine(x, w1, b1))
+        root = mean(ad.square(ad.affine(h, w2, 0.0)))
         grads = tape.backward(root)
         assert_close_grad(grads[w1.node], fd_gradient(lambda v: run(v, b1_0, w2_0).item(), w1_0.copy()))
         assert_close_grad(grads[b1.node], fd_gradient(lambda v: run(w1_0, v, w2_0).item(), b1_0.copy()))
@@ -368,7 +404,7 @@ def test_backward_bit_deterministic_across_rebuilds():
     def one_pass():
         tape = ad.Tape()
         w = tape.param(w0)
-        root = ad.reduce_sum(ad.square(ad.relu(ad.matmul(x, ad.transpose(w)))))
+        root = ad.reduce_sum(ad.square(ad.relu(ad.affine(x, w, 0.0))))
         return tape.backward(root)[w.node]
 
     a, b = one_pass(), one_pass()

@@ -167,6 +167,33 @@ def test_gaussian_default_bound_and_truncation():
     assert np.all(np.abs(w.mean(axis=0)) <= 4 * 0.5 / np.sqrt(20000))
 
 
+class _Replay:
+    """A generator stand-in whose ``normal`` returns fixed standard-normal values."""
+
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=np.float64)
+
+    def normal(self, loc, scale, size):
+        assert (loc, scale) == (0.0, 1.0)
+        return self.values.reshape(size)
+
+
+def test_truncation_is_np_clip_bit_for_bit():
+    spec = dyn.NoiseSpec("gaussian", [1.0, 1.0])
+    b = spec.bound
+    edges = np.array([0.0, -0.0, b, -b, np.nextafter(b, np.inf), np.nextafter(-b, -np.inf),
+                      np.nextafter(b, 0.0), np.nextafter(-b, 0.0), 1e300, -1e300])
+    got = spec.draw(_Replay(edges), edges.size // 2)
+    assert got.tobytes() == np.clip(edges, -b, b).reshape(-1, 2).tobytes()
+    assert list(np.signbit(got.reshape(-1))[:2]) == [False, True]
+    for bound, scale in ((2.0, [0.5, 0.5]), (0.3, [0.2, 1.5])):
+        spec = dyn.NoiseSpec("gaussian", scale, bound=bound)
+        got = spec.draw(np.random.default_rng(31), 50000)
+        raw = np.random.default_rng(31).normal(0.0, 1.0, size=(50000, 2)) * spec.scale
+        assert got.tobytes() == np.clip(raw, -bound, bound).tobytes()
+        assert 0 < np.count_nonzero(np.abs(raw) > bound) < raw.size
+
+
 def test_gaussian_bound_disabled():
     spec = dyn.NoiseSpec("gaussian", [1.0], bound=None)
     w = spec.draw(np.random.default_rng(2), 100000)

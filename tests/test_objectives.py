@@ -256,6 +256,27 @@ def test_zero_weight_penalty_records_no_tape_nodes():
         assert nodes > bare[0] and loss > bare[1], name
 
 
+def test_zero_terminal_weight_records_no_tape_node():
+    rng = np.random.default_rng(15)
+    states, actions = rng.normal(size=(3, 4, 2)), rng.normal(size=(3, 3, 1))
+    s = obj.StageObjective("stabilization")
+
+    def taped(w):
+        tape = ad.Tape()
+        parts = obj.total_loss(tape.param(states), tape.param(actions), None, s,
+                               obj.ConstraintSet(), w)
+        return [n.kind for n in tape.nodes], parts
+
+    zero, parts = taped(weights(Q_x=1.0, Q_u=1.0))
+    weighted, _ = taped(weights(Q_x=1.0, Q_u=1.0, Q_f=0.5))
+    assert zero.count("sumsq") == 2 and weighted.count("sumsq") == 3
+    # the terminal sumsq, its scale and the add that joins it to the input part,
+    # which with no constraints is an untaped constant too
+    assert len(weighted) == len(zero) + 3
+    assert parts.terminal.item() == 0.0 and parts.terminal.tape is None
+    assert parts.total.item() == parts.objective.item()
+
+
 def test_loss_nonnegative_on_random_rollouts():
     rng = np.random.default_rng(11)
     w = weights(Q_x=5.0, Q_u=0.2, Q_h=10.0, Q_g=100.0, Q_f=1.0)

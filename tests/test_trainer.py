@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -55,6 +57,44 @@ class TestAdamW:
             theta = theta - cfg.lr * (mhat / (np.sqrt(vhat) + cfg.eps)
                                       + cfg.weight_decay * theta)
         assert params[0][0] == pytest.approx(theta, abs=1e-15)
+
+    @staticmethod
+    def per_array_reference(params, grads, m, v, t, cfg):
+        """The update written as one expression per array, with fresh temporaries."""
+        bc1 = 1.0 - cfg.beta1 ** t
+        bc2 = 1.0 - cfg.beta2 ** t
+        for p, g, mk, vk in zip(params, grads, m, v):
+            mk[...] = cfg.beta1 * mk + (1.0 - cfg.beta1) * g
+            vk[...] = cfg.beta2 * vk + (1.0 - cfg.beta2) * g * g
+            mhat = mk / bc1
+            vhat = vk / bc2
+            p[...] = p - cfg.lr * (mhat / (np.sqrt(vhat) + cfg.eps) + cfg.weight_decay * p)
+
+    def test_one_flat_vector_matches_the_per_array_formula_bit_for_bit(self):
+        cfg = tr.TrainConfig(epochs=1, lr=3e-3, weight_decay=0.02)
+        gen = np.random.default_rng(5)
+        shapes = [(3, 4), (4,), (1,), (2, 5), (5,), (1, 1)]
+        ref = [gen.normal(size=shape) for shape in shapes]
+        ref[0][0, 0] = 0.0
+        flat = np.concatenate(ref, axis=None)
+        per = [a.copy() for a in ref]
+        m = [np.zeros_like(a) for a in ref]
+        v = [np.zeros_like(a) for a in ref]
+        state_flat = tr.AdamWState.for_params([flat])
+        state_per = tr.AdamWState.for_params(per)
+        for t in range(1, 6):
+            grads = [gen.normal(size=shape) * 10.0 ** gen.integers(-6, 3) for shape in shapes]
+            grads[1][0] = 0.0
+            grads[2][0] = -0.0
+            self.per_array_reference(ref, grads, m, v, t, cfg)
+            tr.adamw_step([flat], [np.concatenate(grads, axis=None)], state_flat, cfg)
+            tr.adamw_step(per, grads, state_per, cfg)
+            want = np.concatenate(ref, axis=None)
+            assert flat.tobytes() == want.tobytes()
+            assert np.concatenate(per, axis=None).tobytes() == want.tobytes()
+            assert state_flat.m[0].tobytes() == np.concatenate(m, axis=None).tobytes()
+            assert state_flat.v[0].tobytes() == np.concatenate(v, axis=None).tobytes()
+        assert state_flat.t == state_per.t == 5
 
     def test_length_mismatch_rejected(self):
         cfg = tr.TrainConfig(epochs=1)
@@ -157,6 +197,42 @@ class TestPolicyGradient:
         assert len(sizes) == 1 and sizes[0] <= 120, sizes
 
 
+# Tape nodes one training step records on each desk config.  Each policy
+# layer is one affine node (plus a relu on hidden layers) and a zero-weight
+# loss term records nothing; a change here changes the per-op dispatch cost
+# of every step, so it must be deliberate.
+STEP_NODES = {"ex1_double_integrator_desk": 66, "ex2_quadcopter_desk": 43,
+              "ex3_obstacle_desk": 58}
+
+
+@pytest.mark.parametrize("name", sorted(STEP_NODES))
+def test_tape_nodes_per_training_step(name, monkeypatch):
+    from pathlib import Path
+
+    from spdpc import autodiff as ad
+    from spdpc.config import load_config
+    cfg = load_config(Path(__file__).resolve().parents[1] / "configs" / f"{name}.json")
+    scen = sample_scenarios(cfg.params, cfg.noise, 8, 2, cfg.horizon, cfg.seed)
+    x0, xi, omega, _, _ = scen.pair_rows(np.arange(scen.size))
+    tapes = []
+    backward = ad.Tape.backward
+
+    def counting(tape, root):
+        tapes.append([n.kind for n in tape.nodes])
+        return backward(tape, root)
+
+    monkeypatch.setattr(ad.Tape, "backward", counting)
+    tr.policy_gradient(pol.init_policy(cfg.arch), cfg.model, x0, xi, omega,
+                       cfg.objective, cfg.constraints, cfg.weights, cfg.mode)
+    assert len(tapes) == 1
+    kinds = tapes[0]
+    layers = len(cfg.arch.layer_dims)
+    calls = 1 if cfg.mode == dyn.FULL_HORIZON else cfg.horizon
+    assert kinds.count("affine") == layers * calls
+    assert kinds.count("param") == 2 * layers
+    assert len(kinds) == STEP_NODES[name], dict(Counter(kinds))
+
+
 class TestEvaluate:
     def test_matches_taped_parts_on_one_chunk(self):
         model = double_integrator()
@@ -241,6 +317,37 @@ class TestTraining:
             w += 1.0
         for snap, (w, _) in zip(before, result.policy.layers):
             assert np.array_equal(snap, w)
+
+    def test_layers_become_views_of_one_vector(self):
+        live = pol.init_policy(pol.PolicyArchitecture(input_dim=2, hidden=(8, 5),
+                                                      output_dim=3, seed=9))
+        result = self.run(epochs=2, policy=live)
+        arrays = tr.flat_params(live)
+        base = arrays[0].base
+        assert base is not None and base.ndim == 1
+        assert base.size == pol.param_count(live.arch)
+        assert all(a.base is base for a in arrays)
+        start = 0
+        for a in arrays:  # flat_params order, each array row-major
+            assert a.flags.c_contiguous
+            assert np.shares_memory(a, base[start:start + a.size])
+            start += a.size
+        assert start == base.size
+        assert not any(np.shares_memory(snap, base) for snap in tr.flat_params(result.policy))
+
+    def test_pack_params_keeps_the_values(self):
+        policy = pol.init_policy(pol.PolicyArchitecture(input_dim=3, hidden=(4,),
+                                                        output_dim=2, seed=1))
+        before = [a.copy() for a in tr.flat_params(policy)]
+        flat = tr.pack_params(policy)
+        assert flat.tobytes() == np.concatenate(before, axis=None).tobytes()
+        for a, b in zip(tr.flat_params(policy), before):
+            assert a.shape == b.shape and np.array_equal(a, b)
+        flat[0] = 42.0
+        assert policy.layers[0][0][0, 0] == 42.0
+        policy.layers = policy.layers[:1]
+        with pytest.raises(ValueError, match="architecture"):
+            tr.pack_params(policy)
 
     def test_on_epoch_callback_sees_every_epoch(self):
         seen = []
