@@ -97,15 +97,6 @@ class Tape:
     def param_ids(self) -> list[int]:
         return [i for i, n in enumerate(self.nodes) if n.kind == "param"]
 
-    def record(self, kind: str, *inputs, **attrs) -> Tensor:
-        """Execute one primitive op and append it to this tape.
-
-        Inputs may be tensors on this tape, untaped tensors, or plain
-        arrays; the latter two enter the node as constants.  Mixing in a
-        tensor from another tape is an error.
-        """
-        return _apply(kind, *inputs, _tape=self, **attrs)
-
     def backward(self, root: Tensor) -> dict[int, np.ndarray]:
         """Reverse sweep from a scalar root.
 
@@ -151,8 +142,8 @@ _BINARY = {"add": np.add, "subtract": np.subtract, "multiply": np.multiply,
 def _forward(kind, vals, attrs):
     if kind in _BINARY:
         a, b = vals
-        if kind == "matmul" and (a.ndim not in (1, 2) or b.ndim not in (1, 2)):
-            raise ShapeError(f"matmul: operands must be 1-D or 2-D, got {a.shape} @ {b.shape}")
+        if kind == "matmul" and (a.ndim != 2 or b.ndim != 2):
+            raise ShapeError(f"matmul: operands must be 2-D, got {a.shape} @ {b.shape}")
         try:
             return _BINARY[kind](a, b)
         except ValueError:
@@ -244,14 +235,7 @@ def _vjp(node, g):
         return [(0, _unbroadcast(g * b, a.shape)), (1, _unbroadcast(g * a, b.shape))]
     if kind == "matmul":
         a, b = vals
-        if a.ndim == 2 and b.ndim == 2:
-            return [(0, g @ b.T), (1, a.T @ g)]
-        if a.ndim == 2 and b.ndim == 1:
-            return [(0, np.outer(g, b)), (1, a.T @ g)]
-        if a.ndim == 1 and b.ndim == 2:
-            return [(0, b @ g), (1, np.outer(a, g))]
-        # 1-D @ 1-D produces a scalar
-        return [(0, g * b), (1, g * a)]
+        return [(0, g @ b.T), (1, a.T @ g)]
     if kind == "affine":
         z, w, b = vals
         return [(0, g @ w), (1, (z.T @ g).T), (2, _unbroadcast(g, b.shape))]
@@ -303,11 +287,11 @@ def _vjp(node, g):
 # ---------------------------------------------------------------------------
 # functional front end: taped when any input is taped, eager otherwise
 
-def _apply(kind, *inputs, _tape=None, **attrs):
-    """Run one op in a single pass over its inputs.  It is recorded on
-    ``_tape``, or else on the tape of its taped inputs, and runs eagerly
-    when there is none."""
-    tape, values, ids = _tape, [], []
+def _apply(kind, *inputs, **attrs):
+    """Run one op in a single pass over its inputs.  It is recorded on the
+    tape of its taped inputs, and runs eagerly when there is none.  Mixing
+    tensors from different tapes is an error."""
+    tape, values, ids = None, [], []
     for x in inputs:
         if isinstance(x, Tensor):
             if x.tape is not None and x.tape is not tape:
@@ -340,6 +324,7 @@ def multiply(a, b):
 
 
 def matmul(a, b):
+    """Matrix product of two 2-D operands."""
     return _apply("matmul", a, b)
 
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, replace
-from pathlib import Path
 
 import numpy as np
 
@@ -70,10 +69,6 @@ def hoeffding_alpha(r: int, delta: float) -> float:
     return math.sqrt(-math.log(delta / 2.0) / (2.0 * r))
 
 
-REPORT_KEYS = ("r", "m", "s", "beta", "delta", "mu_tilde", "alpha",
-               "lower_bound", "verdict", "policy_checkpoint", "seed")
-
-
 @dataclass(frozen=True)
 class CertificationReport:
     r: int
@@ -87,9 +82,6 @@ class CertificationReport:
     verdict: bool
     policy_checkpoint: str
     seed: int
-
-    def to_dict(self) -> dict:
-        return {k: asdict(self)[k] for k in REPORT_KEYS}
 
 
 def certify(mu_tilde: float, r: int, m: int, s: int, beta: float, delta: float,
@@ -123,13 +115,6 @@ def run_certification(policy, model, scenarios, constraints, terminal, mode,
 
 def save_report(report: CertificationReport, path) -> None:
     with open(path, "w") as fh:
-        json.dump(report.to_dict(), fh, indent=1)
+        json.dump(asdict(report), fh, indent=1)
         fh.write("\n")
 
-
-def load_report(path) -> CertificationReport:
-    data = json.loads(Path(path).read_text())
-    missing = set(REPORT_KEYS) - set(data)
-    if missing:
-        raise ValueError(f"report is missing keys {sorted(missing)}")
-    return CertificationReport(**{k: data[k] for k in REPORT_KEYS})

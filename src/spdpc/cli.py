@@ -1,14 +1,16 @@
-"""Command line pipeline: sample, train, certify, simulate, benchmark.
+"""Command line pipeline: train, certify, simulate, benchmark.
 
 Every command reads one experiment config, writes its artifacts into
 --out and finishes with a manifest.json listing what it produced plus the
-config hash and seed, so a directory is self-describing.  Heavy imports
+config hash and seed, so a directory is self-describing.  Scenario sets are
+never written out: train and certify draw their train, dev and test splits
+from the seed, so one seed always means the same scenarios.  Heavy imports
 happen after argument parsing so --threads can pin the BLAS thread count
 through the environment before numpy loads.
 
 Exit codes: 0 on success (a negative certification verdict is still a
-success), 1 for bad input (config errors, missing files, flags out of
-range), 2 when a run fails underway (e.g. training diverges).
+success), 1 for bad input (usage errors, config errors, missing files,
+flags out of range), 2 when a run fails underway (e.g. training diverges).
 """
 
 from __future__ import annotations
@@ -40,8 +42,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="offline policy learning and certification for "
                     "stochastic linear systems")
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("sample", parents=[common],
-                   help="draw scenario sets and persist the splits")
     train = sub.add_parser("train", parents=[common],
                            help="optimize a policy and save the best checkpoint")
     train.add_argument("--checkpoint-every", type=int, default=0,
@@ -78,17 +78,6 @@ def _sampled_splits(cfg, seed):
     from .sampling import sample_scenarios, split
     scen = sample_scenarios(cfg.params, cfg.noise, cfg.m, cfg.s, cfg.horizon, seed)
     return split(scen, cfg.splits)
-
-
-def run_sample(cfg, seed: int, out: Path):
-    from .sampling import save_bundle
-    artifacts = []
-    for name, part in zip(("train", "dev", "test"), _sampled_splits(cfg, seed)):
-        directory = out / "scenarios" / name
-        for fname in save_bundle(part, directory):
-            artifacts.append(directory.relative_to(out) / fname)
-        print(f"{name}: {part.m} parametric x {part.s} disturbance = {part.size} scenarios")
-    return artifacts
 
 
 def run_train(cfg, seed: int, out: Path, checkpoint_every: int = 0):
@@ -239,7 +228,10 @@ def run_benchmark(cfg, seed: int, out: Path, checkpoint: str, instances=None):
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as stop:  # argparse exits 2 on a usage error, 0 after --help
+        return 1 if stop.code else 0
     for flag, least in (("count", 1), ("steps", 1), ("instances", 1), ("threads", 1),
                         ("checkpoint_every", 0)):
         value = getattr(args, flag, None)
@@ -269,9 +261,7 @@ def main(argv=None) -> int:
     # a run that leaves the floats ends in one error line, not numpy warnings
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            if args.command == "sample":
-                artifacts = run_sample(cfg, seed, out)
-            elif args.command == "train":
+            if args.command == "train":
                 artifacts = run_train(cfg, seed, out, args.checkpoint_every)
             elif args.command == "certify":
                 artifacts = run_certify(cfg, seed, out, args.checkpoint)

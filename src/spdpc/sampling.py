@@ -15,9 +15,7 @@ between train, dev and test.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -201,7 +199,7 @@ def split(scenarios: ScenarioSet, fractions) -> list[ScenarioSet]:
 
 
 # ---------------------------------------------------------------------------
-# persistence: x0.csv / xi.csv / omega.csv + meta.json (schema in README)
+# CSV artifacts: history, indicator, simulation and benchmark tables
 
 def write_csv(path, header, rows):
     """CSV with a header row; floats go through repr so a reread is exact."""
@@ -210,51 +208,3 @@ def write_csv(path, header, rows):
         writer.writerow(header)
         for row in rows:
             writer.writerow([repr(float(v)) if isinstance(v, float) else v for v in row])
-
-
-def save_bundle(scenarios: ScenarioSet, directory) -> list[str]:
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    n_x = scenarios.x0.shape[1]
-    xi_dim = scenarios.xi.shape[1]
-    n_w = scenarios.omega.shape[2]
-    write_csv(directory / "x0.csv",
-               ["i"] + [f"x{d}" for d in range(n_x)],
-               [[int(scenarios.indices[row])] + [float(v) for v in scenarios.x0[row]]
-                for row in range(scenarios.m)])
-    write_csv(directory / "xi.csv",
-               ["i"] + [f"xi{d}" for d in range(xi_dim)],
-               [[int(scenarios.indices[row])] + [float(v) for v in scenarios.xi[row]]
-                for row in range(scenarios.m)])
-    write_csv(directory / "omega.csv",
-               ["j", "k"] + [f"w{d}" for d in range(n_w)],
-               [[j, k] + [float(v) for v in scenarios.omega[j, k]]
-                for j in range(scenarios.s) for k in range(scenarios.horizon)])
-    meta = {
-        "m": scenarios.m, "s": scenarios.s, "horizon": scenarios.horizon,
-        "n_x": n_x, "xi_dim": xi_dim, "n_w": n_w, "seed": scenarios.seed,
-    }
-    with open(directory / "meta.json", "w") as fh:
-        json.dump(meta, fh, indent=1)
-        fh.write("\n")
-    return ["x0.csv", "xi.csv", "omega.csv", "meta.json"]
-
-
-def load_bundle(directory) -> ScenarioSet:
-    directory = Path(directory)
-    with open(directory / "meta.json") as fh:
-        meta = json.load(fh)
-
-    def read(name, id_cols):
-        with open(directory / name, newline="") as fh:
-            rows = list(csv.reader(fh))[1:]
-        ids = np.array([[int(v) for v in row[:id_cols]] for row in rows])
-        vals = np.array([[float(v) for v in row[id_cols:]] for row in rows])
-        return ids, vals.reshape(len(rows), -1)
-
-    ids_x0, x0 = read("x0.csv", 1)
-    _, xi = read("xi.csv", 1)
-    _, flat = read("omega.csv", 2)
-    omega = flat.reshape(meta["s"], meta["horizon"], meta["n_w"])
-    return ScenarioSet(x0, xi.reshape(meta["m"], meta["xi_dim"]), omega,
-                       meta["seed"], indices=ids_x0[:, 0])

@@ -1,6 +1,8 @@
+import argparse
 import csv
 import hashlib
 import json
+import re
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -8,10 +10,12 @@ import numpy as np
 import pytest
 
 from spdpc import cli, rng
-from spdpc.certify import REPORT_KEYS
 from spdpc.config import load_config
 from spdpc.policy import init_policy, load_checkpoint, save_checkpoint
 from spdpc.trainer import HISTORY_COLUMNS
+
+REPORT_KEYS = ["r", "m", "s", "beta", "delta", "mu_tilde", "alpha",
+               "lower_bound", "verdict", "policy_checkpoint", "seed"]
 
 
 def micro_config(tmp_path, **overrides):
@@ -99,11 +103,11 @@ class TestExitCodes:
         ("simulate", "--steps", "0"),
         ("benchmark", "--instances", "0"),
         ("train", "--checkpoint-every", "-1"),
-        ("sample", "--threads", "0"),
+        ("train", "--threads", "0"),
     ])
     def test_override_below_its_minimum(self, tmp_path, capsys, argv):
         path = micro_config(tmp_path)
-        checkpoint = [] if argv[0] in ("train", "sample") else ["--checkpoint", "policy.json"]
+        checkpoint = [] if argv[0] == "train" else ["--checkpoint", "policy.json"]
         out = tmp_path / "out"
         assert run(*argv, *checkpoint, "--config", str(path), "--out", str(out)) == 1
         err = capsys.readouterr().err
@@ -156,9 +160,8 @@ class TestExitCodes:
     def test_gaussian_that_overflows_is_a_config_error(self, tmp_path, capsys, where, entry,
                                                        message):
         path = micro_config(tmp_path, **entry)
-        for command in ("train", "sample"):
-            assert run(command, "--config", str(path), "--out", str(tmp_path / "out")) == 1
-            assert capsys.readouterr().err == f"config error: {where}: {message}\n"
+        assert run("train", "--config", str(path), "--out", str(tmp_path / "out")) == 1
+        assert capsys.readouterr().err == f"config error: {where}: {message}\n"
 
     def test_simulate_that_leaves_the_floats_writes_no_summary(self, tmp_path, capsys):
         # no filterwarnings mark: the suite turns a RuntimeWarning into an
@@ -176,6 +179,25 @@ class TestExitCodes:
         assert err[0].startswith("error: simulate: the state of run 0 left the floats at step 1")
         assert not (out / "summary.json").exists()
 
+    @pytest.mark.parametrize("argv, code", [
+        (("sample", "--config", "micro.json", "--out", "out"), 1),  # removed command
+        (("train", "--out", "out"), 1),
+        (("train", "--config", "micro.json", "--out", "out", "--seed", "abc"), 1),
+        (("--help",), 0),
+    ], ids=["unknown-command", "missing-config", "non-integer-seed", "help"])
+    def test_usage_error_exits_1_and_help_exits_0(self, tmp_path, capsys, monkeypatch,
+                                                  argv, code):
+        monkeypatch.chdir(tmp_path)
+        micro_config(tmp_path)
+        assert run(*argv) == code
+        captured = capsys.readouterr()
+        if code:
+            assert captured.err.startswith("usage: spdpc")
+            assert "error:" in captured.err
+        else:
+            assert captured.out.startswith("usage: spdpc")
+        assert not (tmp_path / "out").exists()
+
     def test_divergence_exits_2(self, tmp_path, capsys):
         path = micro_config(
             tmp_path,
@@ -192,14 +214,6 @@ class TestPipeline:
     def test_all_commands_end_to_end(self, tmp_path, capsys):
         config = micro_config(tmp_path)
 
-        sample_out = tmp_path / "sampled"
-        assert run("sample", "--config", str(config), "--out", str(sample_out)) == 0
-        check_manifest(sample_out, config)
-        for part, m_part in (("train", 6), ("dev", 3), ("test", 3)):
-            meta = json.loads((sample_out / "scenarios" / part / "meta.json").read_text())
-            assert meta["m"] == m_part
-            assert meta["s"] == 2
-
         train_out = tmp_path / "trained"
         assert run("train", "--config", str(config), "--out", str(train_out)) == 0
         check_manifest(train_out, config)
@@ -214,7 +228,7 @@ class TestPipeline:
                    "--checkpoint", str(train_out / "policy.json")) == 0
         check_manifest(cert_out, config)
         report = json.loads((cert_out / "certificate.json").read_text())
-        assert list(report) == list(REPORT_KEYS)
+        assert list(report) == REPORT_KEYS
         assert report["r"] == 6
         assert report["policy_checkpoint"] == "policy.json"
         with open(cert_out / "indicator.csv", newline="") as fh:
@@ -258,12 +272,12 @@ class TestPipeline:
     def test_seed_override_changes_draws(self, tmp_path):
         config = micro_config(tmp_path)
         base, other = tmp_path / "s5", tmp_path / "s9"
-        assert run("sample", "--config", str(config), "--out", str(base)) == 0
-        assert run("sample", "--config", str(config), "--out", str(other),
+        assert run("train", "--config", str(config), "--out", str(base)) == 0
+        assert run("train", "--config", str(config), "--out", str(other),
                    "--seed", "9") == 0
         assert manifest_of(other)["seed"] == 9
-        first = (base / "scenarios" / "train" / "x0.csv").read_bytes()
-        second = (other / "scenarios" / "train" / "x0.csv").read_bytes()
+        first = (base / "history.csv").read_bytes()
+        second = (other / "history.csv").read_bytes()
         assert first != second
 
     def test_checkpoint_every(self, tmp_path):
@@ -295,13 +309,28 @@ class TestPipeline:
     def test_threads_flag_sets_environment(self, tmp_path, monkeypatch):
         monkeypatch.setenv("OMP_NUM_THREADS", "4")
         config = micro_config(tmp_path)
-        assert run("sample", "--config", str(config),
+        assert run("train", "--config", str(config),
                    "--out", str(tmp_path / "out"), "--threads", "1") == 0
         import os
         assert os.environ["OMP_NUM_THREADS"] == "1"
 
 
-COMMITTED = sorted((Path(__file__).resolve().parents[1] / "configs").glob("ex*.json"))
+ROOT = Path(__file__).resolve().parents[1]
+COMMITTED = sorted((ROOT / "configs").glob("ex*.json"))
+
+
+def test_readme_commands_are_the_parser_subcommands():
+    """Every ``spdpc <command>`` line in README's code blocks names a real
+    subcommand, and every subcommand appears in one."""
+    (subparsers,) = [a for a in cli.build_parser()._actions
+                     if isinstance(a, argparse._SubParsersAction)]
+    blocks = re.findall(r"^```[^\n]*\n(.*?)^```", (ROOT / "README.md").read_text(),
+                        flags=re.M | re.S)
+    shown = [m.group(1) for block in blocks
+             for m in re.finditer(r"^\s*spdpc\s+(\S+)", block, flags=re.M)]
+    assert shown, "README shows no spdpc command"
+    assert set(shown) <= set(subparsers.choices), sorted(set(shown) - set(subparsers.choices))
+    assert set(subparsers.choices) <= set(shown), sorted(set(subparsers.choices) - set(shown))
 
 
 def read_rows(path, id_cols):

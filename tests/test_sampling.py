@@ -5,8 +5,7 @@ import pytest
 
 from spdpc.config import load_config
 from spdpc.dynamics import NoiseSpec
-from spdpc.sampling import (DistSpec, ParamSpec, ScenarioSet, load_bundle,
-                            sample_scenarios, save_bundle, split)
+from spdpc.sampling import DistSpec, ParamSpec, ScenarioSet, sample_scenarios, split
 
 ZERO2 = NoiseSpec("zero", [0.0, 0.0])
 
@@ -205,31 +204,3 @@ class TestSplit:
             split(ss, (0.5, -0.1))
         with pytest.raises(ValueError, match="positive"):
             split(ss, ())
-
-
-class TestBundle:
-    def test_round_trip_is_exact(self, tmp_path):
-        ss = sample_scenarios(rich_spec(), NoiseSpec("gaussian", [0.3, 0.05]),
-                              m=9, s=4, horizon=6, seed=42)
-        files = save_bundle(ss, tmp_path / "scen")
-        assert sorted(files) == ["meta.json", "omega.csv", "x0.csv", "xi.csv"]
-        back = load_bundle(tmp_path / "scen")
-        assert np.array_equal(back.x0, ss.x0)
-        assert np.array_equal(back.xi, ss.xi)
-        assert np.array_equal(back.omega, ss.omega)
-        assert back.seed == 42
-        assert np.array_equal(back.indices, ss.indices)
-
-    def test_split_part_round_trips_with_indices(self, tmp_path):
-        ss = sample_scenarios(rich_spec(), ZERO2, m=10, s=2, horizon=3, seed=1)
-        _, part = split(ss, (0.6, 0.4))
-        save_bundle(part, tmp_path)
-        back = load_bundle(tmp_path)
-        assert np.array_equal(back.indices, np.arange(6, 10))
-        assert np.array_equal(back.x0, ss.x0[6:])
-
-    def test_empty_xi_round_trips(self, tmp_path):
-        ss = sample_scenarios(box_spec(), ZERO2, m=3, s=1, horizon=2, seed=0)
-        save_bundle(ss, tmp_path)
-        back = load_bundle(tmp_path)
-        assert back.xi.shape == (3, 0)
