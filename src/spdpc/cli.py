@@ -152,14 +152,10 @@ def run_simulate(cfg, seed: int, out: Path, checkpoint: str,
     count = cfg.sim_count if count is None else count
     steps = cfg.sim_steps if steps is None else steps
 
-    # x0 then xi from one generator per run
-    x0, xi = zip(*_rng.each(seed, _rng.SIM_X0, count,
-                            lambda gen: (cfg.params.x0.draw(gen), cfg.params.draw_xi(gen))))
-    noise = _rng.each(seed, _rng.SIM_NOISE, count, lambda gen: cfg.noise.draw(gen, steps))
-    xi = np.stack(xi)  # (count, xi_dim)
+    x0, xi = cfg.params.sample(seed, _rng.SIM_X0, count)
+    noise = cfg.noise.draw(_rng.substream(seed, _rng.SIM_NOISE), steps, count)
     xi_rows = xi if xi.shape[1] else None
-    states, actions = simulate(cfg.model, policy, cfg.mode, np.stack(x0), xi_rows,
-                               np.stack(noise))
+    states, actions = simulate(cfg.model, policy, cfg.mode, x0, xi_rows, noise)
 
     n_x, n_u = cfg.model.n_x, cfg.model.n_u
     artifacts = [Path("sim_states.csv"), Path("sim_actions.csv"),
@@ -214,9 +210,8 @@ def run_benchmark(cfg, seed: int, out: Path, checkpoint: str, instances=None):
 
     policy = load_checkpoint(checkpoint)
     n = cfg.bench_instances if instances is None else instances
-    drawn = _rng.each(seed, _rng.BENCH, n,
-                      lambda gen: (cfg.params.x0.draw(gen), cfg.params.draw_xi(gen)))
-    cases = [(x0, xi if xi.size else None) for x0, xi in drawn]
+    x0, xi = cfg.params.sample(seed, _rng.BENCH, n)
+    cases = [(x0[t], xi[t] if xi.shape[1] else None) for t in range(n)]
     rows = benchmark(policy, cfg.model, cases, cfg.horizon, cfg.objective,
                      cfg.constraints, cfg.weights, cfg.solver,
                      repeats=cfg.bench_repeats)

@@ -146,9 +146,10 @@ class NoiseSpec:
     def dim(self) -> int:
         return self.scale.size
 
-    def draw(self, gen: np.random.Generator, steps: int) -> np.ndarray:
-        """Sample a (steps, dim) disturbance sequence."""
-        size = (steps, self.dim)
+    def draw(self, gen: np.random.Generator, steps: int, count: int | None = None) -> np.ndarray:
+        """One (steps, dim) disturbance sequence, or a (count, steps, dim)
+        block of them from one call."""
+        size = (steps, self.dim) if count is None else (count, steps, self.dim)
         if self.kind == "zero":
             return np.zeros(size)
         if self.kind == "gaussian":

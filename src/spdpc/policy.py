@@ -4,7 +4,7 @@ A policy maps the rollout input (current state, optionally concatenated
 with the scenario parameter vector) to either a single action or a flat
 action sequence for the whole horizon.  One ``apply_layers`` implementation
 serves taped training and untaped evaluation: on tape tensors it records the
-layer ops, on plain arrays it makes the same numpy calls untaped, so trained
+layer ops, on plain arrays it does the same arithmetic untaped, so trained
 and deployed passes give the same bits and a decision needs no autodiff.
 """
 
@@ -73,7 +73,7 @@ def apply_layers(layers, z):
 
     ``z`` is a batch (n, d); ``layers`` holds arrays or tape tensors.  With a
     tape tensor among ``layers`` or in ``z`` the ops are recorded and a tensor
-    is returned; otherwise the pass runs untaped, as the same numpy calls,
+    is returned; otherwise the pass runs untaped, with the same arithmetic,
     and returns an (n, out) array.
     """
     last = len(layers) - 1
@@ -85,9 +85,12 @@ def apply_layers(layers, z):
         return z
     z = z.values if isinstance(z, ad.Tensor) else np.asarray(z, dtype=np.float64)
     for k, (w, b) in enumerate(layers):
-        z = np.add(np.matmul(z, w.T), b)
+        # in place on the fresh product: one allocation a layer, not three, so
+        # the allocator does not trim and refault a large batch's hidden blocks
+        z = z @ w.T
+        z += b
         if k < last:
-            z = np.maximum(z, 0.0)
+            np.maximum(z, 0.0, out=z)
     return z
 
 

@@ -6,10 +6,10 @@ pair (i, j) plays rollout i under disturbance sequence j, giving r = m * s
 scenarios total.  Disturbance sequences are shared across parametric draws
 by construction.
 
-Draws are keyed by (seed, stream, index), so sample i is the same whether
-the set holds 10 or 10000 scenarios and regardless of sampling order.
-Splits partition the *parametric* index so no initial condition leaks
-between train, dev and test.
+Each block -- x0, each component of xi, Omega -- is drawn in one call from
+its own generator (see ``rng``), and row i of a block is the same whether
+the set holds 10 or 10000 scenarios.  Splits partition the *parametric*
+index so no initial condition leaks between train, dev and test.
 """
 
 from __future__ import annotations
@@ -68,13 +68,15 @@ class DistSpec:
     def dim(self) -> int:
         return len(self.a)
 
-    def draw(self, gen: np.random.Generator) -> np.ndarray:
+    def draw(self, gen: np.random.Generator, count: int | None = None) -> np.ndarray:
+        """One (dim,) draw, or a (count, dim) block from one call."""
         low, spread = self._low_spread
+        shape = low.shape if count is None else (count, self.dim)
         if self.kind == "uniform":
-            return low + spread * gen.random(low.shape)
+            return low + spread * gen.random(shape)
         if self.kind == "gaussian":
-            return low + spread * gen.standard_normal(low.shape)
-        return low.copy()
+            return low + spread * gen.standard_normal(shape)
+        return np.broadcast_to(low, shape).copy()
 
 
 @dataclass(frozen=True)
@@ -112,6 +114,15 @@ class ParamSpec:
         if not self.components:
             return np.zeros(0)
         return np.concatenate([dist.draw(gen) for _, dist in self.components])
+
+    def sample(self, seed: int, stream: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+        """(x0 (count, n_x), xi (count, xi_dim)) blocks: x0 from
+        ``substream(seed, stream, 0)``, component c of xi from
+        ``substream(seed, stream, c + 1)``."""
+        x0 = self.x0.draw(_rng.substream(seed, stream, 0), count)
+        xi = [dist.draw(_rng.substream(seed, stream, c + 1), count)
+              for c, (_, dist) in enumerate(self.components)]
+        return x0, np.concatenate(xi, axis=1) if xi else np.zeros((count, 0))
 
 
 @dataclass
@@ -161,9 +172,8 @@ def sample_scenarios(spec: ParamSpec, noise: NoiseSpec, m: int, s: int,
                      horizon: int, seed: int) -> ScenarioSet:
     if m < 1 or s < 1 or horizon < 1:
         raise ValueError(f"need m, s, horizon >= 1, got {(m, s, horizon)}")
-    x0 = np.stack(_rng.each(seed, _rng.X0, m, spec.x0.draw))
-    xi = np.stack(_rng.each(seed, _rng.XI, m, spec.draw_xi)) if spec.xi_dim else np.zeros((m, 0))
-    omega = np.stack(_rng.each(seed, _rng.OMEGA, s, lambda gen: noise.draw(gen, horizon)))
+    x0, xi = spec.sample(seed, _rng.X0, m)
+    omega = noise.draw(_rng.substream(seed, _rng.OMEGA), horizon, s)
     return ScenarioSet(x0, xi, omega, seed)
 
 

@@ -341,9 +341,10 @@ def read_rows(path, id_cols):
 
 class TestSimulateAndBenchmarkInputs:
     @pytest.mark.parametrize("path", COMMITTED, ids=lambda p: p.stem)
-    def test_draws_are_the_per_key_loop(self, tmp_path, monkeypatch, path):
-        """simulate and benchmark draw x0 then xi from one keyed generator per
-        run or instance, and simulate's noise from its own stream."""
+    def test_draws_are_prefix_stable_blocks(self, tmp_path, monkeypatch, path):
+        """simulate draws x0 and xi as ``ParamSpec.sample`` blocks on SIM_X0 and
+        its noise as one block on SIM_NOISE; benchmark draws its instances on
+        BENCH.  Three runs or instances are the first three of five."""
         cfg = load_config(path)
         checkpoint = tmp_path / "policy.json"
         save_checkpoint(init_policy(cfg.arch), checkpoint, seed=cfg.seed)
@@ -357,23 +358,31 @@ class TestSimulateAndBenchmarkInputs:
 
         monkeypatch.setattr("spdpc.dynamics.simulate", capture("simulate"))
         monkeypatch.setattr("spdpc.baseline.benchmark", capture("benchmark"))
-        for argv in (("simulate", "--count", "3", "--steps", "4"),
-                     ("benchmark", "--instances", "3")):
-            assert run(*argv, "--config", str(path), "--out", str(tmp_path / argv[0]),
-                       "--checkpoint", str(checkpoint)) == 1
-        _, _, _, x0, xi, noise = seen["simulate"]
-        cases = seen["benchmark"][2]
-        for k in range(3):
-            gen = rng.substream(cfg.seed, rng.SIM_X0, k)
-            assert np.array_equal(x0[k], cfg.params.x0.draw(gen))
-            want = cfg.params.draw_xi(gen)
-            assert np.array_equal(xi[k], want) if want.size else xi is None
-            assert np.array_equal(noise[k], cfg.noise.draw(
-                rng.substream(cfg.seed, rng.SIM_NOISE, k), 4))
-            gen = rng.substream(cfg.seed, rng.BENCH, k)
-            assert np.array_equal(cases[k][0], cfg.params.x0.draw(gen))
-            want = cfg.params.draw_xi(gen)
-            assert np.array_equal(cases[k][1], want) if want.size else cases[k][1] is None
+        drawn = {}
+        for count in (3, 5):
+            for argv in (("simulate", "--count", str(count), "--steps", "4"),
+                         ("benchmark", "--instances", str(count))):
+                assert run(*argv, "--config", str(path), "--out", str(tmp_path / argv[0]),
+                           "--checkpoint", str(checkpoint)) == 1
+            _, _, _, x0, xi, noise = seen["simulate"]
+            cases = seen["benchmark"][2]
+            drawn[count] = (x0, xi, noise, cases)
+        x0, xi, noise, cases = drawn[5]
+        want_x0, want_xi = cfg.params.sample(cfg.seed, rng.SIM_X0, 5)
+        assert np.array_equal(x0, want_x0)
+        assert np.array_equal(xi, want_xi) if want_xi.size else xi is None
+        assert np.array_equal(noise, cfg.noise.draw(rng.substream(cfg.seed, rng.SIM_NOISE), 4, 5))
+        want_x0, want_xi = cfg.params.sample(cfg.seed, rng.BENCH, 5)
+        for t, (case_x0, case_xi) in enumerate(cases):
+            assert np.array_equal(case_x0, want_x0[t])
+            assert np.array_equal(case_xi, want_xi[t]) if want_xi.size else case_xi is None
+        small_x0, small_xi, small_noise, small_cases = drawn[3]
+        assert np.array_equal(small_x0, x0[:3])
+        assert small_xi is None if xi is None else np.array_equal(small_xi, xi[:3])
+        assert np.array_equal(small_noise, noise[:3])
+        for small, large in zip(small_cases, cases[:3], strict=True):
+            for a, b in zip(small, large):
+                assert a is None and b is None or np.array_equal(a, b)
 
     @pytest.mark.parametrize("path", COMMITTED, ids=lambda p: p.stem)
     def test_summary_reports_the_terminal_set(self, tmp_path, path):

@@ -208,8 +208,10 @@ def gemv_reference(layers, z):
 def test_untaped_forward_is_the_taped_pass_bit_for_bit(name, mode):
     p = config_policy(name, mode)
     xs = np.random.default_rng(12).normal(scale=2.0, size=(25, p.arch.input_dim))
+    before = xs.copy()
     untaped = pol.apply_layers(p.layers, xs)
     assert isinstance(untaped, np.ndarray)
+    assert np.array_equal(xs, before)  # the in-place pass writes only its own blocks
     taped = pol.apply_layers(pol.taped_layers(ad.Tape(), p), xs)
     assert np.array_equal(pol.forward(p, xs), taped.values)
     assert np.array_equal(untaped, taped.values)

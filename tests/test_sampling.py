@@ -134,7 +134,7 @@ class TestSampling:
         assert not np.array_equal(a.x0, b.x0)
 
     def test_draw_i_independent_of_set_size(self):
-        # counter keying: scenario i is the same whether m is 5 or 10
+        # block draws fill row-major: scenario i is the same whether m is 5 or 10
         noise = NoiseSpec("gaussian", [0.2, 0.2])
         small = sample_scenarios(rich_spec(), noise, m=5, s=2, horizon=4, seed=9)
         large = sample_scenarios(rich_spec(), noise, m=10, s=6, horizon=4, seed=9)
