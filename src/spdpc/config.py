@@ -11,62 +11,111 @@ Value references appear wherever a quantity can vary per scenario: either
 ``{"constant": [..]}`` or ``{"parameter": "<name>"}`` naming a sampled
 parameter component.
 
-Every table is strict: a key the schema does not name is an error, so a
-typo cannot silently drop a constraint or a setting.  Every number must be
-finite; a NaN or an infinity is rejected with its JSON path.
+Every table is read against a spec that declares each key once, with its
+JSON type, default and lower bound.  An unknown or missing key, a wrong JSON
+type (``2.5``, ``"2"`` or ``true`` for an integer), a value below its bound,
+a NaN or an infinity, and a non-zero loss weight that nothing reads are all
+errors that name their JSON path.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import sys
+from contextlib import contextmanager
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
-
-import numpy as np
 
 from .baseline import SolverConfig
 from .dynamics import MODES, LinearSystem, NoiseSpec, load_model
 from .objectives import (BallConstraint, BoxConstraint, Constant, ConstraintSet,
                          ContractionConstraint, EllipseKeepOut, LossWeights,
-                         StageObjective, WEIGHT_FIELDS)
+                         StageObjective, weights_read)
 from .policy import PolicyArchitecture
-from .sampling import DistSpec, ParamSpec
+from .sampling import DistSpec, ParamSpec, split_ranges
 
 
 class ConfigError(ValueError):
     """Raised with the JSON path of the offending field."""
 
 
-def _require(table: dict, key: str, where: str):
-    if key not in table:
-        raise ConfigError(f"{where}.{key}: missing")
-    return table[key]
+@contextmanager
+def _at(where: str):
+    """Re-raise a ValueError, or a model file's OSError or OverflowError, as a
+    ConfigError at ``where``."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except (OSError, OverflowError, ValueError) as err:
+        raise ConfigError(f"{where}: {err}") from err
 
 
-def _get(table: dict, key: str, default):
-    return table.get(key, default)
+_TYPE_NAMES = {int: "an integer", float: "a number", str: "a string",
+               dict: "a JSON object", None: "null"}
 
 
-def _table(entry, where: str, allowed, by_kind=None) -> dict:
-    """``entry`` as a JSON object whose keys all sit in ``allowed``; with
-    ``by_kind``, also ``kind`` and the keys ``by_kind[kind]`` names."""
-    if not isinstance(entry, dict):
-        raise ConfigError(f"{where}: expected a JSON object, got {type(entry).__name__}")
-    if by_kind is not None:
-        if entry.get("kind") not in by_kind:
-            return entry  # the caller reports the missing or unknown kind
-        allowed = (*allowed, "kind", *by_kind[entry["kind"]])
-    unknown = sorted(set(entry) - set(allowed))
+def _typed(value, kind, where: str):
+    """``value`` if it has the JSON type ``kind``: int, float (any number, as
+    a Python float), str, dict, None (null), ``[kind]`` (a list, checked per
+    element) or a tuple of alternatives.  A bool is no number, 2.0 no int."""
+    alternatives = kind if isinstance(kind, tuple) else (kind,)
+    for alt in alternatives:
+        if isinstance(alt, list) and isinstance(value, list):
+            return [_typed(v, alt[0], f"{where}[{pos}]") for pos, v in enumerate(value)]
+        if alt is None and value is None:
+            return None
+        if alt in (int, float, str, dict) and not isinstance(value, bool) \
+                and isinstance(value, (int, float) if alt is float else alt):
+            return float(value) if alt is float else value
+    names = " or ".join("a list" if isinstance(alt, list) else _TYPE_NAMES[alt]
+                        for alt in alternatives)
+    raise ConfigError(f"{where}: expected {names}, got {json.dumps(value)}")
+
+
+def _read(entry, where: str, spec: dict) -> dict:
+    """Every key of ``spec`` read from the JSON object ``entry``.  ``spec``
+    maps a key to (JSON type, default) or (JSON type, default, lower bound);
+    a default of ``MISSING`` makes the key required."""
+    entry = _typed(entry, dict, where)
+    unknown = sorted(set(entry) - set(spec))
     if unknown:
         raise ConfigError(f"{', '.join(f'{where}.{k}' for k in unknown)}: unknown "
                           f"field{'s' if len(unknown) > 1 else ''}, expected one of "
-                          f"{sorted(allowed)}")
-    return entry
+                          f"{sorted(spec)}")
+    table = {}
+    for key, (kind, default, *lower) in spec.items():
+        path = f"{where}.{key}"
+        if key not in entry:
+            if default is MISSING:
+                raise ConfigError(f"{path}: missing")
+            table[key] = default
+            continue
+        table[key] = value = _typed(entry[key], kind, path)
+        if lower and value < lower[0]:
+            raise ConfigError(f"{path}: must be >= {lower[0]}, got {value}")
+    return table
+
+
+def _by_kind(entry, where: str, kinds: dict, extra: dict) -> dict:
+    """A table whose keys depend on its ``kind``: ``kinds`` maps each kind to
+    the spec of its own keys, and every kind also takes ``extra``."""
+    kind = _typed(entry, dict, where).get("kind", MISSING)
+    if kind not in tuple(kinds):  # a tuple compares an unhashable kind, a dict would hash it
+        raise ConfigError(f"{where}.kind: " + ("missing" if kind is MISSING else
+                          f"unknown kind {kind!r}, expected one of {sorted(kinds)}"))
+    return _read(entry, where, {"kind": (str, MISSING), **extra, **kinds[kind]})
+
+
+def _fields(cls) -> dict:
+    """The spec of a dataclass: its fields' types and defaults, declared there alone."""
+    return {f.name: ({"int": int, "float": float}[f.type], f.default) for f in fields(cls)}
 
 
 def _reject_non_finite(node, where: str = "") -> None:
-    """Raise at the first NaN or infinity (``NaN``, ``Infinity``, ``1e999``)."""
-    if isinstance(node, float) and not np.isfinite(node):
+    """Raise at the first number no float holds (``NaN``, ``Infinity``, ``1e999``,
+    an integer literal of 400 digits)."""
+    if isinstance(node, (int, float)) and not abs(node) <= sys.float_info.max:
         raise ConfigError(f"{where}: must be finite, got {node}")
     if isinstance(node, dict):
         for key, value in node.items():
@@ -76,26 +125,18 @@ def _reject_non_finite(node, where: str = "") -> None:
             _reject_non_finite(value, f"{where}[{pos}]")
 
 
-TOP_LEVEL_KEYS = ("name", "seed", "mode", "horizon", "model", "noise", "x0", "parameters",
-                  "scenarios", "policy", "objective", "constraints", "terminal_set",
-                  "weights", "training", "certification", "simulation", "benchmark")
-DIST_KEYS = {"uniform": ("lower", "upper"), "gaussian": ("mean", "std"),
-             "constant": ("values",)}
-TERMINAL_KEYS = {"box": ("lower", "upper"), "ball": ("radius", "center")}
-BOX_KEYS = ("lower", "upper", "margin")
+# the distribution kinds, their vectors in DistSpec order
+_DISTS = {"uniform": {"lower": ([float], MISSING), "upper": ([float], MISSING)},
+          "gaussian": {"mean": ([float], MISSING), "std": ([float], MISSING)},
+          "constant": {"values": ([float], MISSING)}}
+_BOX = {"lower": ([float], MISSING), "upper": ([float], MISSING), "margin": (float, 0.0)}
 
 
-def _dist(entry, where: str, extra=()) -> DistSpec:
-    """A distribution table: its kind plus that kind's vectors, in DistSpec order."""
-    kind = _require(_table(entry, where, extra, DIST_KEYS), "kind", where)
-    if kind not in DIST_KEYS:
-        raise ConfigError(f"{where}.kind: unknown distribution {kind!r}")
-    try:
-        return DistSpec(kind, *(tuple(_require(entry, k, where)) for k in DIST_KEYS[kind]))
-    except ConfigError:
-        raise
-    except (ValueError, TypeError) as err:
-        raise ConfigError(f"{where}: {err}") from err
+def _dist(entry, where: str, extra: dict) -> DistSpec:
+    """A distribution table: its kind plus that kind's vectors."""
+    table = _by_kind(entry, where, _DISTS, extra)
+    with _at(where):
+        return DistSpec(table["kind"], *(table[k] for k in _DISTS[table["kind"]]))
 
 
 @dataclass
@@ -129,113 +170,83 @@ class ExperimentConfig:
         return self.constraints.terminal
 
 
-def _value_ref(entry, params: ParamSpec, where: str, expect_dim=None):
-    """Build a Constant or XiSlice from {"constant": ..}/{"parameter": ..}."""
-    if not isinstance(entry, dict) or len(entry) != 1:
+def _value_ref(entry, params: ParamSpec, where: str, expect_dim: int):
+    """A Constant or XiSlice from {"constant": ..}/{"parameter": ..}; None for None."""
+    if entry is None:
+        return None
+    table = _read(entry, where, {"constant": ((float, [float]), None), "parameter": (str, None)})
+    if (table["constant"] is None) == (table["parameter"] is None):
         raise ConfigError(f"{where}: expected a constant or parameter reference")
-    if "constant" in entry:
-        values = entry["constant"]
-        values = tuple(values) if isinstance(values, (list, tuple)) else (values,)
-        ref = Constant(tuple(float(v) for v in values))
-        dim = len(ref.values)
-    elif "parameter" in entry:
-        name = entry["parameter"]
-        try:
-            ref = params.slice_for(name)
-        except ValueError as err:
-            raise ConfigError(f"{where}: {err}") from err
-        dim = ref.stop - ref.start
-    else:
-        raise ConfigError(f"{where}: expected a constant or parameter reference")
-    if expect_dim is not None and dim != expect_dim:
+    values = table["constant"]
+    with _at(where):
+        ref = params.slice_for(table["parameter"]) if values is None else \
+            Constant(tuple(values) if isinstance(values, list) else (values,))
+    dim = ref.stop - ref.start if values is None else len(ref.values)
+    if dim != expect_dim:
         raise ConfigError(f"{where}: needs {expect_dim} values, reference has {dim}")
     return ref
 
 
-def _box(entry: dict, dim: int, where: str) -> BoxConstraint:
-    _table(entry, where, BOX_KEYS)
-    lower = _require(entry, "lower", where)
-    upper = _require(entry, "upper", where)
-    if len(lower) != dim or len(upper) != dim:
+def _box(table: dict, dim: int, where: str) -> BoxConstraint:
+    if len(table["lower"]) != dim or len(table["upper"]) != dim:
         raise ConfigError(f"{where}: bounds must have {dim} entries")
-    try:
-        return BoxConstraint(tuple(lower), tuple(upper),
-                             margin=float(_get(entry, "margin", 0.0)))
-    except ValueError as err:
-        raise ConfigError(f"{where}: {err}") from err
+    with _at(where):
+        return BoxConstraint(table["lower"], table["upper"], margin=table["margin"])
 
 
-def _objective(entry: dict, params: ParamSpec, n_x: int) -> StageObjective:
-    _table(entry, "objective", ("kind", "track_indices", "reference", "target"))
-    kind = _require(entry, "kind", "objective")
-    track = tuple(_get(entry, "track_indices", ()))
-    if any(not 0 <= int(i) < n_x for i in track):
+def _objective(entry, params: ParamSpec, n_x: int) -> StageObjective:
+    table = _read(entry, "objective", {"kind": (str, MISSING), "track_indices": ([int], []),
+                                       "reference": (dict, None), "target": (dict, None)})
+    track = tuple(table["track_indices"])
+    if any(not 0 <= i < n_x for i in track):
         raise ConfigError(f"objective.track_indices: indices must sit in [0, {n_x})")
-    reference = None
-    if "reference" in entry:
-        expect = len(track) if kind == "split-tracking" else n_x
-        reference = _value_ref(entry["reference"], params, "objective.reference", expect)
-    target = None
-    if "target" in entry:
-        target = _value_ref(entry["target"], params, "objective.target", n_x)
-    try:
-        return StageObjective(kind=kind, track_indices=track,
+    expect = len(track) if table["kind"] == "split-tracking" else n_x
+    reference = _value_ref(table["reference"], params, "objective.reference", expect)
+    target = _value_ref(table["target"], params, "objective.target", n_x)
+    with _at("objective"):
+        return StageObjective(kind=table["kind"], track_indices=track,
                               reference=reference, target=target)
-    except ValueError as err:
-        raise ConfigError(f"objective: {err}") from err
 
 
-def _constraints(entry: dict, params: ParamSpec, n_x: int, n_u: int) -> ConstraintSet:
-    _table(entry, "constraints",
-           ("state_box", "input_box", "keep_out", "contraction"))
+def _constraints(entry, params: ParamSpec, n_x: int, n_u: int) -> ConstraintSet:
+    table = _read(entry, "constraints", {"state_box": (dict, None), "input_box": (dict, None),
+                                         "keep_out": (dict, None), "contraction": (dict, None)})
     built = ConstraintSet()
-    if "state_box" in entry:
-        built.state.append(_box(entry["state_box"], n_x, "constraints.state_box"))
-    if "input_box" in entry:
-        built.inputs.append(_box(entry["input_box"], n_u, "constraints.input_box"))
-    if "keep_out" in entry:
+    for key, dim, part in (("state_box", n_x, built.state), ("input_box", n_u, built.inputs)):
+        if table[key] is not None:
+            where = f"constraints.{key}"
+            part.append(_box(_read(table[key], where, _BOX), dim, where))
+    if table["keep_out"] is not None:
         where = "constraints.keep_out"
-        ko = _table(entry["keep_out"], where,
-                    ("radius", "shape", "center_x", "center_y", "margin"))
+        ko = _read(table["keep_out"], where, {
+            "radius": (dict, MISSING), "shape": (dict, MISSING), "center_x": (dict, MISSING),
+            "center_y": (dict, MISSING), "margin": (float, 0.0)})
         if n_x < 2:
             raise ConfigError(f"{where}: needs at least two state dimensions")
-        try:
-            built.state.append(EllipseKeepOut(
-                radius=_value_ref(_require(ko, "radius", where), params, where + ".radius", 1),
-                shape=_value_ref(_require(ko, "shape", where), params, where + ".shape", 1),
-                center_x=_value_ref(_require(ko, "center_x", where), params, where + ".center_x", 1),
-                center_y=_value_ref(_require(ko, "center_y", where), params, where + ".center_y", 1),
-                margin=float(_get(ko, "margin", 0.0))))
-        except ConfigError:
-            raise
-        except ValueError as err:
-            raise ConfigError(f"{where}: {err}") from err
-    if "contraction" in entry:
-        rate = _require(_table(entry["contraction"], "constraints.contraction", ("rate",)),
-                        "rate", "constraints.contraction")
-        try:
-            built.contraction = ContractionConstraint(rate=float(rate))
-        except ValueError as err:
-            raise ConfigError(f"constraints.contraction: {err}") from err
+        refs = {k: _value_ref(ko[k], params, f"{where}.{k}", 1)
+                for k in ("radius", "shape", "center_x", "center_y")}
+        with _at(where):
+            built.state.append(EllipseKeepOut(**refs, margin=ko["margin"]))
+    if table["contraction"] is not None:
+        where = "constraints.contraction"
+        rate = _read(table["contraction"], where, {"rate": (float, MISSING)})["rate"]
+        with _at(where):
+            built.contraction = ContractionConstraint(rate=rate)
     return built
 
 
-def _terminal(entry: dict, params: ParamSpec, n_x: int):
+def _terminal(entry, params: ParamSpec, n_x: int):
     """The terminal set as a BoxConstraint or a BallConstraint."""
     where = "terminal_set"
-    kind = _require(_table(entry, where, ("margin",), TERMINAL_KEYS), "kind", where)
-    if kind == "box":
-        return _box({k: v for k, v in entry.items() if k != "kind"}, n_x, where)
-    if kind != "ball":
-        raise ConfigError(f"{where}.kind: unknown kind {kind!r}")
-    radius = _require(entry, "radius", where)
-    center = None
-    if "center" in entry:
-        center = _value_ref(entry["center"], params, where + ".center", n_x)
-    try:
-        return BallConstraint(float(radius), center, margin=float(_get(entry, "margin", 0.0)))
-    except ValueError as err:
-        raise ConfigError(f"{where}: {err}") from err
+    table = _by_kind(entry, where, {
+        "box": _BOX,
+        "ball": {"radius": (float, MISSING), "center": (dict, None), "margin": (float, 0.0)},
+    }, {})
+    if table["kind"] == "box":
+        return _box(table, n_x, where)
+    center = _value_ref(table["center"], params, where + ".center", n_x)
+    with _at(where):
+        return BallConstraint(table["radius"], center, margin=table["margin"])
 
 
 def load_config(path) -> ExperimentConfig:
@@ -246,140 +257,98 @@ def load_config(path) -> ExperimentConfig:
         raw = json.loads(path.read_text())
     except FileNotFoundError as err:
         raise ConfigError(f"config file not found: {path}") from err
-    except json.JSONDecodeError as err:
+    except ValueError as err:  # bad JSON or bytes, or an integer past Python's digit limit
         raise ConfigError(f"{path}: not valid JSON ({err})") from err
 
-    _table(raw, "config", TOP_LEVEL_KEYS)
+    top = _read(raw, "config", {
+        "name": (str, MISSING), "seed": (int, MISSING, 0), "mode": (str, MISSING),
+        "horizon": (int, MISSING, 1), "model": (dict, MISSING), "noise": (dict, MISSING),
+        "x0": (dict, MISSING), "parameters": ([dict], []), "scenarios": (dict, MISSING),
+        "policy": (dict, MISSING), "objective": (dict, MISSING), "constraints": (dict, {}),
+        "terminal_set": (dict, MISSING), "weights": (dict, MISSING),
+        "training": (dict, MISSING), "certification": (dict, {}),
+        "simulation": (dict, {}), "benchmark": (dict, {})})
     _reject_non_finite(raw)
-    name = str(_require(raw, "name", "config"))
-    seed = int(_require(raw, "seed", "config"))
-    if seed < 0:
-        raise ConfigError("config.seed: must be non-negative")
-    horizon = int(_require(raw, "horizon", "config"))
-    if horizon < 1:
-        raise ConfigError("config.horizon: must be >= 1")
-    mode = str(_require(raw, "mode", "config"))
+    seed, mode, horizon = top["seed"], top["mode"], top["horizon"]
     if mode not in MODES:
         raise ConfigError(f"config.mode: unknown mode {mode!r}, have {MODES}")
 
-    model_entry = _require(raw, "model", "config")
-    _table(model_entry, "model", ("file",) if "file" in model_entry else ("A", "B"))
-    try:
-        if "file" in model_entry:
-            model = load_model(path.parent / model_entry["file"])
+    with _at("model"):
+        if "file" in top["model"]:
+            model = load_model(path.parent / _read(top["model"], "model",
+                                                   {"file": (str, MISSING)})["file"])
         else:
-            model = LinearSystem(A=np.asarray(_require(model_entry, "A", "model"), dtype=np.float64),
-                                 B=np.asarray(_require(model_entry, "B", "model"), dtype=np.float64))
-    except ConfigError:
-        raise
-    except (OSError, ValueError, KeyError) as err:
-        raise ConfigError(f"model: {err}") from err
+            model = LinearSystem(**_read(top["model"], "model", {
+                "A": ([[float]], MISSING), "B": ([[float]], MISSING)}))
     n_x, n_u = model.n_x, model.n_u
 
-    noise_entry = _table(_require(raw, "noise", "config"), "noise", ("kind", "scale", "bound"))
-    try:
-        noise = NoiseSpec(kind=_require(noise_entry, "kind", "noise"),
-                          scale=np.asarray(_require(noise_entry, "scale", "noise"), dtype=np.float64),
-                          bound=_get(noise_entry, "bound", "default"))
-    except ConfigError:
-        raise
-    except ValueError as err:
-        raise ConfigError(f"noise: {err}") from err
+    with _at("noise"):
+        noise = NoiseSpec(**_read(top["noise"], "noise", {
+            "kind": (str, MISSING), "scale": ([float], MISSING),
+            "bound": ((float, None), "default")}))
     if noise.dim != n_x:
         raise ConfigError(f"noise.scale: needs {n_x} entries, got {noise.dim}")
 
-    x0_dist = _dist(_require(raw, "x0", "config"), "x0")
+    x0_dist = _dist(top["x0"], "x0", {})
     if x0_dist.dim != n_x:
         raise ConfigError(f"x0: needs {n_x} entries, got {x0_dist.dim}")
     components = []
-    for pos, comp in enumerate(_get(raw, "parameters", [])):
-        where = f"parameters[{pos}]"
-        dist = _dist(comp, where, extra=("name",))
-        components.append((_require(comp, "name", where), dist))
-    try:
+    for pos, comp in enumerate(top["parameters"]):
+        dist = _dist(comp, f"parameters[{pos}]", {"name": (str, MISSING)})
+        components.append((comp["name"], dist))
+    with _at("parameters"):
         params = ParamSpec(x0=x0_dist, components=tuple(components))
-    except ValueError as err:
-        raise ConfigError(f"parameters: {err}") from err
 
-    scen = _table(_require(raw, "scenarios", "config"), "scenarios", ("m", "s", "splits"))
-    m = int(_require(scen, "m", "scenarios"))
-    s = int(_require(scen, "s", "scenarios"))
-    splits = tuple(float(f) for f in _require(scen, "splits", "scenarios"))
-    if len(splits) != 3:
-        raise ConfigError("scenarios.splits: need exactly three fractions "
-                          "(train, dev, test)")
-    if m < 1 or s < 1:
-        raise ConfigError("scenarios: m and s must be >= 1")
+    scen = _read(top["scenarios"], "scenarios", {
+        "m": (int, MISSING, 1), "s": (int, MISSING, 1), "splits": ([float], MISSING)})
+    if len(scen["splits"]) != 3:
+        raise ConfigError("scenarios.splits: need exactly three fractions (train, dev, test)")
+    with _at("scenarios.splits"):
+        split_ranges(scen["splits"], scen["m"])
 
-    policy_entry = _table(_require(raw, "policy", "config"), "policy", ("hidden", "seed"))
-    hidden = tuple(int(h) for h in _require(policy_entry, "hidden", "policy"))
-    input_dim = n_x + params.xi_dim if mode == "full-horizon" else n_x
-    output_dim = horizon * n_u if mode == "full-horizon" else n_u
-    try:
-        arch = PolicyArchitecture(input_dim=input_dim, hidden=hidden,
-                                  output_dim=output_dim,
-                                  seed=int(_get(policy_entry, "seed", seed)))
-    except ValueError as err:
-        raise ConfigError(f"policy: {err}") from err
+    policy = _read(top["policy"], "policy", {"hidden": ([int], MISSING), "seed": (int, seed, 0)})
+    full = mode == "full-horizon"
+    with _at("policy"):
+        arch = PolicyArchitecture(input_dim=n_x + params.xi_dim if full else n_x,
+                                  output_dim=horizon * n_u if full else n_u, **policy)
 
-    objective = _objective(_require(raw, "objective", "config"), params, n_x)
-    constraints = _constraints(_get(raw, "constraints", {}), params, n_x, n_u)
-    constraints.terminal = _terminal(_require(raw, "terminal_set", "config"), params, n_x)
+    objective = _objective(top["objective"], params, n_x)
+    constraints = _constraints(top["constraints"], params, n_x, n_u)
+    constraints.terminal = _terminal(top["terminal_set"], params, n_x)
 
-    weight_entry = _table(_require(raw, "weights", "config"), "weights", WEIGHT_FIELDS)
-    try:
-        weights = LossWeights(**{k: float(v) for k, v in weight_entry.items()})
-    except ValueError as err:
-        raise ConfigError(f"weights: {err}") from err
+    with _at("weights"):
+        weights = LossWeights(**_read(top["weights"], "weights", _fields(LossWeights)))
+    read = weights_read(objective, constraints, horizon)
+    for name, value in vars(weights).items():
+        if value and name not in read:
+            raise ConfigError(f"weights.{name}: no term of this {objective.kind} loss reads it, "
+                              f"got {value}")
+    if constraints.contraction is not None and not weights.Q_c:
+        raise ConfigError("constraints.contraction: shapes training only, "
+                          "so it needs weights.Q_c > 0")
 
-    train_entry = _table(_require(raw, "training", "config"), "training",
-                         ("epochs", "lr", "beta1", "beta2", "eps", "weight_decay", "minibatch"))
-    try:
-        train = TrainConfig(
-            epochs=int(_require(train_entry, "epochs", "training")),
-            lr=float(_get(train_entry, "lr", 1e-3)),
-            beta1=float(_get(train_entry, "beta1", 0.9)),
-            beta2=float(_get(train_entry, "beta2", 0.999)),
-            eps=float(_get(train_entry, "eps", 1e-8)),
-            weight_decay=float(_get(train_entry, "weight_decay", 0.01)),
-            minibatch=int(_get(train_entry, "minibatch", 64)))
-    except ConfigError:
-        raise
-    except ValueError as err:
-        raise ConfigError(f"training: {err}") from err
+    with _at("training"):
+        train = TrainConfig(**_read(top["training"], "training", _fields(TrainConfig)))
 
-    cert = _table(_get(raw, "certification", {}), "certification", ("beta", "delta"))
-    beta = float(_get(cert, "beta", 0.9))
-    delta = float(_get(cert, "delta", 0.01))
+    beta, delta = _read(top["certification"], "certification",
+                        {"beta": (float, 0.9), "delta": (float, 0.01)}).values()
     if not 0 < beta <= 1:
         raise ConfigError(f"certification.beta: must sit in (0, 1], got {beta}")
     if not 0 < delta < 1:
         raise ConfigError(f"certification.delta: must sit in (0, 1), got {delta}")
 
-    sim = _table(_get(raw, "simulation", {}), "simulation", ("count", "steps"))
-    sim_count = int(_get(sim, "count", 20))
-    sim_steps = int(_get(sim, "steps", 50))
-    if sim_count < 1 or sim_steps < 1:
-        raise ConfigError("simulation: count and steps must be >= 1")
-
-    bench = _table(_get(raw, "benchmark", {}), "benchmark", ("instances", "repeats", "solver"))
-    bench_instances = int(_get(bench, "instances", 10))
-    bench_repeats = int(_get(bench, "repeats", 5))
-    if bench_instances < 1 or bench_repeats < 1:
-        raise ConfigError("benchmark: instances and repeats must be >= 1")
-    solver_entry = _table(_get(bench, "solver", {}), "benchmark.solver",
-                          ("max_iters", "tol"))
-    try:
-        solver = SolverConfig(
-            max_iters=int(_get(solver_entry, "max_iters", 500)),
-            tol=float(_get(solver_entry, "tol", 1e-8)))
-    except ValueError as err:
-        raise ConfigError(f"benchmark.solver: {err}") from err
+    sim = _read(top["simulation"], "simulation", {"count": (int, 20, 1), "steps": (int, 50, 1)})
+    bench = _read(top["benchmark"], "benchmark", {
+        "instances": (int, 10, 1), "repeats": (int, 5, 1), "solver": (dict, {})})
+    with _at("benchmark.solver"):
+        solver = SolverConfig(**_read(bench["solver"], "benchmark.solver",
+                                      _fields(SolverConfig)))
 
     return ExperimentConfig(
-        name=name, seed=seed, mode=mode, horizon=horizon, model=model,
-        arch=arch, noise=noise, params=params, m=m, s=s, splits=splits,
-        objective=objective, constraints=constraints, weights=weights,
-        train=train, beta=beta, delta=delta, sim_count=sim_count, sim_steps=sim_steps,
-        bench_instances=bench_instances, bench_repeats=bench_repeats,
+        name=top["name"], seed=seed, mode=mode, horizon=horizon, model=model,
+        arch=arch, noise=noise, params=params, m=scen["m"], s=scen["s"],
+        splits=tuple(scen["splits"]), objective=objective, constraints=constraints,
+        weights=weights, train=train, beta=beta, delta=delta,
+        sim_count=sim["count"], sim_steps=sim["steps"],
+        bench_instances=bench["instances"], bench_repeats=bench["repeats"],
         solver=solver)

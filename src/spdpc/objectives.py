@@ -24,15 +24,13 @@ Objective kinds:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from . import autodiff as ad
 
 OBJECTIVE_KINDS = ("stabilization", "tracking", "split-tracking", "terminal-smoothing")
-
-WEIGHT_FIELDS = ("Q_r", "Q_u", "Q_x", "Q_h", "Q_g", "Q_f", "Q_c", "Q_du", "Q_dx")
 
 
 @dataclass(frozen=True)
@@ -55,11 +53,11 @@ class LossWeights:
     Q_dx: float = 0.0
 
     def __post_init__(self):
-        for name in WEIGHT_FIELDS:
-            v = float(getattr(self, name))
+        for f in fields(self):
+            v = float(getattr(self, f.name))
             if not np.isfinite(v) or v < 0.0:
-                raise ValueError(f"{name} must be finite and >= 0, got {v}")
-            object.__setattr__(self, name, v)
+                raise ValueError(f"{f.name} must be finite and >= 0, got {v}")
+            object.__setattr__(self, f.name, v)
 
 
 # ---------------------------------------------------------------------------
@@ -272,6 +270,20 @@ class StageObjective:
         if self.kind == "terminal-smoothing" and self.target is None:
             raise ValueError("terminal-smoothing needs a target")
         object.__setattr__(self, "track_indices", tuple(int(i) for i in self.track_indices))
+
+
+# the weights each objective kind's cost reads (Q_du from a horizon of 2 on)
+OBJECTIVE_WEIGHTS = {"stabilization": ("Q_x", "Q_u"), "tracking": ("Q_r", "Q_u"),
+                     "split-tracking": ("Q_r", "Q_x"),
+                     "terminal-smoothing": ("Q_r", "Q_du", "Q_dx", "Q_u")}
+
+
+def weights_read(objective: StageObjective, constraints: ConstraintSet, horizon: int) -> set:
+    """The LossWeights fields ``total_loss`` reads: the objective's, Q_f, and
+    Q_h, Q_g and Q_c where there is a state, input or contraction constraint."""
+    read = {"Q_f", *OBJECTIVE_WEIGHTS[objective.kind]} - ({"Q_du"} if horizon == 1 else set())
+    return read | {name for name, on in (("Q_h", constraints.state), ("Q_g", constraints.inputs),
+                                         ("Q_c", constraints.contraction)) if on}
 
 
 def stage_cost(objective: StageObjective, weights: LossWeights, x, u, xi=None):

@@ -177,8 +177,9 @@ def sample_scenarios(spec: ParamSpec, noise: NoiseSpec, m: int, s: int,
     return ScenarioSet(x0, xi, omega, seed)
 
 
-def split(scenarios: ScenarioSet, fractions) -> list[ScenarioSet]:
-    """Partition by parametric index with floor-of-cumulative-sum boundaries.
+def split_ranges(fractions, m: int) -> list[tuple[int, int]]:
+    """(start, stop) of each part when ``fractions`` split m parametric
+    draws, at floor-of-cumulative-sum boundaries.
 
     Fractions must be positive and sum to at most 1; any remainder after the
     last boundary is dropped.  A fraction that rounds to an empty part is an
@@ -190,22 +191,21 @@ def split(scenarios: ScenarioSet, fractions) -> list[ScenarioSet]:
     if sum(fractions) > 1.0 + 1e-12:
         raise ValueError(f"fractions sum to {sum(fractions)} > 1")
     # nudge before flooring: thirds of 1000 must end at 1000, not 999
-    eps = 1e-9 * max(scenarios.m, 1)
-    bounds = [int(np.floor(c * scenarios.m + eps)) for c in np.cumsum(fractions)]
-    parts, start = [], 0
-    for stop in bounds:
+    eps = 1e-9 * max(m, 1)
+    bounds = [int(np.floor(c * m + eps)) for c in np.cumsum(fractions)]
+    ranges = list(zip([0, *bounds], bounds))
+    for start, stop in ranges:
         if stop <= start:
-            raise ValueError(
-                f"fraction produces an empty split ({start}:{stop} of m={scenarios.m})")
-        parts.append(ScenarioSet(
-            scenarios.x0[start:stop].copy(),
-            scenarios.xi[start:stop].copy(),
-            scenarios.omega,
-            scenarios.seed,
-            indices=scenarios.indices[start:stop].copy(),
-        ))
-        start = stop
-    return parts
+            raise ValueError(f"fraction produces an empty split ({start}:{stop} of m={m})")
+    return ranges
+
+
+def split(scenarios: ScenarioSet, fractions) -> list[ScenarioSet]:
+    """Partition by parametric index into ``split_ranges(fractions, m)``."""
+    return [ScenarioSet(scenarios.x0[start:stop].copy(), scenarios.xi[start:stop].copy(),
+                        scenarios.omega, scenarios.seed,
+                        indices=scenarios.indices[start:stop].copy())
+            for start, stop in split_ranges(fractions, scenarios.m)]
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,7 @@ def micro_config(tmp_path, **overrides):
         "constraints": {"input_box": {"lower": [-2.0], "upper": [2.0]}},
         "terminal_set": {"kind": "ball", "radius": 0.5,
                          "center": {"parameter": "target"}},
-        "weights": {"Q_x": 1.0, "Q_u": 0.01, "Q_g": 10.0},
+        "weights": {"Q_u": 0.01, "Q_g": 10.0},
         "training": {"epochs": 5, "minibatch": 8},
         "certification": {"beta": 0.999, "delta": 0.01},
         "simulation": {"count": 2, "steps": 4},
@@ -162,6 +162,55 @@ class TestExitCodes:
         path = micro_config(tmp_path, **entry)
         assert run("train", "--config", str(path), "--out", str(tmp_path / "out")) == 1
         assert capsys.readouterr().err == f"config error: {where}: {message}\n"
+
+    @pytest.mark.parametrize("keys, value, message", [
+        (("scenarios", "m"), None, "scenarios.m: expected an integer, got null"),
+        (("scenarios", "m"), "abc", 'scenarios.m: expected an integer, got "abc"'),
+        (("scenarios", "m"), "300", 'scenarios.m: expected an integer, got "300"'),
+        (("scenarios", "m"), 270.0, "scenarios.m: expected an integer, got 270.0"),
+        (("policy", "hidden"), 5, "policy.hidden: expected a list, got 5"),
+        (("policy", "hidden"), [20.9, 20], "policy.hidden[0]: expected an integer, got 20.9"),
+        (("simulation", "count"), [3], "simulation.count: expected an integer, got [3]"),
+        (("scenarios", "splits"), 3, "scenarios.splits: expected a list, got 3"),
+        (("benchmark", "solver", "max_iters"), None,
+         "benchmark.solver.max_iters: expected an integer, got null"),
+        (("horizon",), "2", 'config.horizon: expected an integer, got "2"'),
+        (("seed",), 1.9, "config.seed: expected an integer, got 1.9"),
+        (("training", "lr"), "0.01", 'training.lr: expected a number, got "0.01"'),
+        (("weights", "Q_x"), True, "weights.Q_x: expected a number, got true"),
+        (("training", "epochs"), True, "training.epochs: expected an integer, got true"),
+        (("weights", "Q_r"), 1.0,
+         "weights.Q_r: no term of this stabilization loss reads it, got 1.0"),
+        (("weights", "Q_du"), 5, "weights.Q_du: no term of this stabilization loss reads it, "
+                                 "got 5.0"),
+        (("weights", "Q_c"), 1.0,
+         "weights.Q_c: no term of this stabilization loss reads it, got 1.0"),
+        (("constraints", "input_box"), "drop",
+         "weights.Q_g: no term of this stabilization loss reads it, got 100.0"),
+        (("constraints", "contraction"), {"rate": 0.8},
+         "constraints.contraction: shapes training only, so it needs weights.Q_c > 0"),
+        (("scenarios", "splits"), [0.5, 0.5, 0.5], "scenarios.splits: fractions sum to 1.5 > 1"),
+        (("scenarios", "splits"), [0.5, 0.0, 0.5],
+         "scenarios.splits: fractions must be positive, got [0.5, 0.0, 0.5]"),
+        (("scenarios", "splits"), [0.001, 0.5, 0.499],
+         "scenarios.splits: fraction produces an empty split (0:0 of m=200)"),
+    ])
+    def test_malformed_field_is_one_config_error_line(self, tmp_path, capsys, keys, value,
+                                                      message):
+        table = json.loads((ROOT / "configs" / "ex1_double_integrator_desk.json").read_text())
+        node = table
+        for key in keys[:-1]:
+            node = node[key]
+        if value == "drop":
+            del node[keys[-1]]
+        else:
+            node[keys[-1]] = value
+        path = tmp_path / "ex1.json"
+        path.write_text(json.dumps(table))
+        out = tmp_path / "out"
+        assert run("train", "--config", str(path), "--out", str(out)) == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not (out / "manifest.json").exists()
 
     def test_simulate_that_leaves_the_floats_writes_no_summary(self, tmp_path, capsys):
         # no filterwarnings mark: the suite turns a RuntimeWarning into an

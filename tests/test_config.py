@@ -1,13 +1,19 @@
+import ast
 import json
 import re
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
+from spdpc import config
+from spdpc.baseline import SolverConfig
 from spdpc.config import ConfigError, load_config
-from spdpc.objectives import BallConstraint, BoxConstraint, Constant, EllipseKeepOut
+from spdpc.objectives import (BallConstraint, BoxConstraint, Constant, EllipseKeepOut,
+                              LossWeights)
 from spdpc.policy import param_count
 from spdpc.sampling import XiSlice
+from spdpc.trainer import TrainConfig
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -33,7 +39,7 @@ def base_config():
         "constraints": {"input_box": {"lower": [-1.0], "upper": [1.0]}},
         "terminal_set": {"kind": "ball", "radius": 0.5,
                          "center": {"parameter": "target"}},
-        "weights": {"Q_x": 1.0, "Q_u": 0.1},
+        "weights": {"Q_u": 0.1},
         "training": {"epochs": 4},
     }
 
@@ -174,6 +180,20 @@ class TestRejection:
                                     "is not finite")
         dist["lower"], dist["upper"] = [1.0, 0.0], [-1.0, 1.0]
         self.check(tmp_path, table, rf"^{re.escape(where)}: uniform has lower > upper")
+
+    def test_integer_literal_no_float_holds(self, tmp_path):
+        huge = "1" + "0" * 400
+        text = json.dumps(base_config()).replace('"epochs": 4', f'"epochs": 4, "lr": {huge}')
+        self.check(tmp_path, json.loads(text), rf"^training\.lr: must be finite, got {huge}$")
+        path = tmp_path / "model.json"
+        path.write_text(f'{{"A": [[1.0, {huge}], [0.0, 1.0]], "B": [[0.0], [0.1]]}}')
+        table = base_config()
+        table["model"] = {"file": path.name}
+        self.check(tmp_path, table, "^model: int too large to convert to float$")
+        path = tmp_path / "experiment.json"
+        path.write_text(text.replace(huge, "1" + "0" * 5000))
+        with pytest.raises(ConfigError, match=r"not valid JSON \(Exceeds the limit"):
+            load_config(path)
 
     def test_x0_dimension(self, tmp_path):
         table = base_config()
@@ -330,4 +350,19 @@ class TestStrictSchema:
     def test_benchmark_budgets_at_least_one(self, tmp_path, key):
         table = base_config()
         table["benchmark"] = {key: 0}
-        self.check(tmp_path, table, r"benchmark: instances and repeats must be >= 1")
+        self.check(tmp_path, table, rf"^benchmark\.{key}: must be >= 1, got 0$")
+
+
+def test_readme_schema_names_every_key_the_reader_accepts():
+    """Every key of a spec in config.py, and every field of the dataclasses
+    that serve as specs, appears backticked in README's Config schema."""
+    readme = (CONFIG_DIR.parent / "README.md").read_text()
+    section = readme.split("\n## Config schema\n", 1)[1].split("\n## ", 1)[0]
+    shown = set(re.findall(r"`([^`]+)`", section))
+    tree = ast.parse(Path(config.__file__).read_text())
+    keys = {key.value for node in ast.walk(tree) if isinstance(node, ast.Dict)
+            for key, value in zip(node.keys, node.values)
+            if isinstance(key, ast.Constant) and isinstance(value, ast.Tuple)}
+    keys |= {f.name for cls in (LossWeights, TrainConfig, SolverConfig) for f in fields(cls)}
+    assert {"seed", "splits", "center_y", "rate", "bound", "parameter"} <= keys
+    assert keys <= shown, sorted(keys - shown)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -254,6 +255,34 @@ def test_zero_weight_penalty_records_no_tape_nodes():
     for name in ("Q_h", "Q_g", "Q_c", "Q_f"):
         nodes, loss = taped(every, weights(Q_x=1.0, Q_u=1.0, **{name: 1.0}))
         assert nodes > bare[0] and loss > bare[1], name
+
+
+@pytest.mark.parametrize("horizon", [1, 3])
+@pytest.mark.parametrize("constrained", [False, True], ids=["bare", "constrained"])
+@pytest.mark.parametrize("kind", obj.OBJECTIVE_KINDS)
+def test_weights_read_is_what_total_loss_reads(kind, constrained, horizon):
+    """Raising a weight ``weights_read`` lists changes the loss; raising any
+    other leaves it bit-identical."""
+    rng = np.random.default_rng(16)
+    states, actions = rng.normal(size=(4, horizon + 1, 2)), rng.normal(size=(4, horizon, 1))
+    split = kind == "split-tracking"
+    objective = obj.StageObjective(kind, track_indices=(1,) if split else (),
+                                   reference=const(0.3) if split else const(0.3, -0.2),
+                                   target=const(0.5, 0.5))
+    constraints = obj.ConstraintSet()
+    if constrained:  # every constraint violated somewhere in the batch
+        constraints = obj.ConstraintSet(state=[obj.BoxConstraint((-0.1, -0.1), (0.1, 0.1))],
+                                        inputs=[obj.BoxConstraint((-0.1,), (0.1,))],
+                                        contraction=obj.ContractionConstraint(0.5))
+    read = obj.weights_read(objective, constraints, horizon)
+    base = {name: 1.0 for name in read}
+
+    def loss(**raised):
+        w = weights(**{**base, **raised})
+        return obj.total_loss(states, actions, None, objective, constraints, w).total.item()
+
+    unchanged = {f.name for f in fields(obj.LossWeights) if loss(**{f.name: 3.0}) == loss()}
+    assert unchanged == {f.name for f in fields(obj.LossWeights)} - read
 
 
 def test_zero_terminal_weight_records_no_tape_node():
