@@ -6,9 +6,10 @@ success fraction into a distribution-free lower confidence bound on the true
 success probability via Hoeffding's inequality.  The policy certifies at
 level beta when that lower bound reaches beta.
 
-The indicator reads the residuals the training penalty reads: state and
-input constraints at steps 0..N-1, the terminal set at step N, each met
-when every residual is <= 0, so a trajectory that rides a boundary still
+The indicator reads the residuals the training penalty reads, on the
+blocks that ``objectives.rollout_blocks`` cuts for both: state and input
+constraints at steps 0..N-1, the terminal set at step N, each met when
+every residual is <= 0, so a trajectory that rides a boundary still
 passes.  Training margins and the contraction term shape the loss only and
 are not part of the pass/fail decision.
 """
@@ -22,6 +23,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from . import dynamics as dyn
+from .objectives import rollout_blocks
 
 
 def _rows_ok(residuals) -> np.ndarray:
@@ -35,18 +37,12 @@ def satisfied(states, actions, xi, constraints) -> np.ndarray:
     of ``constraints.checked()``; a scenario succeeds when its row is all True.
 
     ``states`` is (b, N+1, n_x), ``actions`` (b, N, n_u), ``xi`` (b, d) or
-    None.  State and input constraints apply at steps 0..N-1 only; the final
-    state answers to the terminal set instead.  Each constraint is checked
-    once over its whole time block.
+    None.  Each constraint is checked once over its part's block of
+    ``objectives.rollout_blocks``, the blocks the training loss charges.
     """
-    states = np.asarray(states, dtype=np.float64)
-    actions = np.asarray(actions, dtype=np.float64)
-    n_steps = actions.shape[1]
-    if states.shape[1] != n_steps + 1:
-        raise ValueError(f"{states.shape[1]} states do not bracket {n_steps} actions")
-    blocks = {"state": states[:, :-1, :], "inputs": actions, "terminal": states[:, -1:, :]}
+    blocks = rollout_blocks(states, actions)
     checked = constraints.checked()
-    passes = np.ones((states.shape[0], len(checked)), dtype=bool)
+    passes = np.ones((blocks["inputs"].values.shape[0], len(checked)), dtype=bool)
     for k, (part, c) in enumerate(checked):
         passes[:, k] = _rows_ok(c.residuals(blocks[part], xi))
     return passes

@@ -266,8 +266,9 @@ def main(argv=None) -> int:
             else:
                 artifacts = run_benchmark(cfg, seed, out, args.checkpoint,
                                           args.instances)
-    except (FileNotFoundError, ValueError) as err:
-        print(f"error: {err}", file=sys.stderr)
+    except (OSError, ValueError) as err:  # an OSError names its file
+        where = f"{err.filename}: {err.strerror}" if isinstance(err, OSError) else err
+        print(f"error: {where}", file=sys.stderr)
         return 1
     except TrainingDiverged as err:
         print(f"training failed: {err}", file=sys.stderr)

@@ -12,10 +12,10 @@ Value references appear wherever a quantity can vary per scenario: either
 parameter component.
 
 Every table is read against a spec that declares each key once, with its
-JSON type, default and lower bound.  An unknown or missing key, a wrong JSON
-type (``2.5``, ``"2"`` or ``true`` for an integer), a value below its bound,
-a NaN or an infinity, and a non-zero loss weight that nothing reads are all
-errors that name their JSON path.
+JSON type, default and lower bound.  An unknown, missing or repeated key, a
+wrong JSON type (``2.5``, ``"2"`` or ``true`` for an integer), a value below
+its bound, a NaN or an infinity, and a non-zero loss weight that nothing
+reads are all errors that name their JSON path.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .baseline import SolverConfig
 from .dynamics import MODES, LinearSystem, NoiseSpec, load_model
 from .objectives import (BallConstraint, BoxConstraint, Constant, ConstraintSet,
                          ContractionConstraint, EllipseKeepOut, LossWeights,
-                         StageObjective, weights_read)
+                         OBJECTIVES, StageObjective, weights_read)
 from .policy import PolicyArchitecture
 from .sampling import DistSpec, ParamSpec, split_ranges
 
@@ -112,17 +112,28 @@ def _fields(cls) -> dict:
     return {f.name: ({"int": int, "float": float}[f.type], f.default) for f in fields(cls)}
 
 
-def _reject_non_finite(node, where: str = "") -> None:
-    """Raise at the first number no float holds (``NaN``, ``Infinity``, ``1e999``,
-    an integer literal of 400 digits)."""
+_REPEATED = object()
+
+
+def _mark_repeats(pairs) -> dict:
+    """A JSON object as read, with ``_REPEATED`` for each key it holds more than once."""
+    keys = [key for key, _ in pairs]
+    return {key: _REPEATED if keys.count(key) > 1 else value for key, value in pairs}
+
+
+def _check_json(node, where: str = "") -> None:
+    """Raise at the first repeated key or number no float holds (``NaN``,
+    ``Infinity``, ``1e999``, an integer literal of 400 digits)."""
+    if node is _REPEATED:
+        raise ConfigError(f"{where}: duplicate key")
     if isinstance(node, (int, float)) and not abs(node) <= sys.float_info.max:
         raise ConfigError(f"{where}: must be finite, got {node}")
     if isinstance(node, dict):
         for key, value in node.items():
-            _reject_non_finite(value, f"{where}.{key}" if where else key)
+            _check_json(value, f"{where}.{key}" if where else key)
     elif isinstance(node, list):
         for pos, value in enumerate(node):
-            _reject_non_finite(value, f"{where}[{pos}]")
+            _check_json(value, f"{where}[{pos}]")
 
 
 # the distribution kinds, their vectors in DistSpec order
@@ -194,18 +205,25 @@ def _box(table: dict, dim: int, where: str) -> BoxConstraint:
         return BoxConstraint(table["lower"], table["upper"], margin=table["margin"])
 
 
+# the JSON type of each StageObjective field a kind may read (OBJECTIVES says which)
+_OBJECTIVE_FIELDS = {"track_indices": ([int], MISSING), "reference": (dict, MISSING),
+                     "target": (dict, MISSING)}
+
+
 def _objective(entry, params: ParamSpec, n_x: int) -> StageObjective:
-    table = _read(entry, "objective", {"kind": (str, MISSING), "track_indices": ([int], []),
-                                       "reference": (dict, None), "target": (dict, None)})
-    track = tuple(table["track_indices"])
-    if any(not 0 <= i < n_x for i in track):
-        raise ConfigError(f"objective.track_indices: indices must sit in [0, {n_x})")
-    expect = len(track) if table["kind"] == "split-tracking" else n_x
-    reference = _value_ref(table["reference"], params, "objective.reference", expect)
-    target = _value_ref(table["target"], params, "objective.target", n_x)
+    """The objective: its kind plus exactly the fields ``OBJECTIVES`` lists for it."""
+    table = _by_kind(entry, "objective", {kind: {name: _OBJECTIVE_FIELDS[name] for name in reads}
+                                          for kind, (reads, _) in OBJECTIVES.items()}, {})
+    track = tuple(table.get("track_indices", ()))
+    if "track_indices" in table and not (track and len(set(track)) == len(track)
+                                         and all(0 <= i < n_x for i in track)):
+        raise ConfigError(f"objective.track_indices: needs one or more distinct indices "
+                          f"in [0, {n_x}), got {list(track)}")
+    refs = {key: _value_ref(table[key], params, f"objective.{key}",
+                            len(track) if key == "reference" and track else n_x)
+            for key in ("reference", "target") if key in table}
     with _at("objective"):
-        return StageObjective(kind=table["kind"], track_indices=track,
-                              reference=reference, target=target)
+        return StageObjective(kind=table["kind"], track_indices=track, **refs)
 
 
 def _constraints(entry, params: ParamSpec, n_x: int, n_u: int) -> ConstraintSet:
@@ -254,12 +272,13 @@ def load_config(path) -> ExperimentConfig:
 
     path = Path(path)
     try:
-        raw = json.loads(path.read_text())
-    except FileNotFoundError as err:
-        raise ConfigError(f"config file not found: {path}") from err
+        raw = json.loads(path.read_text(), object_pairs_hook=_mark_repeats)
+    except OSError as err:  # missing, a directory, or not readable
+        raise ConfigError(f"{path}: cannot read ({err.strerror})") from err
     except ValueError as err:  # bad JSON or bytes, or an integer past Python's digit limit
         raise ConfigError(f"{path}: not valid JSON ({err})") from err
 
+    _check_json(raw)
     top = _read(raw, "config", {
         "name": (str, MISSING), "seed": (int, MISSING, 0), "mode": (str, MISSING),
         "horizon": (int, MISSING, 1), "model": (dict, MISSING), "noise": (dict, MISSING),
@@ -268,7 +287,6 @@ def load_config(path) -> ExperimentConfig:
         "terminal_set": (dict, MISSING), "weights": (dict, MISSING),
         "training": (dict, MISSING), "certification": (dict, {}),
         "simulation": (dict, {}), "benchmark": (dict, {})})
-    _reject_non_finite(raw)
     seed, mode, horizon = top["seed"], top["mode"], top["horizon"]
     if mode not in MODES:
         raise ConfigError(f"config.mode: unknown mode {mode!r}, have {MODES}")

@@ -14,7 +14,7 @@ on a tape (training) share the same arithmetic.  Each term is evaluated once
 over a whole (b, steps, n) time block rather than step by step, so a loss
 records a fixed number of tape nodes whatever the horizon.
 
-Objective kinds:
+Objective kinds (``OBJECTIVES`` lists the fields and weights each reads):
   * ``stabilization``: quadratic state + action cost.
   * ``tracking``: quadratic distance to a reference + action cost.
   * ``split-tracking``: track selected state components, damp the rest.
@@ -30,7 +30,15 @@ import numpy as np
 
 from . import autodiff as ad
 
-OBJECTIVE_KINDS = ("stabilization", "tracking", "split-tracking", "terminal-smoothing")
+# each objective kind: the StageObjective fields it reads, and the LossWeights
+# its cost reads (Q_du from a horizon of 2 on)
+OBJECTIVES = {"stabilization": ((), ("Q_x", "Q_u")),
+              "tracking": (("reference",), ("Q_r", "Q_u")),
+              "split-tracking": (("track_indices", "reference"), ("Q_r", "Q_x")),
+              "terminal-smoothing": (("target",), ("Q_r", "Q_du", "Q_dx", "Q_u"))}
+
+# the weight that charges each constraint part
+PART_WEIGHTS = {"state": "Q_h", "inputs": "Q_g", "terminal": "Q_f"}
 
 
 @dataclass(frozen=True)
@@ -261,53 +269,65 @@ class StageObjective:
     target: Constant | XiSlice | None = None     # terminal-smoothing end state
 
     def __post_init__(self):
-        if self.kind not in OBJECTIVE_KINDS:
+        if self.kind not in OBJECTIVES:
             raise ValueError(f"unknown objective kind {self.kind!r}")
-        if self.kind == "tracking" and self.reference is None:
-            raise ValueError("tracking objective needs a reference")
-        if self.kind == "split-tracking" and (not self.track_indices or self.reference is None):
-            raise ValueError("split-tracking needs track_indices and a reference")
-        if self.kind == "terminal-smoothing" and self.target is None:
-            raise ValueError("terminal-smoothing needs a target")
+        missing = [name for name in OBJECTIVES[self.kind][0] if not getattr(self, name)]
+        if missing:
+            raise ValueError(f"{self.kind} objective needs {' and '.join(missing)}")
         object.__setattr__(self, "track_indices", tuple(int(i) for i in self.track_indices))
 
 
-# the weights each objective kind's cost reads (Q_du from a horizon of 2 on)
-OBJECTIVE_WEIGHTS = {"stabilization": ("Q_x", "Q_u"), "tracking": ("Q_r", "Q_u"),
-                     "split-tracking": ("Q_r", "Q_x"),
-                     "terminal-smoothing": ("Q_r", "Q_du", "Q_dx", "Q_u")}
-
-
 def weights_read(objective: StageObjective, constraints: ConstraintSet, horizon: int) -> set:
-    """The LossWeights fields ``total_loss`` reads: the objective's, Q_f, and
-    Q_h, Q_g and Q_c where there is a state, input or contraction constraint."""
-    read = {"Q_f", *OBJECTIVE_WEIGHTS[objective.kind]} - ({"Q_du"} if horizon == 1 else set())
-    return read | {name for name, on in (("Q_h", constraints.state), ("Q_g", constraints.inputs),
-                                         ("Q_c", constraints.contraction)) if on}
+    """The LossWeights fields ``total_loss`` reads: the objective's, Q_f, the
+    weight of each part with a constraint, and Q_c with a contraction."""
+    read = {"Q_f", *OBJECTIVES[objective.kind][1]} - ({"Q_du"} if horizon == 1 else set())
+    read |= {PART_WEIGHTS[part] for part, _ in constraints.checked()}
+    return read | ({"Q_c"} if constraints.contraction else set())
 
 
-def stage_cost(objective: StageObjective, weights: LossWeights, x, u, xi=None):
-    """Stage cost summed over the batch: x (b, n_x) and u (b, n_u) at one
-    step, or (b, steps, n_x) and (b, steps, n_u) blocks summed over time."""
-    xv, uv = ad.as_tensor(x), ad.as_tensor(u)
-    if xv.values.ndim == 1:
-        raise ValueError("stage_cost expects batched (b, n) inputs")
-    batch = xv.values.shape[0]
-    if objective.kind == "stabilization":
-        return ad.add(ad.sumsq(xv, weights.Q_x), ad.sumsq(uv, weights.Q_u))
+def rollout_blocks(states, actions) -> dict:
+    """The blocks of a (b, N+1, n_x) state and (b, N, n_u) action rollout, eager
+    or taped: the parts ``state`` x_0..x_{N-1}, ``inputs`` u and ``terminal``
+    x_N that the loss and the indicator read, and ``next`` x_1..x_N."""
+    states, actions = ad.as_tensor(states), ad.as_tensor(actions)
+    if states.values.ndim != 3 or actions.values.ndim != 3:
+        raise ValueError(f"expected (b, N+1, n_x) states and (b, N, n_u) actions, "
+                         f"got {states.shape} and {actions.shape}")
+    batch, horizon = actions.values.shape[:2]
+    if states.values.shape[:2] != (batch, horizon + 1):
+        raise ValueError(f"states {states.shape} do not bracket actions {actions.shape}")
+    return {"state": ad.narrow(states, 1, 0, horizon), "inputs": actions,
+            "next": ad.narrow(states, 1, 1, horizon + 1),
+            "terminal": ad.narrow(states, 1, horizon, horizon + 1)}
+
+
+def objective_cost(objective: StageObjective, weights: LossWeights, blocks: dict, xi=None):
+    """The objective's cost summed over the batch and the horizon, from the
+    ``rollout_blocks`` of a rollout and the (b, d) parameter block ``xi``."""
+    x, u = blocks["state"], blocks["inputs"]
+    batch, horizon = u.values.shape[:2]
     if objective.kind in ("tracking", "split-tracking"):
-        ref = _per_scenario(objective.reference.resolve(xi, batch), xv.values.ndim)
-    if objective.kind == "tracking":
-        return ad.add(ad.sumsq(ad.subtract(ref, xv), weights.Q_r), ad.sumsq(uv, weights.Q_u))
-    if objective.kind == "split-tracking":
+        ref = _per_scenario(objective.reference.resolve(xi, batch), 3)
+    if objective.kind == "stabilization":
+        terms = [ad.sumsq(x, weights.Q_x), ad.sumsq(u, weights.Q_u)]
+    elif objective.kind == "tracking":
+        terms = [ad.sumsq(ad.subtract(ref, x), weights.Q_r), ad.sumsq(u, weights.Q_u)]
+    elif objective.kind == "split-tracking":
         # Q_r on the tracked components' error, Q_x on every other component
         cols = list(objective.track_indices)
-        target = np.zeros(ref.shape[:-1] + xv.values.shape[-1:])
+        target = np.zeros(ref.shape[:-1] + x.values.shape[-1:])
         target[..., cols] = ref
-        column_weight = np.full(xv.values.shape[-1], weights.Q_x)
+        column_weight = np.full(x.values.shape[-1], weights.Q_x)
         column_weight[cols] = weights.Q_r
-        return ad.reduce_sum(ad.multiply(ad.square(ad.subtract(xv, target)), column_weight))
-    raise ValueError(f"{objective.kind} has no per-stage cost")
+        terms = [ad.reduce_sum(ad.multiply(ad.square(ad.subtract(x, target)), column_weight))]
+    else:  # terminal-smoothing: reach the target at step N with smooth increments
+        target = _per_scenario(objective.target.resolve(xi, batch), 3)
+        terms = [ad.sumsq(ad.subtract(blocks["terminal"], target), weights.Q_r)]
+        if horizon > 1:
+            du = ad.subtract(ad.narrow(u, 1, 1, horizon), ad.narrow(u, 1, 0, horizon - 1))
+            terms.append(ad.sumsq(du, weights.Q_du))
+        terms += [ad.sumsq(ad.subtract(blocks["next"], x), weights.Q_dx), ad.sumsq(u, weights.Q_u)]
+    return _sum(terms)
 
 
 @dataclass
@@ -335,45 +355,24 @@ def total_loss(states, actions, xi, objective, constraints, weights) -> LossPart
 
     ``states`` (b, N+1, n_x) and ``actions`` (b, N, n_u) are the blocks from
     ``rollout_tensors`` (tensors or plain arrays); ``xi`` is the (b, d)
-    parameter block or None.  Stage costs and penalties apply at steps
-    0..N-1, the terminal terms at step N.  A penalty whose weight is 0 is
-    not built, so it records no tape nodes.
+    parameter block or None.  Each constraint is charged on its part's
+    ``rollout_blocks`` block with that part's ``PART_WEIGHTS`` weight.  A
+    penalty whose weight is 0 is not built, so it records no tape nodes.
     """
-    states, actions = ad.as_tensor(states), ad.as_tensor(actions)
-    if states.values.ndim != 3 or actions.values.ndim != 3:
-        raise ValueError(f"expected (b, N+1, n_x) states and (b, N, n_u) actions, "
-                         f"got {states.shape} and {actions.shape}")
-    batch, horizon = actions.values.shape[:2]
-    if states.values.shape[:2] != (batch, horizon + 1):
-        raise ValueError(f"states {states.shape} do not bracket actions {actions.shape}")
+    blocks = rollout_blocks(states, actions)
+    batch, horizon = blocks["inputs"].values.shape[:2]
     norm = 1.0 / (batch * horizon)
-    running = ad.narrow(states, 1, 0, horizon)              # x_0 .. x_{N-1}
-    after = ad.narrow(states, 1, 1, horizon + 1)            # x_1 .. x_N
-    final = ad.narrow(states, 1, horizon, horizon + 1)      # x_N, (b, 1, n_x)
+    obj = objective_cost(objective, weights, blocks, xi)
 
-    if objective.kind == "terminal-smoothing":
-        target = _per_scenario(objective.target.resolve(xi, batch), 3)
-        terms = [ad.sumsq(ad.subtract(final, target), weights.Q_r)]
-        if horizon > 1:
-            du = ad.subtract(ad.narrow(actions, 1, 1, horizon),
-                             ad.narrow(actions, 1, 0, horizon - 1))
-            terms.append(ad.sumsq(du, weights.Q_du))
-        terms.append(ad.sumsq(ad.subtract(after, running), weights.Q_dx))
-        terms.append(ad.sumsq(actions, weights.Q_u))
-        obj = _sum(terms)
-    else:
-        obj = stage_cost(objective, weights, running, actions, xi)
-
-    blocks = {"state": running, "inputs": actions, "terminal": final}
-    weight = {"state": weights.Q_h, "inputs": weights.Q_g, "terminal": weights.Q_f}
     terms = {"state": [], "inputs": [],
-             "terminal": [ad.sumsq(final, weights.Q_f)] if weights.Q_f else []}
+             "terminal": [ad.sumsq(blocks["terminal"], weights.Q_f)] if weights.Q_f else []}
     for part, c in constraints.checked():
-        if weight[part]:
-            terms[part].append(penalty(c.residuals(blocks[part], xi), weight[part], c.margin))
+        weight = getattr(weights, PART_WEIGHTS[part])
+        if weight:
+            terms[part].append(penalty(c.residuals(blocks[part], xi), weight, c.margin))
     if constraints.contraction is not None and weights.Q_c:
-        terms["state"].append(
-            penalty(constraints.contraction.residuals(running, after), weights.Q_c))
+        terms["state"].append(penalty(
+            constraints.contraction.residuals(blocks["state"], blocks["next"]), weights.Q_c))
 
     obj = ad.scale(obj, norm)
     sp, ip, term = (ad.scale(_sum(terms[part]), norm) for part in ("state", "inputs", "terminal"))

@@ -147,9 +147,9 @@ def save_checkpoint(policy: MlpPolicy, path, seed: int | None = None) -> None:
 
 
 def load_checkpoint(path) -> MlpPolicy:
-    with open(path) as fh:
-        doc = json.load(fh)
     try:
+        with open(path) as fh:
+            doc = json.load(fh)
         version = doc["version"]
         if version != CHECKPOINT_VERSION:
             raise ValueError(f"unsupported checkpoint version {version}")
@@ -163,8 +163,8 @@ def load_checkpoint(path) -> MlpPolicy:
             (np.asarray(layer["W"], dtype=np.float64), np.asarray(layer["b"], dtype=np.float64))
             for layer in doc["layers"]
         ]
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed checkpoint {path}: {exc}") from None
+    except (KeyError, TypeError, ValueError) as exc:  # bad JSON, or a key or value amiss
+        raise ValueError(f"{path}: malformed checkpoint ({exc})") from None
     expected = arch.layer_dims
     if len(layers) != len(expected):
         raise ValueError(f"checkpoint has {len(layers)} layers, architecture wants {len(expected)}")

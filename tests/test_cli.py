@@ -97,6 +97,33 @@ class TestExitCodes:
                    "--checkpoint", str(tmp_path / "ghost.json")) == 1
         assert "error" in capsys.readouterr().err
 
+    def test_duplicate_key_named_by_its_path(self, tmp_path, capsys):
+        path = micro_config(tmp_path)
+        path.write_text(path.read_text().replace('"m": 12,', '"m": 200, "m": 12,'))
+        assert run("train", "--config", str(path), "--out", str(tmp_path / "out")) == 1
+        assert capsys.readouterr().err == "config error: scenarios.m: duplicate key\n"
+
+    def test_directory_as_config(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run("train", "--config", str(tmp_path), "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err == f"config error: {tmp_path}: cannot read (Is a directory)\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("checkpoint, message", [
+        ("ckpt", "Is a directory"),
+        ("broken.json",
+         "malformed checkpoint (Expecting ',' delimiter: line 2 column 1 (char 14))"),
+    ], ids=["directory", "broken-json"])
+    def test_unreadable_checkpoint_is_one_error_line(self, tmp_path, capsys, checkpoint, message):
+        (tmp_path / "ckpt").mkdir()
+        (tmp_path / "broken.json").write_text('{"version": 1\n"arch": {}}')
+        out = tmp_path / "out"
+        assert run("certify", "--config", str(micro_config(tmp_path)), "--out", str(out),
+                   "--checkpoint", str(tmp_path / checkpoint)) == 1
+        assert capsys.readouterr().err == f"error: {tmp_path / checkpoint}: {message}\n"
+        assert not (out / "manifest.json").exists()
+
     @pytest.mark.parametrize("argv", [
         ("simulate", "--count", "0"),
         ("simulate", "--count", "-3"),
@@ -194,6 +221,21 @@ class TestExitCodes:
          "scenarios.splits: fractions must be positive, got [0.5, 0.0, 0.5]"),
         (("scenarios", "splits"), [0.001, 0.5, 0.499],
          "scenarios.splits: fraction produces an empty split (0:0 of m=200)"),
+        (("objective",), {"kind": "stabilization", "reference": {"constant": [1.0, 0.0]}},
+         "objective.reference: unknown field, expected one of ['kind']"),
+        (("objective",), {"kind": "stabilization", "track_indices": [0]},
+         "objective.track_indices: unknown field, expected one of ['kind']"),
+        (("objective",), {"kind": "terminal-smoothing", "target": {"constant": [0.0, 0.0]},
+                          "reference": {"constant": [0.0, 0.0]}},
+         "objective.reference: unknown field, expected one of ['kind', 'target']"),
+        (("objective",), {"kind": "split-tracking", "reference": {"constant": [1.0]}},
+         "objective.track_indices: missing"),
+        (("objective",), {"kind": "split-tracking", "track_indices": [1, 1],
+                          "reference": {"constant": [1.0, 5.0]}},
+         "objective.track_indices: needs one or more distinct indices in [0, 2), got [1, 1]"),
+        (("objective",), {"kind": "split-tracking", "track_indices": [],
+                          "reference": {"constant": []}},
+         "objective.track_indices: needs one or more distinct indices in [0, 2), got []"),
     ])
     def test_malformed_field_is_one_config_error_line(self, tmp_path, capsys, keys, value,
                                                       message):

@@ -9,8 +9,8 @@ import pytest
 from spdpc import config
 from spdpc.baseline import SolverConfig
 from spdpc.config import ConfigError, load_config
-from spdpc.objectives import (BallConstraint, BoxConstraint, Constant, EllipseKeepOut,
-                              LossWeights)
+from spdpc.objectives import (OBJECTIVES, BallConstraint, BoxConstraint, Constant,
+                              EllipseKeepOut, LossWeights, StageObjective)
 from spdpc.policy import param_count
 from spdpc.sampling import XiSlice
 from spdpc.trainer import TrainConfig
@@ -147,7 +147,7 @@ class TestRejection:
             load_config(write(tmp_path, table))
 
     def test_missing_file(self, tmp_path):
-        with pytest.raises(ConfigError, match="not found"):
+        with pytest.raises(ConfigError, match=r"nope\.json: cannot read \(No such file"):
             load_config(tmp_path / "nope.json")
 
     def test_bad_json(self, tmp_path):
@@ -366,3 +366,16 @@ def test_readme_schema_names_every_key_the_reader_accepts():
     keys |= {f.name for cls in (LossWeights, TrainConfig, SolverConfig) for f in fields(cls)}
     assert {"seed", "splits", "center_y", "rate", "bound", "parameter"} <= keys
     assert keys <= shown, sorted(keys - shown)
+
+
+@pytest.mark.parametrize("kind", OBJECTIVES)
+def test_readme_objective_entry_names_what_the_kind_reads(kind):
+    """README's entry for each objective kind names, among the objective's
+    fields and the loss weights, exactly those ``OBJECTIVES`` lists for it."""
+    readme = (CONFIG_DIR.parent / "README.md").read_text()
+    section = readme.split("\n## Config schema\n", 1)[1].split("\n## ", 1)[0]
+    entry = re.search(rf"^  - `{kind}`:(.*?)(?=^ *- |\Z)", section, re.M | re.S)
+    assert entry, f"README's Config schema has no entry for {kind}"
+    names = {f.name for cls in (StageObjective, LossWeights) for f in fields(cls)} - {"kind"}
+    reads, weights = OBJECTIVES[kind]
+    assert set(re.findall(r"`([^`]+)`", entry.group(1))) & names == {*reads, *weights}

@@ -28,6 +28,12 @@ def blocks(states, actions):
     return np.stack(states, axis=1), np.stack(actions, axis=1)
 
 
+def step_cost(objective, w, x, u):
+    """``objective_cost`` of one step from the (b, n_x) states x under the
+    (b, n_u) actions u; the final state is zero and unread by these kinds."""
+    return obj.objective_cost(objective, w, obj.rollout_blocks(*blocks([x, 0 * x], [u])))
+
+
 # ---------------------------------------------------------------------------
 # weights and refs
 
@@ -137,19 +143,19 @@ def test_keepout_reads_parameters_from_xi():
 
 
 # ---------------------------------------------------------------------------
-# stage costs: hand values
+# objective costs: hand values
 
 def test_stabilization_stage_cost_hand_value():
     w = weights(Q_x=5.0, Q_u=0.2)
     s = obj.StageObjective("stabilization")
-    got = obj.stage_cost(s, w, np.array([[1.0, 1.0]]), np.array([[1.0]]))
+    got = step_cost(s, w, np.array([[1.0, 1.0]]), np.array([[1.0]]))
     assert got.item() == pytest.approx(10.2, abs=1e-12)
 
 
 def test_tracking_cost_zero_on_reference():
     w = weights(Q_r=3.0, Q_u=0.5)
     s = obj.StageObjective("tracking", reference=const(1.0, -1.0))
-    got = obj.stage_cost(s, w, np.array([[1.0, -1.0]]), np.array([[2.0]]))
+    got = step_cost(s, w, np.array([[1.0, -1.0]]), np.array([[2.0]]))
     assert got.item() == pytest.approx(0.5 * 4.0, abs=1e-12)
 
 
@@ -158,10 +164,10 @@ def test_split_tracking_zero_when_on_track_and_rest_zero():
     s = obj.StageObjective("split-tracking", track_indices=(2,), reference=const(1.0))
     x = np.zeros((1, 4))
     x[0, 2] = 1.0
-    got = obj.stage_cost(s, w, x, np.zeros((1, 2)))
+    got = step_cost(s, w, x, np.zeros((1, 2)))
     assert got.item() == pytest.approx(0.0, abs=1e-15)
     x[0, 0] = 2.0  # untracked component now costs Q_x * 4
-    got = obj.stage_cost(s, w, x, np.zeros((1, 2)))
+    got = step_cost(s, w, x, np.zeros((1, 2)))
     assert got.item() == pytest.approx(20.0, abs=1e-12)
 
 
@@ -172,6 +178,16 @@ def test_objective_validation():
         obj.StageObjective("tracking")
     with pytest.raises(ValueError, match="target"):
         obj.StageObjective("terminal-smoothing")
+
+
+@pytest.mark.parametrize("kind", obj.OBJECTIVES)
+def test_objective_rejects_each_missing_field_it_reads(kind):
+    given = {"track_indices": (1,), "reference": const(0.3), "target": const(0.5, 0.5)}
+    reads = obj.OBJECTIVES[kind][0]
+    obj.StageObjective(kind, **{name: given[name] for name in reads})
+    for name in reads:
+        with pytest.raises(ValueError, match=f"{kind} objective needs {name}"):
+            obj.StageObjective(kind, **{other: given[other] for other in reads if other != name})
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +275,7 @@ def test_zero_weight_penalty_records_no_tape_nodes():
 
 @pytest.mark.parametrize("horizon", [1, 3])
 @pytest.mark.parametrize("constrained", [False, True], ids=["bare", "constrained"])
-@pytest.mark.parametrize("kind", obj.OBJECTIVE_KINDS)
+@pytest.mark.parametrize("kind", obj.OBJECTIVES)
 def test_weights_read_is_what_total_loss_reads(kind, constrained, horizon):
     """Raising a weight ``weights_read`` lists changes the loss; raising any
     other leaves it bit-identical."""
@@ -456,7 +472,7 @@ def test_split_tracking_reference_follows_track_index_order():
     w = weights(Q_r=1.0, Q_x=1.0)
     s = obj.StageObjective("split-tracking", track_indices=(3, 1), reference=const(2.0, -1.0))
     x = np.array([[0.0, -1.0, 0.0, 2.0]])
-    assert obj.stage_cost(s, w, x, np.zeros((1, 1))).item() == 0.0
+    assert step_cost(s, w, x, np.zeros((1, 1))).item() == 0.0
 
 
 # ---------------------------------------------------------------------------
