@@ -25,7 +25,7 @@ from . import autodiff as ad
 from . import dynamics as dyn
 from . import objectives as obj
 from . import policy as pol
-from .sampling import write_csv
+from .files import write_csv
 
 
 # line search: the first trial step, the Armijo sufficient-decrease constant,

@@ -16,13 +16,13 @@ are not part of the pass/fail decision.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from . import dynamics as dyn
+from .files import write_json
 from .objectives import rollout_blocks
 
 
@@ -110,7 +110,5 @@ def run_certification(policy, model, scenarios, constraints, terminal, mode,
 
 
 def save_report(report: CertificationReport, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(asdict(report), fh, indent=1)
-        fh.write("\n")
+    write_json(path, asdict(report))
 

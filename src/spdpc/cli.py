@@ -17,11 +17,12 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import json
 import os
 import sys
 import time
 from pathlib import Path
+
+from .files import write_csv, write_json
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -69,9 +70,7 @@ def _write_manifest(out: Path, command: str, config_path: Path, seed: int,
         "artifacts": sorted(str(a) for a in artifacts),
         "created_unix_ns": time.time_ns(),
     }
-    with open(out / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=1)
-        fh.write("\n")
+    write_json(out / "manifest.json", manifest)
 
 
 def _sampled_splits(cfg, seed):
@@ -118,7 +117,6 @@ def run_certify(cfg, seed: int, out: Path, checkpoint: str):
 
     from .certify import certify, empirical_risk, save_report
     from .policy import load_checkpoint
-    from .sampling import write_csv
 
     policy = load_checkpoint(checkpoint)
     _, _, test_set = _sampled_splits(cfg, seed)
@@ -146,7 +144,6 @@ def run_simulate(cfg, seed: int, out: Path, checkpoint: str,
     from . import svg
     from .dynamics import simulate
     from .policy import load_checkpoint
-    from .sampling import write_csv
 
     policy = load_checkpoint(checkpoint)
     count = cfg.sim_count if count is None else count
@@ -182,9 +179,7 @@ def run_simulate(cfg, seed: int, out: Path, checkpoint: str,
         "state_violation_max": worst["state"],
         "terminal_violation_max": worst["terminal"],
     }
-    with open(out / "summary.json", "w") as fh:
-        json.dump(summary, fh, indent=1)
-        fh.write("\n")
+    write_json(out / "summary.json", summary)
 
     for block, sym, word in ((states, "x", "state"), (actions, "u", "input")):
         ks = np.arange(block.shape[1])
@@ -251,10 +246,10 @@ def main(argv=None) -> int:
         return 1
     seed = cfg.seed if args.seed is None else args.seed
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
 
-    # a run that leaves the floats ends in one error line, not numpy warnings
     try:
+        out.mkdir(parents=True, exist_ok=True)
+        # a run that leaves the floats ends in one error line, not numpy warnings
         with np.errstate(over="ignore", invalid="ignore"):
             if args.command == "train":
                 artifacts = run_train(cfg, seed, out, args.checkpoint_every)

@@ -24,7 +24,6 @@ State-feedback mode runs the recursion x' = x A^T + u B^T + w, and
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass, field
 
@@ -52,11 +51,6 @@ class LinearSystem:
             raise ValueError(f"A must be square, got {self.A.shape}")
         if self.B.ndim != 2 or self.B.shape[0] != self.A.shape[0]:
             raise ValueError(f"B must be ({self.A.shape[0]}, n_u), got {self.B.shape}")
-        for name, matrix in (("A", self.A), ("B", self.B)):
-            bad = np.argwhere(~np.isfinite(matrix))
-            if bad.size:
-                i, j = bad[0]
-                raise ValueError(f"{name}[{i}][{j}]: must be finite, got {matrix[i, j]}")
         rank = controllability_rank(self.A, self.B)
         if rank < self.n_x:
             warnings.warn(
@@ -99,18 +93,6 @@ def controllability_rank(A, B) -> int:
         blocks.append(block)
         block = A @ block
     return int(np.linalg.matrix_rank(np.hstack(blocks)))
-
-
-def load_model(path) -> LinearSystem:
-    """Read a model fixture: JSON with dense "A" and "B" matrices."""
-    with open(path) as fh:
-        doc = json.load(fh)
-    try:
-        return LinearSystem(np.asarray(doc["A"]), np.asarray(doc["B"]))
-    except KeyError as exc:
-        raise ValueError(f"model fixture {path} is missing key {exc}") from None
-    except ValueError as exc:
-        raise ValueError(f"model fixture {path}: {exc}") from None
 
 
 @dataclass

@@ -10,13 +10,13 @@ and deployed passes give the same bits and a decision needs no autodiff.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field
 
 import numpy as np
 
 from . import autodiff as ad
 from . import rng as _rng
+from .files import at, read_json, read_table, write_json
 
 CHECKPOINT_VERSION = 1
 
@@ -141,39 +141,28 @@ def save_checkpoint(policy: MlpPolicy, path, seed: int | None = None) -> None:
         "seed": policy.arch.seed if seed is None else int(seed),
         "version": CHECKPOINT_VERSION,
     }
-    with open(path, "w") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
+    write_json(path, doc, indent=None)
 
 
 def load_checkpoint(path) -> MlpPolicy:
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-        version = doc["version"]
-        if version != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {version}")
-        arch = PolicyArchitecture(
-            input_dim=int(doc["arch"]["input_dim"]),
-            hidden=tuple(doc["arch"]["hidden"]),
-            output_dim=int(doc["arch"]["output_dim"]),
-            seed=int(doc["arch"]["seed"]),
-        )
-        layers = [
-            (np.asarray(layer["W"], dtype=np.float64), np.asarray(layer["b"], dtype=np.float64))
-            for layer in doc["layers"]
-        ]
-    except (KeyError, TypeError, ValueError) as exc:  # bad JSON, or a key or value amiss
-        raise ValueError(f"{path}: malformed checkpoint ({exc})") from None
-    expected = arch.layer_dims
-    if len(layers) != len(expected):
-        raise ValueError(f"checkpoint has {len(layers)} layers, architecture wants {len(expected)}")
-    for k, ((w, b), (rows, cols)) in enumerate(zip(layers, expected)):
-        if w.shape != (rows, cols) or b.shape != (rows,):
-            raise ValueError(
-                f"layer {k}: shapes W{w.shape} b{b.shape} do not match ({rows}, {cols})"
-            )
-        for name, values in (("W", w), ("b", b)):
-            if not np.all(np.isfinite(values)):
-                raise ValueError(f"checkpoint {path}: layer {k} {name} is not finite")
+    """The policy in a checkpoint file; an error names the file and the JSON path."""
+    doc = read_json(path)
+    with at(path, "malformed checkpoint ({})"):
+        top = read_table(doc, "", {"version": (int, MISSING), "arch": (dict, MISSING),
+                                   "layers": ([dict], MISSING), "seed": (int, MISSING)})
+        if top["version"] != CHECKPOINT_VERSION:
+            raise ValueError(f"version: unsupported checkpoint version {top['version']}")
+        arch = PolicyArchitecture(**read_table(top["arch"], "arch", {
+            "input_dim": (int, MISSING), "hidden": ([int], MISSING),
+            "output_dim": (int, MISSING), "seed": (int, MISSING)}))
+        layers = [tuple(np.asarray(v, dtype=np.float64) for v in read_table(
+            layer, f"layers[{k}]", {"W": ([[float]], MISSING), "b": ([float], MISSING)}).values())
+            for k, layer in enumerate(top["layers"])]
+        expected = arch.layer_dims
+        if len(layers) != len(expected):
+            raise ValueError(f"layers: has {len(layers)}, the architecture wants {len(expected)}")
+        for k, ((w, b), (rows, cols)) in enumerate(zip(layers, expected)):
+            if w.shape != (rows, cols) or b.shape != (rows,):
+                raise ValueError(f"layer {k}: shapes W{w.shape} b{b.shape} do not match "
+                                 f"({rows}, {cols})")
     return MlpPolicy(arch, layers)

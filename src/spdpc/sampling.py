@@ -14,7 +14,6 @@ index so no initial condition leaks between train, dev and test.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -206,15 +205,3 @@ def split(scenarios: ScenarioSet, fractions) -> list[ScenarioSet]:
                         scenarios.omega, scenarios.seed,
                         indices=scenarios.indices[start:stop].copy())
             for start, stop in split_ranges(fractions, scenarios.m)]
-
-
-# ---------------------------------------------------------------------------
-# CSV artifacts: history, indicator, simulation and benchmark tables
-
-def write_csv(path, header, rows):
-    """CSV with a header row; floats go through repr so a reread is exact."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([repr(float(v)) if isinstance(v, float) else v for v in row])

@@ -24,7 +24,7 @@ from . import dynamics as dyn
 from . import objectives as obj
 from . import policy as pol
 from . import rng as _rng
-from .sampling import write_csv
+from .files import write_csv
 
 
 class TrainingDiverged(RuntimeError):

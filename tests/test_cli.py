@@ -111,9 +111,8 @@ class TestExitCodes:
         assert not out.exists()
 
     @pytest.mark.parametrize("checkpoint, message", [
-        ("ckpt", "Is a directory"),
-        ("broken.json",
-         "malformed checkpoint (Expecting ',' delimiter: line 2 column 1 (char 14))"),
+        ("ckpt", "cannot read (Is a directory)"),
+        ("broken.json", "not valid JSON (Expecting ',' delimiter: line 2 column 1 (char 14))"),
     ], ids=["directory", "broken-json"])
     def test_unreadable_checkpoint_is_one_error_line(self, tmp_path, capsys, checkpoint, message):
         (tmp_path / "ckpt").mkdir()
@@ -123,6 +122,67 @@ class TestExitCodes:
                    "--checkpoint", str(tmp_path / checkpoint)) == 1
         assert capsys.readouterr().err == f"error: {tmp_path / checkpoint}: {message}\n"
         assert not (out / "manifest.json").exists()
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: doc["arch"].update(input_dim=2.5),
+         "arch.input_dim: expected an integer, got 2.5"),
+        (lambda doc: doc["arch"].update(hidden=[20.7]),
+         "arch.hidden[0]: expected an integer, got 20.7"),
+        (lambda doc: doc["arch"].update(seed="5"), 'arch.seed: expected an integer, got "5"'),
+        (lambda doc: doc.update(version=True), "version: expected an integer, got true"),
+        (lambda doc: doc["layers"][1].update(b=["0.0"]),
+         'layers[1].b[0]: expected a number, got "0.0"'),
+        (lambda doc: doc["layers"][1].update(b=[True]),
+         "layers[1].b[0]: expected a number, got true"),
+        (lambda doc: doc.update(created="today"),
+         "created: unknown field, expected one of ['arch', 'layers', 'seed', 'version']"),
+        ("repeated W", "layers[0].W: duplicate key"),
+    ], ids=["int-as-float", "hidden-float", "seed-string", "version-bool", "b-string",
+            "b-bool", "unknown-key", "repeated-key"])
+    def test_malformed_checkpoint_names_file_and_path(self, tmp_path, capsys, edit, message):
+        path = micro_config(tmp_path)
+        checkpoint = tmp_path / "policy.json"
+        save_checkpoint(init_policy(load_config(path).arch), checkpoint)
+        if callable(edit):
+            doc = json.loads(checkpoint.read_text())
+            edit(doc)
+            checkpoint.write_text(json.dumps(doc))
+        else:
+            checkpoint.write_text(checkpoint.read_text().replace('{"W": ', '{"W": [], "W": ', 1))
+        out = tmp_path / "out"
+        assert run("certify", "--config", str(path), "--out", str(out),
+                   "--checkpoint", str(checkpoint)) == 1
+        assert capsys.readouterr().err == \
+            f"error: {checkpoint}: malformed checkpoint ({message})\n"
+        assert not (out / "manifest.json").exists()
+
+    @pytest.mark.parametrize("fixture, message", [
+        ('{"A": [["1.0", 0.1], [0.0, 1.0]], "B": [[0.0], [0.1]]}',
+         'A[0][0]: expected a number, got "1.0"'),
+        ('{"A": [[1.0, 0.1], [0.0, 1.0]], "B": [[0.0], [true]]}',
+         "B[1][0]: expected a number, got true"),
+        ('{"A": [[1.0, 0.1], [0.0, 1.0]], "B": [[0.0], [0.1]], "C": [[1.0]]}',
+         "C: unknown field, expected one of ['A', 'B', 'source']"),
+        ('{"A": [[0.0]], "A": [[1.0, 0.1], [0.0, 1.0]], "B": [[0.0], [0.1]]}',
+         "A: duplicate key"),
+    ], ids=["string-in-A", "bool-in-B", "unknown-key", "repeated-key"])
+    def test_malformed_model_fixture_names_file_and_path(self, tmp_path, capsys, fixture,
+                                                         message):
+        (tmp_path / "model.json").write_text(fixture)
+        path = micro_config(tmp_path, model={"file": "model.json"})
+        assert run("train", "--config", str(path), "--out", str(tmp_path / "out")) == 1
+        assert capsys.readouterr().err == \
+            f"config error: {tmp_path / 'model.json'}: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("where, reason", [("taken", "File exists"),
+                                               ("taken/sub", "Not a directory")])
+    def test_out_that_cannot_be_a_directory(self, tmp_path, capsys, where, reason):
+        (tmp_path / "taken").write_text("a file\n")
+        out = tmp_path / where
+        assert run("train", "--config", str(micro_config(tmp_path)), "--out", str(out)) == 1
+        assert capsys.readouterr().err == f"error: {out}: {reason}\n"
+        assert (tmp_path / "taken").read_text() == "a file\n"
 
     @pytest.mark.parametrize("argv", [
         ("simulate", "--count", "0"),
@@ -161,7 +221,7 @@ class TestExitCodes:
             fixture.write_text(json.dumps({"A": [[1.0, bad], [0.0, 1.0]], "B": [[0.0], [0.1]]})
                                .replace(f'"{bad}"', literal))
             table["model"] = {"file": fixture.name}
-            expect = f"model: model fixture {fixture}: A[0][1]: must be finite, got {shown}"
+            expect = f"{fixture}: A[0][1]: must be finite, got {shown}"
         else:
             node = table
             for key in keys[:-1]:

@@ -189,7 +189,8 @@ class TestRejection:
         path.write_text(f'{{"A": [[1.0, {huge}], [0.0, 1.0]], "B": [[0.0], [0.1]]}}')
         table = base_config()
         table["model"] = {"file": path.name}
-        self.check(tmp_path, table, "^model: int too large to convert to float$")
+        self.check(tmp_path, table, rf"^{re.escape(str(path))}: A\[0\]\[1\]: must be finite, "
+                                    rf"got {huge}$")
         path = tmp_path / "experiment.json"
         path.write_text(text.replace(huge, "1" + "0" * 5000))
         with pytest.raises(ConfigError, match=r"not valid JSON \(Exceeds the limit"):
@@ -379,3 +380,37 @@ def test_readme_objective_entry_names_what_the_kind_reads(kind):
     names = {f.name for cls in (StageObjective, LossWeights) for f in fields(cls)} - {"kind"}
     reads, weights = OBJECTIVES[kind]
     assert set(re.findall(r"`([^`]+)`", entry.group(1))) & names == {*reads, *weights}
+
+
+@pytest.mark.parametrize("model", [
+    '{"A": [["1", 0.1], [0.0, 1.0]], "B": [[0.0], [0.1]]}',
+    '{"A": [[1.0, 0.1], [0.0, 1.0]], "B": [[0.0], [true]]}',
+    '{"A": [[1.0, 0.1], [0.0, null]], "B": [[0.0], [0.1]]}',
+    '{"A": [[1.0, 0.1], [0.0, 1.0]], "B": [[0.0], [NaN]]}',
+    '{"A": [[1.0, 0.1], [0.0, 1.0]], "B": [[0.0], [0.1]], "C": [[1.0]]}',
+    '{"A": [[1.0, 0.1], [0.0, 1.0]], "A": [[1.0]], "B": [[0.0], [0.1]]}',
+    '{"A": [[1.0, 0.1], [0.0, 1.0]]}',
+    '{"A": [[1.0, 0.1], [0.0, 1.0]], "B": [[0.0], [0.1]], "source": 3}',
+    '{"A": [[1.0, 0.1], [0.0, 1.0]], "B": [[0.0]]}',
+], ids=["string", "bool", "null", "nan", "unknown-key", "repeated-key", "missing-key",
+        "source-not-a-string", "shape"])
+def test_model_fixture_read_as_the_inline_table(tmp_path, model):
+    """An inline ``model`` table and a fixture file holding the same table
+    fail with the same message after the path prefix: ``model`` for the
+    table, the fixture's file name for the fixture."""
+    table = base_config()
+    table["model"] = "__model__"
+    inline = tmp_path / "inline.json"
+    inline.write_text(json.dumps(table).replace('"__model__"', model))
+    (tmp_path / "model.json").write_text(model)
+    table["model"] = {"file": "model.json"}
+    with pytest.raises(ConfigError) as from_table:
+        load_config(inline)
+    with pytest.raises(ConfigError) as from_fixture:
+        load_config(write(tmp_path, table))
+    assert str(from_table.value).startswith("model")
+    prefix = f"{tmp_path / 'model.json'}: "
+    assert str(from_fixture.value).startswith(prefix)
+    assert str(from_table.value)[len("model"):].lstrip(".: ") == \
+        str(from_fixture.value)[len(prefix):]
+

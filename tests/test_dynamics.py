@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+import re
 import warnings
 from pathlib import Path
 
@@ -9,6 +11,7 @@ import pytest
 from spdpc import autodiff as ad
 from spdpc import dynamics as dyn
 from spdpc import policy as pol
+from spdpc.config import ConfigError, load_config
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -134,18 +137,23 @@ def test_bad_shapes_rejected():
 
 
 def test_load_model_round_trip(tmp_path):
-    path = tmp_path / "model.json"
-    path.write_text('{"A": [[1.0, 0.1], [0.0, 1.0]], "B": [[1.0, 0.0], [0.0, 1.0]]}')
-    m = dyn.load_model(path)
+    """ex3 desk with its inline model moved into a fixture file loads the same plant."""
+    table = json.loads((REPO / "configs" / "ex3_obstacle_desk.json").read_text())
+    (tmp_path / "model.json").write_text(json.dumps(table["model"]))
+    table["model"] = {"file": "model.json"}
+    path = tmp_path / "experiment.json"
+    path.write_text(json.dumps(table))
+    m = load_config(path).model
     assert m.n_x == 2 and m.n_u == 2
-    with pytest.raises(ValueError, match="missing key"):
-        bad = tmp_path / "bad.json"
-        bad.write_text('{"A": [[1.0]]}')
-        dyn.load_model(bad)
+    assert np.array_equal(m.A, [[1.0, 0.1], [0.0, 1.0]]) and np.array_equal(m.B, np.eye(2))
+    (tmp_path / "model.json").write_text('{"A": [[1.0]]}')
+    with pytest.raises(ConfigError, match=rf"^{re.escape(str(tmp_path / 'model.json'))}: "
+                                          r"B: missing$"):
+        load_config(path)
 
 
 def test_quadcopter_fixture_loads_and_is_controllable():
-    m = dyn.load_model(REPO / "configs" / "quadcopter_model.json")
+    m = load_config(REPO / "configs" / "ex2_quadcopter_desk.json").model
     assert (m.n_x, m.n_u) == (12, 4)
     assert dyn.controllability_rank(m.A, m.B) == 12
 

@@ -170,7 +170,8 @@ def test_checkpoint_rejects_non_finite_weights(tmp_path):
     doc = json.loads(path.read_text())
     doc["layers"][1]["W"][0][2] = float("nan")
     path.write_text(json.dumps(doc))
-    with pytest.raises(ValueError, match="layer 1 W is not finite"):
+    with pytest.raises(ValueError, match=r"malformed checkpoint \(layers\[1\]\.W\[0\]\[2\]: "
+                                         r"must be finite, got nan\)$"):
         pol.load_checkpoint(path)
 
 
