@@ -136,10 +136,6 @@ def shift_warm_start(actions: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # timing
 
-BENCHMARK_COLUMNS = ("instance", "policy_ns_mean", "policy_ns_max",
-                     "baseline_ns_mean", "baseline_ns_max", "ratio")
-
-
 @dataclass
 class BenchmarkRow:
     instance: int
@@ -148,6 +144,9 @@ class BenchmarkRow:
     baseline_ns_mean: float
     baseline_ns_max: int
     ratio: float
+
+
+BENCHMARK_COLUMNS = tuple(f.name for f in dataclasses.fields(BenchmarkRow))
 
 
 def _time_ns(fn, repeats: int):

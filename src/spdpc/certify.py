@@ -4,7 +4,9 @@ Rolls the closed loop over a fresh scenario set, scores every scenario with
 an exact pass/fail indicator (no penalty smoothing), and turns the observed
 success fraction into a distribution-free lower confidence bound on the true
 success probability via Hoeffding's inequality.  The policy certifies at
-level beta when that lower bound reaches beta.
+level beta when that lower bound reaches beta.  ``run_certification`` is the
+one composition, used by ``spdpc certify`` and ``bench/`` (whose calls keep its
+``terminal`` argument); its report counts each checked constraint's failing pairs.
 
 The indicator reads the residuals the training penalty reads, on the
 blocks that ``objectives.rollout_blocks`` cuts for both: state and input
@@ -78,10 +80,14 @@ class CertificationReport:
     verdict: bool
     policy_checkpoint: str
     seed: int
+    failures: tuple = ()  # {"part", "kind", "failed"} per entry of constraints.checked()
+
+    def __post_init__(self):
+        object.__setattr__(self, "failures", tuple(self.failures))
 
 
 def certify(mu_tilde: float, r: int, m: int, s: int, beta: float, delta: float,
-            policy_checkpoint: str = "", seed: int = 0) -> CertificationReport:
+            policy_checkpoint: str = "", seed: int = 0, failures=()) -> CertificationReport:
     """Apply the confidence margin; certified iff mu_tilde - alpha >= beta."""
     if not 0.0 <= mu_tilde <= 1.0:
         raise ValueError(f"mu_tilde must sit in [0, 1], got {mu_tilde}")
@@ -93,7 +99,7 @@ def certify(mu_tilde: float, r: int, m: int, s: int, beta: float, delta: float,
         r=r, m=m, s=s, beta=float(beta), delta=float(delta),
         mu_tilde=float(mu_tilde), alpha=alpha, lower_bound=lower,
         verdict=bool(lower >= beta), policy_checkpoint=str(policy_checkpoint),
-        seed=int(seed))
+        seed=int(seed), failures=failures)
 
 
 def run_certification(policy, model, scenarios, constraints, terminal, mode,
@@ -102,10 +108,13 @@ def run_certification(policy, model, scenarios, constraints, terminal, mode,
 
     ``terminal`` is the set checked at step N in place of ``constraints.terminal``.
     """
-    mu_tilde, passes = empirical_risk(
-        policy, model, scenarios, replace(constraints, terminal=terminal), mode, chunk=chunk)
+    constraints = replace(constraints, terminal=terminal)
+    mu_tilde, passes = empirical_risk(policy, model, scenarios, constraints, mode, chunk=chunk)
+    failures = [{"part": part, "kind": c.kind,
+                 "failed": scenarios.size - int(np.count_nonzero(passes[:, k]))}
+                for k, (part, c) in enumerate(constraints.checked())]
     report = certify(mu_tilde, scenarios.size, scenarios.m, scenarios.s,
-                     beta, delta, policy_checkpoint, scenarios.seed)
+                     beta, delta, policy_checkpoint, scenarios.seed, failures)
     return report, passes.all(axis=1)
 
 

@@ -22,7 +22,7 @@ from dataclasses import MISSING, dataclass
 from pathlib import Path
 
 from .baseline import SolverConfig
-from .dynamics import MODES, LinearSystem, NoiseSpec
+from .dynamics import FULL_HORIZON, MODES, LinearSystem, NoiseSpec
 from .files import ReadError as ConfigError  # the name cli and the tests catch
 from .files import at, dataclass_spec, read_by_kind, read_json, read_table
 from .objectives import (BallConstraint, BoxConstraint, Constant, ConstraintSet,
@@ -30,6 +30,7 @@ from .objectives import (BallConstraint, BoxConstraint, Constant, ConstraintSet,
                          OBJECTIVES, StageObjective, weights_read)
 from .policy import PolicyArchitecture
 from .sampling import DistSpec, ParamSpec, split_ranges
+from .trainer import TrainConfig
 
 
 # the distribution kinds, their vectors in DistSpec order
@@ -62,7 +63,7 @@ class ExperimentConfig:
     objective: StageObjective
     constraints: ConstraintSet
     weights: LossWeights
-    train: object                # trainer.TrainConfig, imported lazily below
+    train: TrainConfig
     beta: float
     delta: float
     sim_count: int
@@ -167,8 +168,6 @@ def _terminal(entry, params: ParamSpec, n_x: int):
 
 
 def load_config(path) -> ExperimentConfig:
-    from .trainer import TrainConfig  # avoid an import cycle at module load
-
     path = Path(path)
     top = read_table(read_json(path), "config", {
         "name": (str, MISSING), "seed": (int, MISSING, 0), "mode": (str, MISSING),
@@ -221,7 +220,7 @@ def load_config(path) -> ExperimentConfig:
 
     policy = read_table(top["policy"], "policy", {"hidden": ([int], MISSING),
                                                   "seed": (int, seed, 0)})
-    full = mode == "full-horizon"
+    full = mode == FULL_HORIZON
     with at("policy"):
         arch = PolicyArchitecture(input_dim=n_x + params.xi_dim if full else n_x,
                                   output_dim=horizon * n_u if full else n_u, **policy)

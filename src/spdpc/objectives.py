@@ -341,13 +341,10 @@ class LossParts:
     terminal: ad.Tensor
 
     def floats(self) -> dict[str, float]:
-        return {
-            "total": self.total.item(),
-            "objective": self.objective.item(),
-            "state": self.state.item(),
-            "inputs": self.inputs.item(),
-            "terminal": self.terminal.item(),
-        }
+        return {name: getattr(self, name).item() for name in LOSS_PARTS}
+
+
+LOSS_PARTS = tuple(f.name for f in fields(LossParts))
 
 
 def total_loss(states, actions, xi, objective, constraints, weights) -> LossParts:

@@ -150,7 +150,7 @@ def policy_gradient(policy, model, x0, xi, omega, objective, constraints,
 def evaluate(policy, model, scenarios, objective, constraints, weights, mode,
              chunk: int = 512) -> dict[str, float]:
     """Mean loss parts over every scenario pair, computed untaped."""
-    totals = {k: 0.0 for k in ("total", "objective", "state", "inputs", "terminal")}
+    totals = dict.fromkeys(obj.LOSS_PARTS, 0.0)
     for idx, xi, states, actions in dyn.rollout_pairs(model, policy, scenarios, mode, chunk):
         parts = obj.total_loss(states, actions, xi, objective, constraints, weights)
         for key, val in parts.floats().items():
@@ -158,8 +158,11 @@ def evaluate(policy, model, scenarios, objective, constraints, weights, mode,
     return {k: v / scenarios.size for k, v in totals.items()}
 
 
-HISTORY_COLUMNS = ("epoch", "train_loss", "dev_loss", "objective_cost",
-                   "state_penalty", "input_penalty", "terminal_cost")
+# each history column after "epoch": the split whose mean it is, and the loss part
+HISTORY = {"train_loss": ("train", "total"), "dev_loss": ("dev", "total"),
+           "objective_cost": ("train", "objective"), "state_penalty": ("train", "state"),
+           "input_penalty": ("train", "inputs"), "terminal_cost": ("train", "terminal")}
+HISTORY_COLUMNS = ("epoch", *HISTORY)
 
 
 @dataclass
@@ -187,7 +190,7 @@ def train(model, policy, train_set, dev_set, objective, constraints, weights,
     result = TrainResult(policy=policy)
     for epoch in range(cfg.epochs):
         perm = _rng.substream(seed, _rng.SHUFFLE, epoch).permutation(train_set.size)
-        acc = {k: 0.0 for k in ("total", "objective", "state", "inputs", "terminal")}
+        acc = dict.fromkeys(obj.LOSS_PARTS, 0.0)
         for start in range(0, train_set.size, cfg.minibatch):
             idx = perm[start:start + cfg.minibatch]
             x0, xi, omega, i_idx, _ = train_set.pair_rows(idx)
@@ -211,15 +214,8 @@ def train(model, policy, train_set, dev_set, objective, constraints, weights,
         dev = evaluate(policy, model, dev_set, objective, constraints, weights, mode)
         if not np.isfinite(dev["total"]):
             raise TrainingDiverged(f"dev loss is {dev['total']} at epoch {epoch}")
-        result.history.append({
-            "epoch": epoch,
-            "train_loss": acc["total"] / train_set.size,
-            "dev_loss": dev["total"],
-            "objective_cost": acc["objective"] / train_set.size,
-            "state_penalty": acc["state"] / train_set.size,
-            "input_penalty": acc["inputs"] / train_set.size,
-            "terminal_cost": acc["terminal"] / train_set.size,
-        })
+        mean = {"train": {k: v / train_set.size for k, v in acc.items()}, "dev": dev}
+        result.history.append({"epoch": epoch, **{c: mean[s][p] for c, (s, p) in HISTORY.items()}})
         if dev["total"] < result.best_dev_loss:
             result.best_dev_loss = dev["total"]
             result.best_epoch = epoch
@@ -232,4 +228,4 @@ def train(model, policy, train_set, dev_set, objective, constraints, weights,
 def save_history(rows, path) -> None:
     """History CSV; floats go through repr so a reread is exact."""
     write_csv(path, HISTORY_COLUMNS,
-              ([row["epoch"]] + [float(row[c]) for c in HISTORY_COLUMNS[1:]] for row in rows))
+              ([row["epoch"]] + [float(row[c]) for c in HISTORY] for row in rows))

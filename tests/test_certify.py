@@ -304,6 +304,10 @@ class TestEmpiricalRisk:
         assert mu == pytest.approx(6 / 8)
         assert passes.shape == (8, 1)
         assert passes[:, 0].tolist() == [True] * 6 + [False] * 2  # pairs are i-major
+        report, flags = cert.run_certification(policy, model, scen, ConstraintSet(), terminal,
+                                               dyn.FULL_HORIZON, beta=0.5, delta=0.1)
+        assert report.failures == ({"part": "terminal", "kind": "box", "failed": 2},)
+        assert flags.tolist() == passes[:, 0].tolist()
 
     def test_report_wiring(self):
         model = dyn.LinearSystem(A=np.eye(2), B=np.array([[0.0], [1.0]]))
@@ -318,6 +322,7 @@ class TestEmpiricalRisk:
         assert report.mu_tilde == 1.0
         assert report.seed == 99
         assert report.verdict is (1.0 - report.alpha >= 0.5)
+        assert report.failures == ({"part": "terminal", "kind": "ball", "failed": 0},)
         assert flags.all()
 
     def test_chunking_invariance(self):
@@ -335,6 +340,21 @@ class TestEmpiricalRisk:
         assert np.array_equal(flags_a, flags_b)
 
 
+@pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.stem)
+def test_report_counts_the_failures_of_each_checked_constraint(path):
+    cfg = load_config(path)
+    scen = sample_scenarios(cfg.params, cfg.noise, 20, 3, cfg.horizon, seed=4)
+    policy = pol.init_policy(cfg.arch)
+    report, flags = cert.run_certification(policy, cfg.model, scen, cfg.constraints,
+                                           cfg.terminal, cfg.mode, cfg.beta, cfg.delta)
+    _, passes = cert.empirical_risk(policy, cfg.model, scen, cfg.constraints, cfg.mode)
+    checked = cfg.constraints.checked()
+    assert report.failures == tuple(
+        {"part": part, "kind": c.kind, "failed": int(np.sum(~passes[:, k]))}
+        for k, (part, c) in enumerate(checked))
+    assert np.array_equal(flags, passes.all(axis=1))
+
+
 class TestReportIO:
     def test_round_trip_and_key_set(self, tmp_path):
         report = cert.certify(0.97,33330, 3333, 10, beta=0.9, delta=0.01,
@@ -343,7 +363,8 @@ class TestReportIO:
         cert.save_report(report, path)
         data = json.loads(path.read_text())
         assert list(data) == ["r", "m", "s", "beta", "delta", "mu_tilde", "alpha",
-                              "lower_bound", "verdict", "policy_checkpoint", "seed"]
+                              "lower_bound", "verdict", "policy_checkpoint", "seed",
+                              "failures"]
         assert cert.CertificationReport(**data) == report
 
 

@@ -1,4 +1,5 @@
 import argparse
+import ast
 import csv
 import hashlib
 import json
@@ -15,7 +16,7 @@ from spdpc.policy import init_policy, load_checkpoint, save_checkpoint
 from spdpc.trainer import HISTORY_COLUMNS
 
 REPORT_KEYS = ["r", "m", "s", "beta", "delta", "mu_tilde", "alpha",
-               "lower_bound", "verdict", "policy_checkpoint", "seed"]
+               "lower_bound", "verdict", "policy_checkpoint", "seed", "failures"]
 
 
 def micro_config(tmp_path, **overrides):
@@ -388,7 +389,13 @@ class TestPipeline:
         assert {r["pass"] for r in rows} <= {"0", "1"}
         # an impossible bound is still a clean exit, just a negative verdict
         assert report["verdict"] is False
-        assert "NOT CERTIFIED" in capsys.readouterr().out
+        printed = capsys.readouterr().out
+        assert "NOT CERTIFIED" in printed
+        # the per-constraint lines are the certificate's counts
+        assert re.findall(r"^  (\S+) (\S+): pass fraction (\S+)$", printed, re.M) == [
+            (f["part"], f["kind"], f"{(report['r'] - f['failed']) / report['r']:.4f}")
+            for f in report["failures"]]
+        assert [f["part"] for f in report["failures"]] == ["inputs", "terminal"]
 
         sim_out = tmp_path / "simulated"
         assert run("simulate", "--config", str(config), "--out", str(sim_out),
@@ -482,6 +489,21 @@ def test_readme_commands_are_the_parser_subcommands():
     assert shown, "README shows no spdpc command"
     assert set(shown) <= set(subparsers.choices), sorted(set(shown) - set(subparsers.choices))
     assert set(subparsers.choices) <= set(shown), sorted(set(subparsers.choices) - set(shown))
+
+
+def test_certify_goes_through_run_certification():
+    """``cli`` names neither ``empirical_risk`` nor ``certify.certify``, so
+    ``certify.run_certification`` stays the one composition of a certificate."""
+    found = set()
+    for node in ast.walk(ast.parse(Path(cli.__file__).read_text())):
+        if isinstance(node, ast.Name) and node.id == "empirical_risk":
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute) and node.attr in ("empirical_risk", "certify"):
+            found.add(f"<attribute>.{node.attr}")
+        elif isinstance(node, ast.ImportFrom) and node.module == "certify":
+            found.update(alias.name for alias in node.names
+                         if alias.name in ("empirical_risk", "certify"))
+    assert not found, sorted(found)
 
 
 def read_rows(path, id_cols):
