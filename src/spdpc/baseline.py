@@ -60,7 +60,7 @@ class SolveResult:
 def _loss_parts(model, x0, xi, plan, objective, constraints, weights, horizon):
     states, actions = dyn.rollout_tensors(
         model, lambda z: plan, x0, xi,
-        np.zeros((1, horizon, model.n_x)), dyn.FULL_HORIZON, model.n_u)
+        np.zeros((1, horizon, model.n_x)), dyn.FULL_HORIZON)
     return obj.total_loss(states, actions, xi, objective, constraints, weights)
 
 

@@ -59,7 +59,8 @@ def empirical_risk(policy, model, scenarios, constraints, mode, chunk: int = 102
 
 
 def hoeffding_alpha(r: int, delta: float) -> float:
-    """One-sided Hoeffding margin sqrt(-ln(delta / 2) / (2 r))."""
+    """Two-sided Hoeffding margin sqrt(-ln(delta / 2) / (2 r)); conservative for the
+    one-sided lower bound, whose own margin is sqrt(-ln(delta) / (2 r))."""
     if r < 1:
         raise ValueError(f"need at least one sample, got r={r}")
     if not 0.0 < delta < 1.0:

@@ -152,7 +152,7 @@ def run_simulate(cfg, seed: int, out: Path, checkpoint: str,
     x0, xi = cfg.params.sample(seed, _rng.SIM_X0, count)
     noise = cfg.noise.draw(_rng.substream(seed, _rng.SIM_NOISE), steps, count)
     xi_rows = xi if xi.shape[1] else None
-    states, actions = simulate(cfg.model, policy, cfg.mode, x0, xi_rows, noise)
+    states, actions = simulate(cfg.model, policy, x0, xi_rows, noise)
 
     n_x, n_u = cfg.model.n_x, cfg.model.n_u
     artifacts = [Path("sim_states.csv"), Path("sim_actions.csv"),
@@ -223,7 +223,7 @@ def main(argv=None) -> int:
     except SystemExit as stop:  # argparse exits 2 on a usage error, 0 after --help
         return 1 if stop.code else 0
     for flag, least in (("count", 1), ("steps", 1), ("instances", 1), ("threads", 1),
-                        ("checkpoint_every", 0)):
+                        ("checkpoint_every", 0), ("seed", 0)):
         value = getattr(args, flag, None)
         if value is not None and value < least:
             print(f"error: --{flag.replace('_', '-')} must be >= {least}, got {value}",

@@ -220,10 +220,9 @@ def load_config(path) -> ExperimentConfig:
 
     policy = read_table(top["policy"], "policy", {"hidden": ([int], MISSING),
                                                   "seed": (int, seed, 0)})
-    full = mode == FULL_HORIZON
     with at("policy"):
-        arch = PolicyArchitecture(input_dim=n_x + params.xi_dim if full else n_x,
-                                  output_dim=horizon * n_u if full else n_u, **policy)
+        arch = PolicyArchitecture(input_dim=n_x + params.xi_dim, **policy,
+                                  output_dim=horizon * n_u if mode == FULL_HORIZON else n_u)
 
     objective = _objective(top["objective"], params, n_x)
     constraints = _constraints(top["constraints"], params, n_x, n_u)

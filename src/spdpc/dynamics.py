@@ -5,8 +5,7 @@ in two modes:
 
   * ``full-horizon``: the policy sees (x0, xi) once and emits the whole
     action sequence, which is then applied open loop.
-  * ``state-feedback``: the policy is evaluated on the current state at
-    every step.
+  * ``state-feedback``: the policy sees (x_k, xi) at every step.
 
 ``rollout_tensors`` is the only place the plant moves.  Its arithmetic goes
 through the autodiff ops, so the same code path is eager (plain arrays in,
@@ -100,8 +99,9 @@ class NoiseSpec:
     """Additive disturbance distribution with an optional infinity-norm bound.
 
     ``scale`` is the per-dimension standard deviation (gaussian) or
-    half-width (uniform).  Gaussian noise defaults to truncation at
-    4 * max(scale); pass ``bound=None`` explicitly to disable.
+    half-width (uniform).  ``draw`` clips each component at +-``bound``.
+    Gaussian noise defaults to bound 4 * max(scale), 0 (so zeros) for a zero
+    scale; pass ``bound=None`` explicitly to disable.
     """
 
     kind: str
@@ -119,7 +119,7 @@ class NoiseSpec:
                 raise ValueError("gaussian 8 * scale is not finite")
         if self.bound == "default":
             self.bound = 4.0 * float(self.scale.max()) if self.kind == "gaussian" else None
-        if self.bound is not None:
+        elif self.bound is not None:
             self.bound = float(self.bound)
             if self.bound <= 0 and self.kind != "zero":
                 raise ValueError(f"noise bound must be positive, got {self.bound}")
@@ -144,12 +144,13 @@ class NoiseSpec:
         return w
 
 
-def rollout_tensors(model, policy_fn, x0, xi, omega, mode, n_u):
+def rollout_tensors(model, policy_fn, x0, xi, omega, mode):
     """Roll the closed loop over a batch; returns the state and action blocks.
 
-    ``policy_fn`` maps a (b, d) tensor to actions: in full-horizon mode one
-    call produces the flat (b, N * n_u) plan, in state-feedback mode it is
-    called on the state at every step.  ``omega`` is (b, N, n_x).
+    ``policy_fn`` maps a (b, n_x + d) tensor, the state joined with ``xi``,
+    to actions: in full-horizon mode one call on x0 produces the flat
+    (b, N * n_u) plan, in state-feedback mode it is called on (x_k, xi) at
+    every step.  ``xi`` is (b, d) or None, ``omega`` (b, N, n_x).
 
     Returns (states, actions): tensors of shape (b, N+1, n_x) and (b, N, n_u),
     with states[:, 0] = x0.
@@ -158,7 +159,7 @@ def rollout_tensors(model, policy_fn, x0, xi, omega, mode, n_u):
         raise ValueError(f"unknown rollout mode {mode!r}")
     x0 = np.asarray(x0, dtype=np.float64)
     omega = np.asarray(omega, dtype=np.float64)
-    batch, horizon, n_x = omega.shape
+    (batch, horizon, n_x), n_u = omega.shape, model.n_u
     if mode == FULL_HORIZON:
         plan = ad.as_tensor(policy_fn(pol.join_input(x0, xi)))
         if plan.values.shape[1] != horizon * n_u:
@@ -171,10 +172,12 @@ def rollout_tensors(model, policy_fn, x0, xi, omega, mode, n_u):
         moved = ad.add(ad.matmul(plan, gamma.T), free)
         states = ad.concat([x0[:, None, :], ad.reshape(moved, (batch, horizon, n_x))], axis=1)
         return states, ad.reshape(plan, (batch, horizon, n_u))
+    joined = xi is not None and np.size(xi) > 0
     states = [ad.as_tensor(x0)]
     actions = []
     for k in range(horizon):
-        actions.append(ad.as_tensor(policy_fn(states[k])))
+        z = ad.concat([states[k], xi], axis=1) if joined else states[k]
+        actions.append(ad.as_tensor(policy_fn(z)))
         # x' = x A^T + u B^T + w, row by row
         drift = ad.add(ad.matmul(states[k], model.A.T), ad.matmul(actions[k], model.B.T))
         states.append(ad.add(drift, omega[:, k, :]))
@@ -195,28 +198,25 @@ def rollout_pairs(model, policy, scenarios, mode, chunk: int):
             plans = pol.forward(policy, scenarios.x0[lo:hi], scenarios.xi[lo:hi])
             policy_fn = lambda z: plans[i - lo]
         else:
-            policy_fn = lambda z: pol.apply_layers(policy.layers, z)
-        states, actions = rollout_tensors(model, policy_fn, x0, xi, omega, mode, model.n_u)
+            policy_fn = lambda z: pol.forward(policy, z.values)
+        states, actions = rollout_tensors(model, policy_fn, x0, xi, omega, mode)
         yield idx, xi, states, actions
 
 
-def simulate(model, policy, mode, x0, xi, omega):
+def simulate(model, policy, x0, xi, omega):
     """Receding-horizon closed loop of c runs at once, eager; ``x0`` is
     (c, n_x), ``xi`` (c, d) or None and ``omega`` (c, steps, n_x).
 
-    The state-feedback recursion with a policy that replans every step: a
-    full-horizon policy plans from (x, xi) and only the plan's first action
-    is applied.  Returns (states (c, steps+1, n_x), actions (c, steps, n_u));
-    a state that leaves the floats raises ValueError naming its run and step.
+    The state-feedback recursion with a policy that replans every step: in
+    either mode the applied action is the first n_u outputs of the policy
+    on (x, xi), so a full-horizon policy applies the first action of its
+    plan.  Returns (states (c, steps+1, n_x), actions (c, steps, n_u)); a
+    state that leaves the floats raises ValueError naming its run and step.
     """
-    if mode not in MODES:
-        raise ValueError(f"unknown rollout mode {mode!r}")
+    def decide(z):
+        return pol.forward(policy, z.values)[:, :model.n_u]
 
-    def decide(x):
-        return pol.forward(policy, x.values, None if mode == STATE_FEEDBACK else xi)[:, :model.n_u]
-
-    states, actions = rollout_tensors(model, decide, x0, None, omega, STATE_FEEDBACK,
-                                      model.n_u)
+    states, actions = rollout_tensors(model, decide, x0, xi, omega, STATE_FEEDBACK)
     bad = np.argwhere(~np.all(np.isfinite(states.values), axis=2))
     if bad.size:
         run, k = bad[0]

@@ -137,7 +137,7 @@ def policy_gradient(policy, model, x0, xi, omega, objective, constraints,
     tape = ad.Tape()
     layers = pol.taped_layers(tape, policy)
     states, actions = dyn.rollout_tensors(
-        model, lambda z: pol.apply_layers(layers, z), x0, xi, omega, mode, model.n_u)
+        model, lambda z: pol.apply_layers(layers, z), x0, xi, omega, mode)
     parts = obj.total_loss(states, actions, xi, objective, constraints, weights)
     grad_map = tape.backward(parts.total)
     grads = []

@@ -33,7 +33,7 @@ from spdpc.certify import certify, hoeffding_alpha
 from spdpc.config import load_config
 from spdpc.objectives import (BoxConstraint, Constant, ConstraintSet,
                               ContractionConstraint, EllipseKeepOut,
-                              LossWeights, StageObjective)
+                              LossWeights, StageObjective, XiSlice)
 from spdpc.sampling import sample_scenarios, split
 
 REPO = Path(__file__).resolve().parent.parent
@@ -148,7 +148,7 @@ def test_gradients_match_finite_differences(monkeypatch):
         def loss_now():
             states, actions = dyn.rollout_tensors(
                 model, lambda z: pol.apply_layers(policy.layers, z),
-                x0, None, omega, mode, model.n_u)
+                x0, None, omega, mode)
             return obj.total_loss(states, actions, None, objective,
                                   constraints, weights).total.item()
 
@@ -176,6 +176,71 @@ def test_gradients_match_finite_differences(monkeypatch):
     assert elapsed < 60.0
     print(f"PASS gradient fidelity: 100 random configurations, "
           f"max relative error {worst_rel:.2e} <= 1e-4, {elapsed:.1f}s")
+
+
+def test_state_feedback_gradients_through_xi(monkeypatch):
+    # a state-feedback policy reads concat(x_k, xi) at every step, and its
+    # objective tracks a reference taken from xi: the taped per-step concat
+    # under the same 1e-4 finite-difference rule
+    gen = np.random.default_rng(20261019)
+    kink_gaps = []
+    true_relu = ad.relu
+
+    def recording_relu(x):
+        t = ad.as_tensor(x)
+        kink_gaps.append(float(np.min(np.abs(t.values))))
+        return true_relu(t)
+
+    monkeypatch.setattr(ad, "relu", recording_relu)
+    checked, attempts = 0, 0
+    while checked < 20:
+        attempts += 1
+        assert attempts < 100, "kink-adjacent draws should be rare"
+        n_x, n_u, horizon, batch = (int(gen.integers(1, 4)), int(gen.integers(1, 3)),
+                                    int(gen.integers(1, 4)), int(gen.integers(1, 5)))
+        # one Jordan block: controllable from any B whose last row is non-zero
+        model = dyn.LinearSystem(0.5 * np.eye(n_x) + np.eye(n_x, k=1),
+                                 gen.normal(size=(n_x, n_u)))
+        xi_dim = n_x + 1  # the last component is read by the policy alone
+        objective = StageObjective(kind="tracking", reference=XiSlice(0, n_x))
+        constraints = ConstraintSet(inputs=[BoxConstraint((-0.5,) * n_u, (0.5,) * n_u)])
+        weights = LossWeights(Q_r=1.0, Q_u=0.1, Q_g=2.0, Q_f=1.0)
+        arch = pol.PolicyArchitecture(n_x + xi_dim, (5,), n_u, seed=int(gen.integers(1 << 16)))
+        policy = pol.init_policy(arch)
+        x0 = gen.uniform(-1.0, 1.0, size=(batch, n_x))
+        xi = gen.uniform(-1.0, 1.0, size=(batch, xi_dim))
+        omega = gen.normal(0.0, 0.1, size=(batch, horizon, n_x))
+
+        kink_gaps.clear()
+        _, grads = tr.policy_gradient(policy, model, x0, xi, omega, objective, constraints,
+                                      weights, dyn.STATE_FEEDBACK)
+        if min(kink_gaps) < 1e-4:
+            continue
+
+        def loss_now():
+            states, actions = dyn.rollout_tensors(
+                model, lambda z: pol.apply_layers(policy.layers, z),
+                x0, xi, omega, dyn.STATE_FEEDBACK)
+            return obj.total_loss(states, actions, xi, objective,
+                                  constraints, weights).total.item()
+
+        h = 1e-5
+        for arr, grad in zip(tr.flat_params(policy), grads):
+            for at in np.ndindex(arr.shape):
+                old = arr[at]
+                arr[at] = old + h
+                up = loss_now()
+                arr[at] = old - h
+                down = loss_now()
+                arr[at] = old
+                fd = (up - down) / (2.0 * h)
+                g = grad[at]
+                scale = max(abs(g), abs(fd))
+                if scale >= 1e-5:
+                    assert abs(g - fd) / scale <= 1e-4, f"grad mismatch {g} vs {fd}"
+                else:
+                    assert abs(g - fd) <= 1e-7
+        checked += 1
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +328,7 @@ def test_obstacle_desk_quality_gate(tmp_path):
     omega = np.tile(test.omega, (test.m, 1, 1))
     states, _ = dyn.rollout_tensors(
         cfg.model, lambda z: pol.apply_layers(policy.layers, z),
-        x0, xi, omega, cfg.mode, cfg.model.n_u)
+        x0, xi, omega, cfg.mode)
     stacked = states.values  # (b, N+1, n_x)
 
     keep_out = next(c for c in cfg.constraints.state
@@ -332,7 +397,7 @@ def test_core_property_rollup():
     plans = np.stack([ua, ub, ua + ub]).reshape(3, -1)
     rolled, _ = dyn.rollout_tensors(
         model, lambda z: ad.as_tensor(plans), np.stack([x0a, x0b, x0a + x0b]), None,
-        np.stack([wa, wb, wa + wb]), dyn.FULL_HORIZON, 1)
+        np.stack([wa, wb, wa + wb]), dyn.FULL_HORIZON)
     ta, tb, tsum = rolled.values
     sup_err = np.abs(tsum - (ta + tb)).max()
     assert sup_err <= 1e-10
@@ -356,7 +421,7 @@ def test_core_property_rollup():
     omega = gen.normal(0.0, 0.01, size=(3, 2, 2))
     states, actions = dyn.rollout_tensors(
         model, lambda z: pol.apply_layers(policy.layers, z),
-        x0, None, omega, dyn.STATE_FEEDBACK, 1)
+        x0, None, omega, dyn.STATE_FEEDBACK)
     parts = obj.total_loss(states, actions, None, objective, constraints, weights)
     assert parts.total.item() >= 0.0
     assert parts.state.item() == 0.0 and parts.inputs.item() == 0.0

@@ -202,6 +202,13 @@ class TestExitCodes:
         assert f"error: {argv[1]} must be >=" in err and f"got {argv[2]}" in err
         assert not out.exists()
 
+    def test_negative_seed_rejected_before_out_is_made(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run("train", "--config", str(micro_config(tmp_path)), "--out", str(out),
+                   "--seed", "-1") == 1
+        assert capsys.readouterr().err == "error: --seed must be >= 0, got -1\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("literal, shown", [("NaN", "nan"), ("Infinity", "inf"),
                                                 ("1e999", "inf")])
     @pytest.mark.parametrize("where, keys", [
@@ -447,6 +454,26 @@ class TestPipeline:
         assert saved == ["epoch_0001.json", "epoch_0003.json"]
         check_manifest(out, config)
 
+    def test_state_feedback_policy_reads_the_parameters(self, tmp_path,
+                                                        state_feedback_xi_config):
+        config = state_feedback_xi_config
+        assert load_config(config).arch.input_dim == 3  # two states, one parameter
+        assert run("train", "--config", str(config), "--out", str(tmp_path / "train")) == 0
+        checkpoint = str(tmp_path / "train" / "policy.json")
+        for command in ("certify", "simulate", "benchmark"):
+            assert run(command, "--config", str(config), "--out", str(tmp_path / command),
+                       "--checkpoint", checkpoint) == 0, command
+
+    def test_zero_scale_gaussian_noise_trains_as_zero_noise(self, tmp_path):
+        # the default bound 4 * max(scale) is 0 here, so every draw is clipped to 0
+        outs = []
+        for kind in ("gaussian", "zero"):
+            config = micro_config(tmp_path, noise={"kind": kind, "scale": [0.0, 0.0]})
+            outs.append(tmp_path / kind)
+            assert run("train", "--config", str(config), "--out", str(outs[-1])) == 0
+        for name in ("history.csv", "policy.json"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
     def test_overrides_at_their_minimum(self, tmp_path):
         config = micro_config(tmp_path)
         train_out = tmp_path / "trained"
@@ -537,7 +564,7 @@ class TestSimulateAndBenchmarkInputs:
                          ("benchmark", "--instances", str(count))):
                 assert run(*argv, "--config", str(path), "--out", str(tmp_path / argv[0]),
                            "--checkpoint", str(checkpoint)) == 1
-            _, _, _, x0, xi, noise = seen["simulate"]
+            _, _, x0, xi, noise = seen["simulate"]
             cases = seen["benchmark"][2]
             drawn[count] = (x0, xi, noise, cases)
         x0, xi, noise, cases = drawn[5]

@@ -55,11 +55,10 @@ class TestShippedConfigs:
     def test_loads(self, name):
         cfg = load_config(CONFIG_DIR / name)
         assert cfg.model.n_x >= 1
+        assert cfg.arch.input_dim == cfg.model.n_x + cfg.params.xi_dim
         if cfg.mode == "full-horizon":
-            assert cfg.arch.input_dim == cfg.model.n_x + cfg.params.xi_dim
             assert cfg.arch.output_dim == cfg.horizon * cfg.model.n_u
         else:
-            assert cfg.arch.input_dim == cfg.model.n_x
             assert cfg.arch.output_dim == cfg.model.n_u
         assert abs(sum(cfg.splits) - 1.0) < 1e-12
 
@@ -110,7 +109,7 @@ class TestFieldMapping:
         table = base_config()
         table["mode"] = "state-feedback"
         cfg = load_config(write(tmp_path, table))
-        assert cfg.arch.input_dim == 2
+        assert cfg.arch.input_dim == 4
         assert cfg.arch.output_dim == 1
 
     def test_constant_reference(self, tmp_path):

@@ -42,7 +42,7 @@ def step(model, x, u, w):
     single = np.ndim(x) == 1
     x, u, w = (np.atleast_2d(np.asarray(v, dtype=float)) for v in (x, u, w))
     states, _ = dyn.rollout_tensors(model, lambda z: ad.as_tensor(u), x, None,
-                                    w[:, None, :], dyn.STATE_FEEDBACK, u.shape[1])
+                                    w[:, None, :], dyn.STATE_FEEDBACK)
     return states.values[0, 1] if single else states.values[:, 1]
 
 
@@ -51,7 +51,7 @@ def rollout(model, policy, mode, x0, xi, omega):
     states, actions = dyn.rollout_tensors(
         model, lambda z: pol.apply_layers(policy.layers, z),
         np.atleast_2d(np.asarray(x0, dtype=float)),
-        None if xi is None else np.atleast_2d(xi), np.asarray(omega)[None], mode, model.n_u)
+        None if xi is None else np.atleast_2d(xi), np.asarray(omega)[None], mode)
     return states.values[0], actions.values[0]
 
 
@@ -60,7 +60,7 @@ def open_loop(model, x0, actions, omega):
     rollout whose policy ignores its input and emits the given plan."""
     plan = ad.as_tensor(np.asarray(actions, dtype=float).reshape(1, -1))
     states, _ = dyn.rollout_tensors(model, lambda z: plan, np.atleast_2d(x0), None,
-                                    np.asarray(omega)[None], dyn.FULL_HORIZON, model.n_u)
+                                    np.asarray(omega)[None], dyn.FULL_HORIZON)
     return states.values[0]
 
 
@@ -70,7 +70,7 @@ def fixed_inputs(model, x0, actions, omega):
     queue = iter(np.asarray(actions, dtype=float))
     states, _ = dyn.rollout_tensors(model, lambda z: ad.as_tensor(next(queue)[None]),
                                     np.atleast_2d(x0), None, np.asarray(omega)[None],
-                                    dyn.STATE_FEEDBACK, model.n_u)
+                                    dyn.STATE_FEEDBACK)
     return states.values[0]
 
 
@@ -296,9 +296,6 @@ def test_unknown_mode_rejected(double_integrator):
     with pytest.raises(ValueError, match="mode"):
         rollout(double_integrator, zero_policy(2, 1), "open-loop", [0.0, 0.0], None,
                 np.zeros((2, 2)))
-    with pytest.raises(ValueError, match="mode"):
-        dyn.simulate(double_integrator, zero_policy(2, 1), "open-loop", np.zeros((1, 2)),
-                     None, np.zeros((1, 2, 2)))
 
 
 def test_open_loop_superposition(double_integrator):
@@ -326,7 +323,7 @@ def test_rollout_gradient_matches_fd(double_integrator):
         states, _ = dyn.rollout_tensors(
             double_integrator,
             lambda z: pol.apply_layers(policy.layers, z),
-            x0, None, omega, dyn.STATE_FEEDBACK, 1,
+            x0, None, omega, dyn.STATE_FEEDBACK,
         )
         return states.values[0, -1, 0]
 
@@ -335,7 +332,7 @@ def test_rollout_gradient_matches_fd(double_integrator):
     states, _ = dyn.rollout_tensors(
         double_integrator,
         lambda z: pol.apply_layers(layers, z),
-        x0, None, omega, dyn.STATE_FEEDBACK, 1,
+        x0, None, omega, dyn.STATE_FEEDBACK,
     )
     root = ad.reduce_sum(ad.narrow(ad.narrow(states, 1, 2, 3), 2, 0, 1))
     grads = tape.backward(root)
@@ -370,7 +367,7 @@ def test_block_rollout_matches_step_recursion(name, mode):
     arch = pol.PolicyArchitecture(n_x, (16,), horizon * n_u if full else n_u, seed=5)
     policy = pol.init_policy(arch)
     states, actions = dyn.rollout_tensors(
-        model, lambda z: pol.apply_layers(policy.layers, z), x0, None, omega, mode, n_u)
+        model, lambda z: pol.apply_layers(policy.layers, z), x0, None, omega, mode)
     assert states.shape == (batch, horizon + 1, n_x)
     assert actions.shape == (batch, horizon, n_u)
     np.testing.assert_array_equal(states.values[:, 0], x0)
@@ -403,7 +400,7 @@ def test_receding_horizon_zero_noise_matches_rollout(double_integrator):
     p = pol.init_policy(pol.PolicyArchitecture(2, (8, 8), 1, seed=13))
     ref_states, ref_actions = rollout(double_integrator, p, dyn.STATE_FEEDBACK, [0.4, -0.2],
                                       None, np.zeros((6, 2)))
-    states, actions = dyn.simulate(double_integrator, p, dyn.STATE_FEEDBACK,
+    states, actions = dyn.simulate(double_integrator, p,
                                    np.array([[0.4, -0.2]]), None, np.zeros((1, 6, 2)))
     np.testing.assert_allclose(states[0], ref_states, atol=1e-12)
     np.testing.assert_allclose(actions[0], ref_actions, atol=1e-12)
@@ -411,7 +408,7 @@ def test_receding_horizon_zero_noise_matches_rollout(double_integrator):
 
 def test_receding_horizon_replans_full_horizon(double_integrator):
     p = pol.init_policy(pol.PolicyArchitecture(2, (6,), 4, seed=14))  # plans 4 steps
-    states, actions = dyn.simulate(double_integrator, p, dyn.FULL_HORIZON,
+    states, actions = dyn.simulate(double_integrator, p,
                                    np.array([[0.2, 0.1]]), None, np.zeros((1, 3, 2)))
     assert states.shape == (1, 4, 2) and actions.shape == (1, 3, 1)
     for k in range(3):
@@ -421,18 +418,19 @@ def test_receding_horizon_replans_full_horizon(double_integrator):
 
 def test_receding_horizon_single_step(double_integrator):
     p = zero_policy(2, 1)
-    states, actions = dyn.simulate(double_integrator, p, dyn.STATE_FEEDBACK,
+    states, actions = dyn.simulate(double_integrator, p,
                                    np.array([[1.0, 1.0]]), None, np.zeros((1, 1, 2)))
     assert states.shape == (1, 2, 2) and actions.shape == (1, 1, 1)
     np.testing.assert_allclose(states[0, 1], [2.2, 1.0], atol=1e-15)
 
 
-@pytest.mark.parametrize("name", CONFIGS)
-def test_simulate_matches_numpy_per_run_loop(name):
+@pytest.mark.parametrize("name", [*CONFIGS, "state_feedback_xi"])
+def test_simulate_matches_numpy_per_run_loop(name, request):
     # the batched simulation against one run and one vector at a time, with
     # each decision from the deployed single-input forward pass
     from spdpc.config import load_config
-    cfg = load_config(REPO / "configs" / f"{name}.json")
+    cfg = load_config(request.getfixturevalue("state_feedback_xi_config")
+                      if name == "state_feedback_xi" else REPO / "configs" / f"{name}.json")
     model, n_u, full = cfg.model, cfg.model.n_u, cfg.mode == dyn.FULL_HORIZON
     policy = pol.init_policy(cfg.arch)
     gen = np.random.default_rng(31)
@@ -440,7 +438,7 @@ def test_simulate_matches_numpy_per_run_loop(name):
     x0 = np.stack([cfg.params.x0.draw(gen) for _ in range(count)])
     xi = np.stack([cfg.params.draw_xi(gen) for _ in range(count)])
     omega = np.stack([cfg.noise.draw(gen, steps) for _ in range(count)])
-    states, actions = dyn.simulate(model, policy, cfg.mode, x0,
+    states, actions = dyn.simulate(model, policy, x0,
                                    xi if xi.shape[1] else None, omega)
     ref_states = np.zeros_like(states)
     ref_actions = np.zeros_like(actions)
@@ -448,7 +446,7 @@ def test_simulate_matches_numpy_per_run_loop(name):
         ref_states[c, 0] = x = x0[c]
         for k in range(steps):
             u = (pol.action_sequence(policy, x, xi[c], n_u)[0] if full
-                 else pol.forward(policy, x))
+                 else pol.forward(policy, x, xi[c]))
             x = model.A @ x + model.B @ u + omega[c, k]
             ref_actions[c, k], ref_states[c, k + 1] = u, x
     assert states.shape == (count, steps + 1, model.n_x)
@@ -474,4 +472,4 @@ def test_simulate_names_the_run_and_step_that_leave_the_floats(double_integrator
                 first = k
     assert first is not None
     with pytest.raises(ValueError, match=f"run 1 left the floats at step {first}$"):
-        dyn.simulate(double_integrator, p, dyn.STATE_FEEDBACK, x0, None, np.zeros((3, 6, 2)))
+        dyn.simulate(double_integrator, p, x0, None, np.zeros((3, 6, 2)))

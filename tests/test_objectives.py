@@ -379,7 +379,7 @@ def test_batch_from_trajectories_layout():
     def roll(x0):
         states, actions = dyn.rollout_tensors(
             m, lambda z: pol.apply_layers(p.layers, z), x0, None,
-            np.zeros((x0.shape[0], 3, 2)), dyn.STATE_FEEDBACK, 1)
+            np.zeros((x0.shape[0], 3, 2)), dyn.STATE_FEEDBACK)
         return states.values, actions.values
 
     x0 = np.array([[0.1 * k, -0.1] for k in range(4)])
@@ -411,7 +411,7 @@ def test_loss_gradient_through_rollout_matches_fd():
 def check_loss_gradient(m, p, x0, omega, s, cs, w):
     def loss_for(layers):
         states, actions = dyn.rollout_tensors(
-            m, lambda z: pol.apply_layers(layers, z), x0, None, omega, dyn.STATE_FEEDBACK, 1)
+            m, lambda z: pol.apply_layers(layers, z), x0, None, omega, dyn.STATE_FEEDBACK)
         return obj.total_loss(states, actions, None, s, cs, w).total
 
     tape = ad.Tape()

@@ -131,7 +131,7 @@ class TestPolicyGradient:
         def eager_loss(layers):
             states, actions = dyn.rollout_tensors(
                 model, lambda z: pol.apply_layers(layers, z), x0, None, omega,
-                dyn.FULL_HORIZON, model.n_u)
+                dyn.FULL_HORIZON)
             return obj.total_loss(states, actions, None, objective,
                                   constraints, weights).total.item()
 
