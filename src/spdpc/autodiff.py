@@ -9,9 +9,10 @@ is bit-deterministic for fixed inputs.
 
 An op makes one pass over its inputs and a taped op appends one slotted
 :class:`Node`.  The fused ``sumsq`` and ``relu_sumsq`` each record one node
-for a squared-penalty chain of up to five, and ``affine`` one node for a
-dense layer ``z W^T + b``, with the same numpy calls in the same order as
-the chains they stand for, so values and adjoints keep their bits.
+for a squared-penalty chain of up to five, with the numpy calls of the chain
+it stands for in the same order, so values and adjoints keep their bits.
+``mlp`` records a whole ReLU network as one node; its forward is
+:func:`mlp_values`, the layer loop that a deployed policy pass runs too.
 
 Operations also run *eagerly*: applying an op to plain arrays (or tensors
 that live on no tape) computes the value without recording anything.  The
@@ -148,16 +149,15 @@ def _forward(kind, vals, attrs):
             return _BINARY[kind](a, b)
         except ValueError:
             raise ShapeError(f"{kind}: shapes {a.shape} and {b.shape} do not conform") from None
-    if kind == "affine":
-        z, w, b = vals
-        if z.ndim != 2 or w.ndim != 2:
-            raise ShapeError(f"affine: expected 2-D z and W, got {z.shape} and {w.shape}")
-        try:
-            return np.add(np.matmul(z, w.T), b)
-        except ValueError:
-            raise ShapeError(
-                f"affine: shapes {z.shape}, {w.shape} and {b.shape} do not conform"
-            ) from None
+    if kind == "mlp":
+        z, layers = vals[0], list(zip(vals[1::2], vals[2::2]))
+        if layers and z.ndim == 2 and all(w.ndim == 2 for w, _ in layers):
+            try:
+                return mlp_values(z, layers, attrs.setdefault("inputs", []))
+            except ValueError:
+                pass
+        raise ShapeError(f"mlp: input {z.shape} and layers "
+                         f"{[(w.shape, b.shape) for w, b in layers]} do not conform")
     if kind == "relu":
         (a,) = vals
         return np.maximum(a, 0.0)
@@ -236,9 +236,14 @@ def _vjp(node, g):
     if kind == "matmul":
         a, b = vals
         return [(0, g @ b.T), (1, a.T @ g)]
-    if kind == "affine":
-        z, w, b = vals
-        return [(0, g @ w), (1, (z.T @ g).T), (2, _unbroadcast(g, b.shape))]
+    if kind == "mlp":  # layer k's input is relu(layer k-1), so it masks k-1's adjoint
+        out = []
+        for k, h in reversed(list(enumerate(node.attrs["inputs"]))):
+            w, b = vals[2 * k + 1], vals[2 * k + 2]
+            out += [(2 * k + 1, (h.T @ g).T), (2 * k + 2, _unbroadcast(g, b.shape))]
+            if k:
+                g = (g @ w) * (h > 0.0)
+        return out + [(0, g @ vals[1])]
     if kind == "relu":
         (a,) = vals
         return [(0, g * (a > 0.0))]
@@ -363,9 +368,26 @@ def narrow(a, axis: int, start: int, stop: int):
     return _apply("narrow", a, axis=int(axis), start=int(start), stop=int(stop))
 
 
-def affine(z, w, b):
-    """z W^T + b for a batch z (n, d), weights W (out, d) and a broadcast bias b."""
-    return _apply("affine", z, w, b)
+def mlp_values(z, layers, inputs=None):
+    """A ReLU network in plain numpy on one input z (d,) or a batch (n, d):
+    relu(z W^T + b) on the hidden layers of ``layers`` [(W, b), ...], z W^T + b
+    on the last.  A list ``inputs`` receives each layer's input (mlp's VJP reads them)."""
+    last = len(layers) - 1
+    for k, (w, b) in enumerate(layers):
+        if inputs is not None:
+            inputs.append(z)
+        # in place on the fresh product: one allocation a layer, not three, so
+        # the allocator does not trim and refault a large batch's hidden blocks
+        z = z @ w.T
+        z += b
+        if k < last:
+            np.maximum(z, 0.0, out=z)
+    return z
+
+
+def mlp(z, layers):
+    """``mlp_values`` of a batch z (n, d) as one op; ``layers`` holds (W, b) pairs."""
+    return _apply("mlp", z, *(t for pair in layers for t in pair))
 
 
 def reshape(a, shape):

@@ -67,8 +67,8 @@ def _loss_parts(model, x0, xi, plan, objective, constraints, weights, horizon):
 def solve(model, x0, xi, horizon, objective, constraints, weights,
           cfg: SolverConfig = SolverConfig(), warm_start=None) -> SolveResult:
     """Descend the penalized objective from ``warm_start`` (zeros if absent)."""
-    x0 = np.atleast_2d(np.asarray(x0, dtype=np.float64))
-    xi = None if xi is None else np.atleast_2d(np.asarray(xi, dtype=np.float64))
+    x0 = np.asarray(x0, dtype=np.float64).reshape(1, -1)
+    xi = None if xi is None else np.asarray(xi, dtype=np.float64).reshape(1, -1)
     if warm_start is None:
         u = np.zeros((horizon, model.n_u))
     else:

@@ -60,13 +60,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _write_manifest(out: Path, command: str, config_path: Path, seed: int,
-                    artifacts) -> None:
+                    threads: int | None, artifacts) -> None:
     digest = hashlib.sha256(config_path.read_bytes()).hexdigest()
     manifest = {
         "command": command,
         "config": config_path.name,
         "config_sha256": digest,
         "seed": seed,
+        "threads": threads,  # bytes repeat only at the same count (README)
         "artifacts": sorted(str(a) for a in artifacts),
         "created_unix_ns": time.time_ns(),
     }
@@ -261,15 +262,17 @@ def main(argv=None) -> int:
             else:
                 artifacts = run_benchmark(cfg, seed, out, args.checkpoint,
                                           args.instances)
-    except (OSError, ValueError) as err:  # an OSError names its file
-        where = f"{err.filename}: {err.strerror}" if isinstance(err, OSError) else err
+    except (OSError, ValueError) as err:
+        where = err
+        if isinstance(err, OSError) and err.strerror:  # with its file, when it has one
+            where = err.strerror if err.filename is None else f"{err.filename}: {err.strerror}"
         print(f"error: {where}", file=sys.stderr)
         return 1
     except TrainingDiverged as err:
         print(f"training failed: {err}", file=sys.stderr)
         return 2
 
-    _write_manifest(out, args.command, Path(args.config), seed, artifacts)
+    _write_manifest(out, args.command, Path(args.config), seed, args.threads, artifacts)
     return 0
 
 

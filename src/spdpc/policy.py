@@ -2,10 +2,11 @@
 
 A policy maps the rollout input (current state, optionally concatenated
 with the scenario parameter vector) to either a single action or a flat
-action sequence for the whole horizon.  One ``apply_layers`` implementation
-serves taped training and untaped evaluation: on tape tensors it records the
-layer ops, on plain arrays it does the same arithmetic untaped, so trained
-and deployed passes give the same bits and a decision needs no autodiff.
+action sequence for the whole horizon.  Its arithmetic is written once, in
+``autodiff.mlp_values``: training records it as one ``mlp`` tape node per
+call (``apply_layers``), and ``forward`` runs the same loop untaped, so
+trained and deployed passes give the same bits and a decision needs no
+autodiff.
 """
 
 from __future__ import annotations
@@ -64,34 +65,10 @@ def init_policy(arch: PolicyArchitecture) -> MlpPolicy:
     return MlpPolicy(arch, layers)
 
 
-def _on_tape(x) -> bool:
-    return isinstance(x, ad.Tensor) and x.tape is not None
-
-
 def apply_layers(layers, z):
-    """Hidden layers are relu(z W^T + b); the output layer is affine.
-
-    ``z`` is a batch (n, d); ``layers`` holds arrays or tape tensors.  With a
-    tape tensor among ``layers`` or in ``z`` the ops are recorded and a tensor
-    is returned; otherwise the pass runs untaped, with the same arithmetic,
-    and returns an (n, out) array.
-    """
-    last = len(layers) - 1
-    if _on_tape(z) or any(_on_tape(w) for w, _ in layers):
-        for k, (w, b) in enumerate(layers):
-            z = ad.affine(z, w, b)
-            if k < last:
-                z = ad.relu(z)
-        return z
-    z = z.values if isinstance(z, ad.Tensor) else np.asarray(z, dtype=np.float64)
-    for k, (w, b) in enumerate(layers):
-        # in place on the fresh product: one allocation a layer, not three, so
-        # the allocator does not trim and refault a large batch's hidden blocks
-        z = z @ w.T
-        z += b
-        if k < last:
-            np.maximum(z, 0.0, out=z)
-    return z
+    """The network on a batch z (n, d) as one ``autodiff.mlp`` op: recorded when
+    ``z`` or a weight is on a tape, eager otherwise; returns a tensor."""
+    return ad.mlp(z, layers)
 
 
 def join_input(x, xi):
@@ -105,12 +82,9 @@ def join_input(x, xi):
 def forward(policy: MlpPolicy, x, xi=None) -> np.ndarray:
     """Evaluate the policy on one input (d,) -> (out,) or a batch (n, d) -> (n, out)."""
     z = join_input(x, xi)
-    expected = policy.arch.input_dim
-    got = z.shape[-1]
-    if got != expected:
-        raise ValueError(f"policy expects input width {expected}, got {got}")
-    out = apply_layers(policy.layers, np.atleast_2d(z))
-    return out[0] if z.ndim == 1 else out
+    if z.shape[-1] != policy.arch.input_dim:
+        raise ValueError(f"policy expects input width {policy.arch.input_dim}, got {z.shape[-1]}")
+    return ad.mlp_values(z, policy.layers)
 
 
 def action_sequence(policy: MlpPolicy, x0, xi, n_u: int) -> np.ndarray:

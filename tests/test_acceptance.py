@@ -119,15 +119,18 @@ def test_gradients_match_finite_differences(monkeypatch):
     kinds = ("stabilization", "tracking", "split-tracking", "terminal-smoothing")
 
     kink_gaps = []
-    true_relu = ad.relu
+    true_loop = ad.mlp_values
 
-    def recording_relu(x):
-        t = ad.as_tensor(x)
-        if t.values.size:
-            kink_gaps.append(float(np.min(np.abs(t.values))))
-        return true_relu(t)
+    def recording_loop(z, layers, inputs=None):
+        h = z
+        for w, b in layers[:-1]:  # each hidden pre-activation, as the loop computes it
+            pre = h @ w.T + b
+            if pre.size:
+                kink_gaps.append(float(np.min(np.abs(pre))))
+            h = np.maximum(pre, 0.0)
+        return true_loop(z, layers, inputs)
 
-    monkeypatch.setattr(ad, "relu", recording_relu)
+    monkeypatch.setattr(ad, "mlp_values", recording_loop)
 
     checked, attempts = 0, 0
     worst_rel = 0.0
@@ -184,14 +187,17 @@ def test_state_feedback_gradients_through_xi(monkeypatch):
     # under the same 1e-4 finite-difference rule
     gen = np.random.default_rng(20261019)
     kink_gaps = []
-    true_relu = ad.relu
+    true_loop = ad.mlp_values
 
-    def recording_relu(x):
-        t = ad.as_tensor(x)
-        kink_gaps.append(float(np.min(np.abs(t.values))))
-        return true_relu(t)
+    def recording_loop(z, layers, inputs=None):
+        h = z
+        for w, b in layers[:-1]:  # each hidden pre-activation, as the loop computes it
+            pre = h @ w.T + b
+            kink_gaps.append(float(np.min(np.abs(pre))))
+            h = np.maximum(pre, 0.0)
+        return true_loop(z, layers, inputs)
 
-    monkeypatch.setattr(ad, "relu", recording_relu)
+    monkeypatch.setattr(ad, "mlp_values", recording_loop)
     checked, attempts = 0, 0
     while checked < 20:
         attempts += 1

@@ -71,35 +71,68 @@ def test_concat_narrow_affine_forward():
     assert cat.shape == (2, 5)
     np.testing.assert_array_equal(ad.narrow(cat, 1, 3, 5).values, b)
     w = np.array([[1.0, 0.0, 2.0], [0.0, -1.0, 0.5]])
-    np.testing.assert_array_equal(ad.affine(a, w, [10.0, 20.0]).values,
+    # a one-layer mlp is the affine map z W^T + b
+    np.testing.assert_array_equal(ad.mlp(a, [(w, [10.0, 20.0])]).values,
                                   [[14.0, 20.0], [23.0, 18.5]])
 
 
-def test_affine_shape_errors():
+def test_mlp_shape_errors():
+    one = [(np.ones((2, 3)), np.ones(2))]
     with pytest.raises(ad.ShapeError, match=r"\(3,\).*\(2, 3\)"):
-        ad.affine(np.ones(3), np.ones((2, 3)), np.ones(2))
+        ad.mlp(np.ones(3), one)  # z must be a batch
     with pytest.raises(ad.ShapeError, match=r"\(4, 3\).*\(2, 4\).*\(2,\)"):
-        ad.affine(np.ones((4, 3)), np.ones((2, 4)), np.ones(2))
-    with pytest.raises(ad.ShapeError, match=r"\(3,\)"):
-        ad.affine(np.ones((4, 3)), np.ones((2, 3)), np.ones(3))
+        ad.mlp(np.ones((4, 3)), [(np.ones((2, 4)), np.ones(2))])
+    with pytest.raises(ad.ShapeError, match=r"\(4, 3\).*\(3,\)"):
+        ad.mlp(np.ones((4, 3)), [(np.ones((2, 3)), np.ones(3))])
+    with pytest.raises(ad.ShapeError, match=r"\(2, 3\).*\(5, 3\)"):
+        ad.mlp(np.ones((4, 3)), one + [(np.ones((5, 3)), np.ones(5))])  # the second layer
+    with pytest.raises(ad.ShapeError, match=r"\(6,\)"):
+        ad.mlp(np.ones((4, 3)), [(np.ones(6), np.ones(2))])  # W must be 2-D
+    tape = ad.Tape()
+    with pytest.raises(ad.ShapeError, match=r"\(4, 3\).*\[\]"):
+        ad.mlp(tape.param(np.ones((4, 3))), [])
+    assert len(tape.nodes) == 1  # a rejected op records nothing
 
 
-def test_affine_is_the_bare_numpy_calls_bit_for_bit():
-    # the node a dense layer records: forward np.add(np.matmul(z, W.T), b),
-    # adjoints g @ W, (z^T g)^T and g summed over the batch rows
+def bare_mlp(z, layers, g):
+    """The network and its adjoints in bare numpy calls: the forward of each
+    layer np.add(np.matmul(h, W.T), b) and np.maximum(., 0.0) on hidden
+    layers; backward g @ W, (h^T g)^T, g summed over the rows, and the mask
+    of the hidden pre-activation > 0.0.  Returns (y, dz, [dW, db, ...])."""
+    hs, pres = [z], []
+    for k, (w, b) in enumerate(layers):
+        pres.append(np.add(np.matmul(hs[-1], w.T), b))
+        hs.append(np.maximum(pres[-1], 0.0) if k < len(layers) - 1 else pres[-1])
+    grads = []
+    for k in range(len(layers) - 1, -1, -1):
+        w, _ = layers[k]
+        grads[:0] = [np.ascontiguousarray((hs[k].T @ g).T), g.sum(axis=0)]
+        g = g @ w
+        if k:
+            g = g * (pres[k - 1] > 0.0)
+    return hs[-1], g, grads
+
+
+def test_mlp_is_the_bare_numpy_calls_bit_for_bit():
     rng = np.random.default_rng(17)
-    for batch, d, out in ((1, 1, 1), (5, 3, 4), (64, 20, 20), (7, 12, 100)):
-        z0, w0 = rng.normal(size=(batch, d)), rng.normal(size=(out, d))
-        b0, g = rng.normal(size=out), rng.normal(size=(batch, out))
+    for batch, dims in ((1, (1, 1)), (5, (3, 4)), (5, (3, 6, 4)), (64, (20, 20, 20, 20, 20, 2)),
+                        (7, (12, 100, 100, 40))):
+        z0 = rng.normal(size=(batch, dims[0]))
+        net = [(rng.normal(size=(out, d)), rng.normal(size=out))
+               for d, out in zip(dims[:-1], dims[1:])]
+        g = rng.normal(size=(batch, dims[-1]))
         tape = ad.Tape()
-        z, w, b = tape.param(z0), tape.param(w0), tape.param(b0)
-        y = ad.affine(z, w, b)
-        assert [n.kind for n in tape.nodes] == ["param"] * 3 + ["affine"]
-        assert y.values.tobytes() == np.add(np.matmul(z0, w0.T), b0).tobytes()
+        z = tape.param(z0)
+        layers = [(tape.param(w), tape.param(b)) for w, b in net]
+        y = ad.mlp(z, layers)
+        assert [n.kind for n in tape.nodes] == ["param"] * (1 + 2 * len(net)) + ["mlp"]
+        y0, dz, dparams = bare_mlp(z0, net, g)
+        assert y.values.tobytes() == y0.tobytes()
+        assert ad.mlp(z0, net).values.tobytes() == y0.tobytes()  # eager
         grads = tape.backward(ad.reduce_sum(ad.multiply(y, g)))
-        assert grads[z.node].tobytes() == (g @ w0).tobytes()
-        assert grads[w.node].tobytes() == np.ascontiguousarray((z0.T @ g).T).tobytes()
-        assert grads[b.node].tobytes() == g.sum(axis=0).tobytes()
+        assert grads[z.node].tobytes() == dz.tobytes()
+        got = [grads[t.node] for pair in layers for t in pair]
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in dparams]
 
 
 def test_reshape_forward_and_shape_error():
@@ -144,6 +177,23 @@ def test_backward_relu_at_kink_is_zero():
     w = tape.param([0.0])
     grads = tape.backward(ad.reduce_sum(ad.relu(w)))
     np.testing.assert_array_equal(grads[w.node], [0.0])
+
+
+def test_backward_mlp_hidden_kink_is_zero():
+    # hidden pre-activations [0.0, 3.5]: the unit exactly on the kink passes
+    # no adjoint, the subgradient relu takes at 0
+    tape = ad.Tape()
+    z = tape.param([[1.0, 2.0]])
+    w0, b0 = tape.param([[1.0, -0.5], [1.0, 1.0]]), tape.param([0.0, 0.5])
+    w1, b1 = tape.param([[2.0, 3.0]]), tape.param([0.25])
+    y = ad.mlp(z, [(w0, b0), (w1, b1)])
+    assert tape.nodes[-1].attrs["inputs"][1].tolist() == [[0.0, 3.5]]
+    np.testing.assert_array_equal(y.values, [[10.75]])
+    grads = tape.backward(ad.reduce_sum(y))
+    np.testing.assert_array_equal(grads[b0.node], [0.0, 3.0])
+    np.testing.assert_array_equal(grads[w0.node], [[0.0, 0.0], [3.0, 6.0]])
+    np.testing.assert_array_equal(grads[z.node], [[3.0, 3.0]])
+    np.testing.assert_array_equal(grads[w1.node], [[0.0, 3.5]])
 
 
 def test_backward_unused_param_gets_zero_adjoint():
@@ -217,12 +267,15 @@ def test_gradient_maps_from_independent_tapes_merge_by_addition():
 # backward: finite-difference sweeps per op
 
 FUSED_SHIFT = 0.4
+# each operand of a 3 -> 5 -> 4 -> 2 network on a batch of 4, in mlp's order
+MLP_SLOTS = {"mlp_z": (4, 3), "mlp_w0": (5, 3), "mlp_b0": (5,), "mlp_w1": (4, 5),
+             "mlp_b1": (4,), "mlp_w2": (2, 4), "mlp_b2": (2,)}
 
 
 @pytest.mark.parametrize("case", [
     "add", "add_bias", "add_scalar", "subtract", "multiply", "multiply_bcast",
     "matmul_mm", "relu", "square", "sum", "mean",
-    "scale", "concat", "narrow", "affine_z", "affine_w", "affine_bias",
+    "scale", "concat", "narrow", "affine_z", "affine_w", "affine_bias", *MLP_SLOTS,
     "l2norm_vec", "l2norm_rows",
     "reshape", "reshape_block", "l2norm_block", "sumsq", "relu_sumsq",
     "relu_sumsq_shift",
@@ -259,12 +312,17 @@ def test_single_op_gradients_match_fd(case):
             return ad.concat([w, rng2], axis=1)
         if case == "narrow":
             return ad.narrow(w, 1, 1, 3)
+        # a one-layer mlp is the affine map z W^T + b
         if case == "affine_z":
-            return ad.affine(w, mat.T, vec5)
+            return ad.mlp(w, [(mat.T, vec5)])
         if case == "affine_w":
-            return ad.affine(rng2[:2], w, vec4)
+            return ad.mlp(rng2[:2], [(w, vec4)])
         if case == "affine_bias":  # a (12,) bias broadcast over two rows
-            return ad.affine(mat.T[:2], w12, ad.reshape(w, (12,)))
+            return ad.mlp(mat.T[:2], [(w12, ad.reshape(w, (12,)))])
+        if case in MLP_SLOTS:
+            ops = list(net)
+            ops[list(MLP_SLOTS).index(case)] = w
+            return ad.mlp(ops[0], list(zip(ops[1::2], ops[2::2])))
         if case == "l2norm_vec":
             return ad.l2norm(ad.narrow(w, 0, 0, 1))
         if case == "l2norm_rows":
@@ -286,6 +344,15 @@ def test_single_op_gradients_match_fd(case):
 
     if case == "l2norm_vec":
         w0 = rng.normal(size=(1, 3)) + 2.0  # keep away from the origin
+    elif case in MLP_SLOTS:
+        net = [rng.normal(size=shape) for shape in MLP_SLOTS.values()]
+        w0 = net[list(MLP_SLOTS).index(case)]
+        # the FD probe is valid only away from the hidden relu kinks
+        h = net[0]
+        for w_k, b_k in zip(net[1:5:2], net[2:5:2]):
+            pre = h @ w_k.T + b_k
+            assert np.min(np.abs(pre)) > 1e-3
+            h = np.maximum(pre, 0.0)
     else:
         w0 = rng.normal(size=(4, 3))
     rng2 = rng.normal(size=(4, 3))
@@ -372,9 +439,7 @@ def test_composed_random_graphs_match_fd():
         w2_0 = rng.uniform(-1, 1, size=(1, dh))
 
         def run(w1v, b1v, w2v):
-            h = ad.relu(ad.affine(x, w1v, b1v))
-            y = ad.affine(h, w2v, 0.0)
-            return mean(ad.square(y))
+            return mean(ad.square(ad.mlp(x, [(w1v, b1v), (w2v, 0.0)])))
 
         # skip draws that place a preactivation on the relu kink
         pre = x @ w1_0.T + b1_0
@@ -383,9 +448,7 @@ def test_composed_random_graphs_match_fd():
 
         tape = ad.Tape()
         w1, b1, w2 = tape.param(w1_0), tape.param(b1_0), tape.param(w2_0)
-        h = ad.relu(ad.affine(x, w1, b1))
-        root = mean(ad.square(ad.affine(h, w2, 0.0)))
-        grads = tape.backward(root)
+        grads = tape.backward(run(w1, b1, w2))
         assert_close_grad(grads[w1.node], fd_gradient(lambda v: run(v, b1_0, w2_0).item(), w1_0.copy()))
         assert_close_grad(grads[b1.node], fd_gradient(lambda v: run(w1_0, v, w2_0).item(), b1_0.copy()))
         assert_close_grad(grads[w2.node], fd_gradient(lambda v: run(w1_0, b1_0, v).item(), w2_0.copy()))
@@ -399,7 +462,7 @@ def test_backward_bit_deterministic_across_rebuilds():
     def one_pass():
         tape = ad.Tape()
         w = tape.param(w0)
-        root = ad.reduce_sum(ad.square(ad.relu(ad.affine(x, w, 0.0))))
+        root = ad.reduce_sum(ad.square(ad.relu(ad.mlp(x, [(w, 0.0)]))))
         return tape.backward(root)[w.node]
 
     a, b = one_pass(), one_pass()

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from spdpc import autodiff as ad
 from spdpc import certify as cert
 from spdpc import dynamics as dyn
 from spdpc import objectives as obj
@@ -401,13 +402,13 @@ def pair_reroll(cfg, policy, scen):
 def test_full_horizon_runs_the_network_once_per_draw(path, monkeypatch):
     cfg, scen, policy = sampled_case(path)
     rows = []
-    original = pol.apply_layers
+    original = ad.mlp_values
 
-    def counted(layers, z):
+    def counted(z, layers, inputs=None):
         rows.append(np.shape(z)[0])
-        return original(layers, z)
+        return original(z, layers, inputs)
 
-    monkeypatch.setattr(pol, "apply_layers", counted)
+    monkeypatch.setattr(ad, "mlp_values", counted)
     cert.empirical_risk(policy, cfg.model, scen, cfg.constraints, cfg.mode)
     assert sum(rows) == scen.m
     rows.clear()

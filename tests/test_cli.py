@@ -4,6 +4,7 @@ import csv
 import hashlib
 import json
 import re
+import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -97,6 +98,24 @@ class TestExitCodes:
                    "--out", str(tmp_path / "out"),
                    "--checkpoint", str(tmp_path / "ghost.json")) == 1
         assert "error" in capsys.readouterr().err
+
+    def test_broken_pipe_is_one_error_line(self, tmp_path, capsys, monkeypatch):
+        # `spdpc certify ... | true`: the reader is gone when the verdict is printed
+        path = micro_config(tmp_path)
+        checkpoint = tmp_path / "policy.json"
+        save_checkpoint(init_policy(load_config(path).arch), checkpoint)
+
+        class ClosedPipe:
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+            def flush(self):
+                pass
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        assert run("certify", "--config", str(path), "--out", str(tmp_path / "out"),
+                   "--checkpoint", str(checkpoint)) == 1
+        assert capsys.readouterr().err == "error: Broken pipe\n"
 
     def test_duplicate_key_named_by_its_path(self, tmp_path, capsys):
         path = micro_config(tmp_path)
@@ -498,6 +517,17 @@ class TestPipeline:
                    "--out", str(tmp_path / "out"), "--threads", "1") == 0
         import os
         assert os.environ["OMP_NUM_THREADS"] == "1"
+
+    def test_manifest_records_the_thread_count(self, tmp_path, monkeypatch):
+        # checkpoints repeat byte for byte only at the same --threads count
+        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                    "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
+            monkeypatch.setenv(var, "2")  # restored after the test
+        config = micro_config(tmp_path)
+        for argv, threads in (((), None), (("--threads", "1"), 1)):
+            out = tmp_path / f"out{threads}"
+            assert run("train", "--config", str(config), "--out", str(out), *argv) == 0
+            assert manifest_of(out)["threads"] == threads
 
 
 ROOT = Path(__file__).resolve().parents[1]

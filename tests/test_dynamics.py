@@ -372,7 +372,7 @@ def test_block_rollout_matches_step_recursion(name, mode):
     assert actions.shape == (batch, horizon, n_u)
     np.testing.assert_array_equal(states.values[:, 0], x0)
     if full:
-        plan = pol.apply_layers(policy.layers, x0).reshape(batch, horizon, n_u)
+        plan = pol.forward(policy, x0).reshape(batch, horizon, n_u)
         np.testing.assert_array_equal(actions.values, plan)
     replay = _recursion(model, x0, actions.values, omega)
     err = np.abs(states.values - replay).max()

@@ -210,11 +210,13 @@ def test_untaped_forward_is_the_taped_pass_bit_for_bit(name, mode):
     p = config_policy(name, mode)
     xs = np.random.default_rng(12).normal(scale=2.0, size=(25, p.arch.input_dim))
     before = xs.copy()
-    untaped = pol.apply_layers(p.layers, xs)
+    untaped = pol.forward(p, xs)
     assert isinstance(untaped, np.ndarray)
     assert np.array_equal(xs, before)  # the in-place pass writes only its own blocks
+    eager = pol.apply_layers(p.layers, xs)
+    assert eager.tape is None
     taped = pol.apply_layers(pol.taped_layers(ad.Tape(), p), xs)
-    assert np.array_equal(pol.forward(p, xs), taped.values)
+    assert np.array_equal(eager.values, taped.values)
     assert np.array_equal(untaped, taped.values)
     one = pol.apply_layers(pol.taped_layers(ad.Tape(), p), xs[:1])
     assert np.array_equal(pol.forward(p, xs[0]), one.values[0])
