@@ -214,7 +214,8 @@ def run_benchmark(cfg, seed: int, out: Path, checkpoint: str, instances=None):
     save_benchmark(rows, out / "benchmark.csv")
     ratios = [row.ratio for row in rows]
     print(f"benchmarked {n} instances: baseline/policy time ratio "
-          f"min {min(ratios):.1f}, mean {float(np.mean(ratios)):.1f}")
+          f"min {min(ratios):.1f}, mean {float(np.mean(ratios)):.1f}; "
+          f"{sum(row.converged for row in rows)} of {n} solves converged")
     return [Path("benchmark.csv")]
 
 
@@ -262,11 +263,15 @@ def main(argv=None) -> int:
             else:
                 artifacts = run_benchmark(cfg, seed, out, args.checkpoint,
                                           args.instances)
+        sys.stdout.flush()  # a closed pipe fails here, not in the exit-time flush
     except (OSError, ValueError) as err:
         where = err
         if isinstance(err, OSError) and err.strerror:  # with its file, when it has one
             where = err.strerror if err.filename is None else f"{err.filename}: {err.strerror}"
         print(f"error: {where}", file=sys.stderr)
+        if isinstance(err, BrokenPipeError):
+            # the text still buffered would fail again when the interpreter exits
+            sys.stdout = open(os.devnull, "w")
         return 1
     except TrainingDiverged as err:
         print(f"training failed: {err}", file=sys.stderr)

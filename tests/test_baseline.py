@@ -8,6 +8,7 @@ from spdpc import baseline as bl
 from spdpc import dynamics as dyn
 from spdpc import objectives as obj
 from spdpc import policy as pol
+from spdpc import rng
 from spdpc.config import load_config
 from spdpc.sampling import sample_scenarios
 from spdpc.objectives import BoxConstraint, ConstraintSet, LossWeights, StageObjective
@@ -98,6 +99,27 @@ class TestSolver:
             assert np.abs(res.actions.flatten() - u_star).max() <= 1e-6
             assert np.all(np.diff(res.values) <= 0.0)
 
+    def test_seed_hessian_is_the_lq_closed_form(self):
+        # the LQ problem of the test above: the loss is (1/N) ||diag(w)(M u + c)||^2,
+        # so its Hessian is (2/N) M' diag(w^2) M wherever it is taken
+        model = dyn.LinearSystem(A=np.array([[1.2, 1.0], [0.0, 1.0]]),
+                                 B=np.array([[1.0], [0.5]]))
+        A, B = model.A, model.B
+        Q_x, Q_u, Q_f = 1.0, 0.1, 5.0
+        objective, constraints, weights = stabilization(Q_x, Q_u, Q_f)
+        M = np.zeros((6, 2))
+        M[0:2, 0] = B[:, 0]
+        M[2, 0] = 1.0
+        M[3, 1] = 1.0
+        M[4:6, 0] = (A @ B)[:, 0]
+        M[4:6, 1] = B[:, 0]
+        w2 = np.array([Q_x, Q_x, Q_u, Q_u, Q_f, Q_f])
+        want = (2.0 / 2) * M.T @ (w2[:, None] * M)
+        for x0, u in (([1.0, 0.5], [0.0, 0.0]), ([-0.7, 1.3], [0.4, -2.1])):
+            got = bl.seed_hessian(model, np.array([x0]), None, np.array(u), objective,
+                                  constraints, weights, 2)
+            assert np.abs(got - want).max() <= 1e-6 * np.abs(want).max()
+
     def test_stops_when_a_step_no_longer_moves_the_iterate(self):
         # tol 0 cannot be met in floating point: once the step is below the
         # iterate's resolution the search ends instead of accepting null
@@ -141,44 +163,50 @@ def eager_trial_solve(model, x0, xi, horizon, objective, constraints, weights, c
                       warm_start=None):
     """The solver with eager line-search trials, which evaluates the accepted
     point a second time on a fresh tape for its gradient.  Returns the
-    result and the number of line-search trials."""
+    result, the number of line-search trials and whether a seed Hessian was
+    taken."""
     x0 = np.atleast_2d(np.asarray(x0, dtype=np.float64))
     xi = None if xi is None else np.atleast_2d(np.asarray(xi, dtype=np.float64))
     if warm_start is None:
-        u = np.zeros((horizon, model.n_u))
+        u = np.zeros(horizon * model.n_u)
     else:
-        u = np.array(warm_start, dtype=np.float64).reshape(horizon, model.n_u)
+        u = np.array(warm_start, dtype=np.float64).reshape(-1)
 
-    def value_at(u_mat):
-        return bl._loss_parts(model, x0, xi, u_mat.reshape(1, -1), objective,
+    def value_at(u_flat):
+        return bl._loss_parts(model, x0, xi, u_flat.reshape(1, -1), objective,
                               constraints, weights, horizon).total.item()
 
     result = bl.SolveResult(actions=u, value=value_at(u), iterations=0, converged=False)
     result.values.append(result.value)
-    trial, prev, trials = bl.STEP0, None, 0
+    inverse, prev, trials = None, None, 0
     for it in range(cfg.max_iters):
         tape = ad.Tape()
         plan = tape.param(u.reshape(1, -1))
         parts = bl._loss_parts(model, x0, xi, plan, objective, constraints, weights, horizon)
-        grad = tape.backward(parts.total)[plan.node].reshape(horizon, model.n_u)
+        grad = tape.backward(parts.total)[plan.node].reshape(-1)
         f0 = parts.total.item()
-        gnorm2 = float(np.sum(grad * grad))
-        if np.sqrt(gnorm2) == 0.0 or np.max(np.abs(grad)) <= cfg.tol:
+        if np.max(np.abs(grad)) <= cfg.tol:
             result.converged = True
             break
-        if prev is not None:
+        if inverse is None:
+            inverse = np.linalg.inv(bl.seed_hessian(model, x0, xi, u, objective,
+                                                    constraints, weights, horizon))
+        else:
             s_k, y_k = u - prev[0], grad - prev[1]
-            sy = float(np.sum(s_k * y_k))
+            sy = float(s_k @ y_k)
             if sy > 0.0:
-                trial = float(np.sum(s_k * s_k)) / sy
-        step, accepted = trial, False
+                v = np.eye(u.size) - np.outer(s_k, y_k) / sy
+                inverse = v @ inverse @ v.T + np.outer(s_k, s_k) / sy
+        direction = -(inverse @ grad)
+        slope = float(grad @ direction)
+        step, accepted = bl.STEP0, False
         for _ in range(bl.MAX_BACKTRACKS):
-            candidate = u - step * grad
+            candidate = u + step * direction
             if np.array_equal(candidate, u):
                 break
             trials += 1
             f_new = value_at(candidate)
-            if f_new <= f0 - bl.ARMIJO_C * step * gnorm2:
+            if f_new <= f0 + bl.ARMIJO_C * step * slope:
                 prev = (u, grad)
                 u = candidate
                 result.values.append(f_new)
@@ -188,10 +216,9 @@ def eager_trial_solve(model, x0, xi, horizon, objective, constraints, weights, c
         result.iterations = it + 1
         if not accepted:
             break
-        trial = step * 2.0
-    result.actions = u
+    result.actions = u.reshape(horizon, model.n_u)
     result.value = result.values[-1]
-    return result, trials
+    return result, trials, inverse is not None
 
 
 def config_instances(name, count=3, max_iters=60):
@@ -218,7 +245,7 @@ def test_taped_trials_solve_as_eager_trials_did(name, monkeypatch):
     prev = None
     for x0, xi in instances:
         warm = None if prev is None else bl.shift_warm_start(prev)
-        want, trials = eager_trial_solve(model, x0, xi, horizon, objective, constraints,
+        want, trials, seeded = eager_trial_solve(model, x0, xi, horizon, objective, constraints,
                                          weights, cfg, warm_start=warm)
         calls.clear()
         monkeypatch.setattr(obj, "total_loss", counted)
@@ -228,10 +255,22 @@ def test_taped_trials_solve_as_eager_trials_did(name, monkeypatch):
         assert got.values == want.values
         assert np.array_equal(got.actions, want.actions)
         assert (got.iterations, got.converged) == (want.iterations, want.converged)
-        # one loss for the start and one per trial: an accepted trial's tape
-        # gives the next gradient, so no point is evaluated twice
-        assert len(calls) == 1 + trials
+        # one loss for the start, one for the seed Hessian's batched pass and
+        # one per trial: an accepted trial's tape gives the next gradient, so
+        # no point is evaluated twice
+        assert len(calls) == 1 + seeded + trials
         prev = got.actions
+
+
+def test_ex2_desk_benchmark_solves_converge():
+    # the instances `spdpc benchmark` draws, at the config's solver settings
+    cfg = load_config(REPO / "configs" / "ex2_quadcopter_desk.json")
+    x0, xi = cfg.params.sample(cfg.seed, rng.BENCH, cfg.bench_instances)
+    cases = [(x0[t], xi[t] if xi.shape[1] else None) for t in range(cfg.bench_instances)]
+    rows = bl.benchmark(pol.init_policy(cfg.arch), cfg.model, cases, cfg.horizon,
+                        cfg.objective, cfg.constraints, cfg.weights, cfg.solver, repeats=1)
+    assert [(row.converged, row.iterations < cfg.solver.max_iters) for row in rows] \
+        == [(1, True)] * cfg.bench_instances
 
 
 class TestBenchmark:

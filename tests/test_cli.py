@@ -3,7 +3,9 @@ import ast
 import csv
 import hashlib
 import json
+import os
 import re
+import subprocess
 import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -116,6 +118,25 @@ class TestExitCodes:
         assert run("certify", "--config", str(path), "--out", str(tmp_path / "out"),
                    "--checkpoint", str(checkpoint)) == 1
         assert capsys.readouterr().err == "error: Broken pipe\n"
+
+    def test_broken_pipe_with_buffered_stdout(self, tmp_path):
+        # a plain shell's `spdpc certify ... | true`: stdout is block-buffered,
+        # so the write fails only when it is flushed
+        path = micro_config(tmp_path)
+        checkpoint = tmp_path / "policy.json"
+        save_checkpoint(init_policy(load_config(path).arch), checkpoint)
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "spdpc.cli", "certify", "--config", str(path),
+                 "--out", str(tmp_path / "out"), "--checkpoint", str(checkpoint)],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, text=True, timeout=120)
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (1, "error: Broken pipe\n")
 
     def test_duplicate_key_named_by_its_path(self, tmp_path, capsys):
         path = micro_config(tmp_path)
