@@ -11,7 +11,8 @@ An op makes one pass over its inputs and a taped op appends one slotted
 :class:`Node`.  The fused ``sumsq`` and ``relu_sumsq`` each record one node
 for a squared-penalty chain of up to five, with the numpy calls of the chain
 it stands for in the same order, so values and adjoints keep their bits.
-``mlp`` records a whole ReLU network as one node; its forward is
+``mlp`` records a whole ReLU network as one node that reads its weights as
+one vector (:func:`unpack` states the layout); its forward is
 :func:`mlp_values`, the layer loop that a deployed policy pass runs too.
 
 Operations also run *eagerly*: applying an op to plain arrays (or tensors
@@ -150,14 +151,14 @@ def _forward(kind, vals, attrs):
         except ValueError:
             raise ShapeError(f"{kind}: shapes {a.shape} and {b.shape} do not conform") from None
     if kind == "mlp":
-        z, layers = vals[0], list(zip(vals[1::2], vals[2::2]))
-        if layers and z.ndim == 2 and all(w.ndim == 2 for w, _ in layers):
+        (z, flat), dims = vals, attrs["dims"]
+        if dims and z.ndim == 2 and flat.ndim == 1:
             try:
-                return mlp_values(z, layers, attrs.setdefault("inputs", []))
+                return mlp_values(z, unpack(flat, dims), attrs.setdefault("inputs", []))
             except ValueError:
                 pass
-        raise ShapeError(f"mlp: input {z.shape} and layers "
-                         f"{[(w.shape, b.shape) for w, b in layers]} do not conform")
+        raise ShapeError(f"mlp: input {z.shape} and a weight vector of size {flat.size} "
+                         f"do not fit layers {list(dims)}")
     if kind == "relu":
         (a,) = vals
         return np.maximum(a, 0.0)
@@ -237,13 +238,17 @@ def _vjp(node, g):
         a, b = vals
         return [(0, g @ b.T), (1, a.T @ g)]
     if kind == "mlp":  # layer k's input is relu(layer k-1), so it masks k-1's adjoint
-        out = []
-        for k, h in reversed(list(enumerate(node.attrs["inputs"]))):
-            w, b = vals[2 * k + 1], vals[2 * k + 2]
-            out += [(2 * k + 1, (h.T @ g).T), (2 * k + 2, _unbroadcast(g, b.shape))]
+        dims, inputs = node.attrs["dims"], node.attrs["inputs"]
+        grad = np.empty_like(vals[1])
+        layers, grads = unpack(vals[1], dims), unpack(grad, dims)
+        for k in range(len(dims) - 1, -1, -1):
+            (dw, db), h = grads[k], inputs[k]
+            dw[...] = (h.T @ g).T
+            g.sum(axis=0, out=db)
+            g = g @ layers[k][0]
             if k:
-                g = (g @ w) * (h > 0.0)
-        return out + [(0, g @ vals[1])]
+                g *= h > 0.0
+        return [(1, grad), (0, g)]
     if kind == "relu":
         (a,) = vals
         return [(0, g * (a > 0.0))]
@@ -385,9 +390,23 @@ def mlp_values(z, layers, inputs=None):
     return z
 
 
-def mlp(z, layers):
-    """``mlp_values`` of a batch z (n, d) as one op; ``layers`` holds (W, b) pairs."""
-    return _apply("mlp", z, *(t for pair in layers for t in pair))
+def unpack(flat, dims):
+    """(W, b) views of a weight vector for layers ``dims`` [(fan_out, fan_in), ...]:
+    the vector holds each layer's W row-major, then its b."""
+    if flat.size != sum(rows * cols + rows for rows, cols in dims):
+        raise ShapeError(f"a weight vector of size {flat.size} does not fit layers {list(dims)}")
+    layers, start = [], 0
+    for rows, cols in dims:
+        stop = start + rows * cols
+        layers.append((flat[start:stop].reshape(rows, cols), flat[stop:stop + rows]))
+        start = stop + rows
+    return layers
+
+
+def mlp(z, flat, dims):
+    """``mlp_values`` of a batch z (n, d) as one op, its weights one vector in
+    ``unpack`` layout for layers ``dims``."""
+    return _apply("mlp", z, flat, dims=tuple(dims))
 
 
 def reshape(a, shape):

@@ -245,11 +245,6 @@ class ConstraintSet:
 # ---------------------------------------------------------------------------
 # penalties
 
-def penalty(residual, weight: float, margin: float = 0.0):
-    """weight * sum relu(residual + margin)^2; zero iff every residual <= -margin."""
-    return ad.relu_sumsq(residual, weight, margin)
-
-
 def _sum(terms):
     """Sum of scalar tensors; 0 for none."""
     total = None
@@ -366,9 +361,9 @@ def total_loss(states, actions, xi, objective, constraints, weights) -> LossPart
     for part, c in constraints.checked():
         weight = getattr(weights, PART_WEIGHTS[part])
         if weight:
-            terms[part].append(penalty(c.residuals(blocks[part], xi), weight, c.margin))
+            terms[part].append(ad.relu_sumsq(c.residuals(blocks[part], xi), weight, c.margin))
     if constraints.contraction is not None and weights.Q_c:
-        terms["state"].append(penalty(
+        terms["state"].append(ad.relu_sumsq(
             constraints.contraction.residuals(blocks["state"], blocks["next"]), weights.Q_c))
 
     obj = ad.scale(obj, norm)

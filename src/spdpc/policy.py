@@ -65,10 +65,16 @@ def init_policy(arch: PolicyArchitecture) -> MlpPolicy:
     return MlpPolicy(arch, layers)
 
 
-def apply_layers(layers, z):
-    """The network on a batch z (n, d) as one ``autodiff.mlp`` op: recorded when
-    ``z`` or a weight is on a tape, eager otherwise; returns a tensor."""
-    return ad.mlp(z, layers)
+def weight_vector(policy: MlpPolicy) -> np.ndarray:
+    """The weights copied into one vector, in ``autodiff.unpack`` layout."""
+    return np.concatenate([a for layer in policy.layers for a in layer], axis=None)
+
+
+def apply_layers(flat, arch: PolicyArchitecture, z):
+    """The network with weight vector ``flat`` on a batch z (n, d) as one
+    ``autodiff.mlp`` op: recorded when ``z`` or ``flat`` is on a tape, eager
+    otherwise; returns a tensor."""
+    return ad.mlp(z, flat, arch.layer_dims)
 
 
 def join_input(x, xi):
@@ -93,11 +99,6 @@ def action_sequence(policy: MlpPolicy, x0, xi, n_u: int) -> np.ndarray:
     if flat.size % n_u != 0:
         raise ValueError(f"output width {flat.size} is not a multiple of n_u={n_u}")
     return flat.reshape(-1, n_u)
-
-
-def taped_layers(tape: ad.Tape, policy: MlpPolicy):
-    """Register all weights and biases as parameters on a fresh tape."""
-    return [(tape.param(w), tape.param(b)) for w, b in policy.layers]
 
 
 # ---------------------------------------------------------------------------

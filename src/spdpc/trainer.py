@@ -14,7 +14,6 @@ checkpoint byte for byte.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,97 +53,70 @@ class TrainConfig:
 
 @dataclass
 class AdamWState:
-    """First and second moment estimates, one pair per parameter array, and
-    two scratch arrays per parameter that the update reuses every step."""
+    """First and second moment estimates of the weight vector, and two scratch
+    vectors that the update reuses every step."""
 
-    m: list
-    v: list
-    scratch: list
+    m: np.ndarray
+    v: np.ndarray
+    s: np.ndarray
+    r: np.ndarray
     t: int = 0
 
     @classmethod
-    def for_params(cls, params) -> "AdamWState":
-        return cls(m=[np.zeros_like(p) for p in params],
-                   v=[np.zeros_like(p) for p in params],
-                   scratch=[(np.empty_like(p), np.empty_like(p)) for p in params])
-
-
-def flat_params(policy: pol.MlpPolicy) -> list:
-    """Weight and bias arrays in a fixed order; views, not copies."""
-    out = []
-    for w, b in policy.layers:
-        out.append(w)
-        out.append(b)
-    return out
+    def like(cls, p) -> "AdamWState":
+        return cls(np.zeros_like(p), np.zeros_like(p), np.empty_like(p), np.empty_like(p))
 
 
 def pack_params(policy: pol.MlpPolicy) -> np.ndarray:
-    """Copy the weights into one vector and rebind ``policy.layers`` to views of it.
-
-    The vector holds ``flat_params`` order, each array row-major.
-    """
-    flat = np.concatenate(flat_params(policy), axis=None)
-    if flat.size != pol.param_count(policy.arch):
-        raise ValueError(f"policy holds {flat.size} weights, its architecture "
-                         f"{pol.param_count(policy.arch)}")
-    views, start = [], 0
-    for a in flat_params(policy):
-        views.append(flat[start:start + a.size].reshape(a.shape))
-        start += a.size
-    policy.layers = list(zip(views[::2], views[1::2]))
+    """Copy the weights into one vector and rebind ``policy.layers`` to views of it."""
+    flat = pol.weight_vector(policy)
+    policy.layers = ad.unpack(flat, policy.arch.layer_dims)
     return flat
 
 
-def adamw_step(params, grads, state: AdamWState, cfg: TrainConfig) -> None:
-    """One decoupled-weight-decay Adam update, in place.
+def adamw_step(p, g, state: AdamWState, cfg: TrainConfig) -> None:
+    """One decoupled-weight-decay Adam update of the vector ``p``, in place.
 
     theta <- theta - lr * (mhat / (sqrt(vhat) + eps) + weight_decay * theta)
 
-    Every operation writes into the moments, the parameter or the state's
-    scratch, in the order of the formula, so no step allocates.
+    Every operation writes into the moments, ``p`` or the state's scratch,
+    in the order of the formula, so no step allocates.
     """
-    if len(params) != len(grads) or len(params) != len(state.m):
-        raise ValueError("params, grads and state lengths disagree")
     state.t += 1
     bc1 = 1.0 - cfg.beta1 ** state.t
     bc2 = 1.0 - cfg.beta2 ** state.t
-    for p, g, m, v, (s, r) in zip(params, grads, state.m, state.v, state.scratch):
-        np.multiply(m, cfg.beta1, out=m)           # m = b1 m + (1 - b1) g
-        np.multiply(g, 1.0 - cfg.beta1, out=s)
-        np.add(m, s, out=m)
-        np.multiply(v, cfg.beta2, out=v)           # v = b2 v + (1 - b2) g g
-        np.multiply(g, 1.0 - cfg.beta2, out=s)
-        np.multiply(s, g, out=s)
-        np.add(v, s, out=v)
-        np.divide(m, bc1, out=s)                   # s = mhat / (sqrt(vhat) + eps)
-        np.divide(v, bc2, out=r)
-        np.sqrt(r, out=r)
-        np.add(r, cfg.eps, out=r)
-        np.divide(s, r, out=s)
-        np.multiply(p, cfg.weight_decay, out=r)    # p -= lr (s + weight_decay p)
-        np.add(s, r, out=s)
-        np.multiply(s, cfg.lr, out=s)
-        np.subtract(p, s, out=p)
+    m, v, s, r = state.m, state.v, state.s, state.r
+    np.multiply(m, cfg.beta1, out=m)           # m = b1 m + (1 - b1) g
+    np.multiply(g, 1.0 - cfg.beta1, out=s)
+    np.add(m, s, out=m)
+    np.multiply(v, cfg.beta2, out=v)           # v = b2 v + (1 - b2) g g
+    np.multiply(g, 1.0 - cfg.beta2, out=s)
+    np.multiply(s, g, out=s)
+    np.add(v, s, out=v)
+    np.divide(m, bc1, out=s)                   # s = mhat / (sqrt(vhat) + eps)
+    np.divide(v, bc2, out=r)
+    np.sqrt(r, out=r)
+    np.add(r, cfg.eps, out=r)
+    np.divide(s, r, out=s)
+    np.multiply(p, cfg.weight_decay, out=r)    # p -= lr (s + weight_decay p)
+    np.add(s, r, out=s)
+    np.multiply(s, cfg.lr, out=s)
+    np.subtract(p, s, out=p)
 
 
 def policy_gradient(policy, model, x0, xi, omega, objective, constraints,
                     weights, mode):
-    """Loss parts and per-array gradients for one minibatch of rollouts.
+    """Loss parts and the weight gradient for one minibatch of rollouts.
 
     ``x0`` is (b, n_x), ``xi`` (b, d) or None, ``omega`` (b, N, n_x).
-    Returns (LossParts, gradients aligned with ``flat_params``).
+    Returns (LossParts, gradient vector in ``autodiff.unpack`` layout).
     """
     tape = ad.Tape()
-    layers = pol.taped_layers(tape, policy)
+    flat = tape.param(pol.weight_vector(policy))
     states, actions = dyn.rollout_tensors(
-        model, lambda z: pol.apply_layers(layers, z), x0, xi, omega, mode)
+        model, lambda z: pol.apply_layers(flat, policy.arch, z), x0, xi, omega, mode)
     parts = obj.total_loss(states, actions, xi, objective, constraints, weights)
-    grad_map = tape.backward(parts.total)
-    grads = []
-    for w_t, b_t in layers:
-        grads.append(grad_map[w_t.node])
-        grads.append(grad_map[b_t.node])
-    return parts, grads
+    return parts, tape.backward(parts.total)[flat.node]
 
 
 def evaluate(policy, model, scenarios, objective, constraints, weights, mode,
@@ -185,8 +157,7 @@ def train(model, policy, train_set, dev_set, objective, constraints, weights,
     for periodic checkpointing.
     """
     flat = pack_params(policy)
-    grad = np.empty_like(flat)
-    state = AdamWState.for_params([flat])
+    state = AdamWState.like(flat)
     result = TrainResult(policy=policy)
     for epoch in range(cfg.epochs):
         perm = _rng.substream(seed, _rng.SHUFFLE, epoch).permutation(train_set.size)
@@ -194,16 +165,15 @@ def train(model, policy, train_set, dev_set, objective, constraints, weights,
         for start in range(0, train_set.size, cfg.minibatch):
             idx = perm[start:start + cfg.minibatch]
             x0, xi, omega, i_idx, _ = train_set.pair_rows(idx)
-            parts, grads = policy_gradient(
+            parts, grad = policy_gradient(
                 policy, model, x0, xi, omega, objective, constraints, weights, mode)
             loss = parts.total.item()
-            np.concatenate(grads, axis=None, out=grad)
             if not np.isfinite(loss):
                 fault = f"loss is {loss}"
             elif not np.isfinite(grad).all():
                 fault = "gradient left the floats"
             else:
-                adamw_step([flat], [grad], state, cfg)
+                adamw_step(flat, grad, state, cfg)
                 fault = (None if np.isfinite(flat).all()
                          else "weights left the floats after the update")
             if fault is not None:
@@ -219,7 +189,8 @@ def train(model, policy, train_set, dev_set, objective, constraints, weights,
         if dev["total"] < result.best_dev_loss:
             result.best_dev_loss = dev["total"]
             result.best_epoch = epoch
-            result.policy = pol.MlpPolicy(policy.arch, copy.deepcopy(policy.layers))
+            result.policy = pol.MlpPolicy(policy.arch,
+                                          ad.unpack(flat.copy(), policy.arch.layer_dims))
         if on_epoch is not None:
             on_epoch(epoch, policy, dev["total"])
     return result

@@ -10,9 +10,10 @@ sampled splits:
 
 ``tests/test_reference.py`` recomputes them and compares.  A change that
 moves these values on purpose reruns this script and names every moved
-value in ``CHANGES.md``.  Run from the repository root:
+value in ``CHANGES.md``.  Run from the repository root at one BLAS thread;
+at two, some values move in their last digits (see ``tests/test_reference.py``):
 
-    PYTHONPATH=src python tests/reference/regenerate.py
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tests/reference/regenerate.py
 """
 
 from __future__ import annotations
@@ -43,8 +44,7 @@ def reference(path) -> dict:
     # the first training step's minibatch
     perm = rng.substream(cfg.seed, rng.SHUFFLE, 0).permutation(train_set.size)
     x0, xi, omega, _, _ = train_set.pair_rows(perm[:cfg.train.minibatch])
-    parts, grads = trainer.policy_gradient(policy, cfg.model, x0, xi, omega, *problem, cfg.mode)
-    grad = np.concatenate(grads, axis=None)
+    parts, grad = trainer.policy_gradient(policy, cfg.model, x0, xi, omega, *problem, cfg.mode)
     values = {"loss": parts.floats(),
               "grad_norm": float(np.sqrt(grad @ grad)),
               "grad_head": grad[:3].tolist()}

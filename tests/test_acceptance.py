@@ -113,6 +113,11 @@ def _random_setup(gen, kind):
     return model, mode, objective, constraints, weights, policy, x0, omega
 
 
+def _arrays(layers):
+    """W0, b0, W1, b1, ...: each array of (W, b) pairs in ``ad.unpack`` order."""
+    return [a for layer in layers for a in layer]
+
+
 def test_gradients_match_finite_differences(monkeypatch):
     started = time.monotonic()
     gen = np.random.default_rng(20260815)
@@ -141,22 +146,25 @@ def test_gradients_match_finite_differences(monkeypatch):
             _random_setup(gen, kinds[checked % len(kinds)])
 
         kink_gaps.clear()
-        parts, grads = tr.policy_gradient(policy, model, x0, None, omega,
-                                          objective, constraints, weights, mode)
+        parts, grad = tr.policy_gradient(policy, model, x0, None, omega,
+                                         objective, constraints, weights, mode)
         # a parameter nudge of 1e-5 cannot flip any activation whose input
         # sits >= 1e-4 from the kink; resample the config otherwise
         if kink_gaps and min(kink_gaps) < 1e-4:
             continue
 
+        flat = tr.pack_params(policy)  # policy.layers become views of flat
+
         def loss_now():
             states, actions = dyn.rollout_tensors(
-                model, lambda z: pol.apply_layers(policy.layers, z),
+                model, lambda z: pol.apply_layers(flat, policy.arch, z),
                 x0, None, omega, mode)
             return obj.total_loss(states, actions, None, objective,
                                   constraints, weights).total.item()
 
         h = 1e-5
-        for arr, grad in zip(tr.flat_params(policy), grads):
+        grads = ad.unpack(grad, policy.arch.layer_dims)
+        for arr, arr_grad in zip(_arrays(policy.layers), _arrays(grads)):
             for at in np.ndindex(arr.shape):
                 old = arr[at]
                 arr[at] = old + h
@@ -165,7 +173,7 @@ def test_gradients_match_finite_differences(monkeypatch):
                 down = loss_now()
                 arr[at] = old
                 fd = (up - down) / (2.0 * h)
-                g = grad[at]
+                g = arr_grad[at]
                 scale = max(abs(g), abs(fd))
                 if scale >= 1e-5:
                     rel = abs(g - fd) / scale
@@ -218,20 +226,23 @@ def test_state_feedback_gradients_through_xi(monkeypatch):
         omega = gen.normal(0.0, 0.1, size=(batch, horizon, n_x))
 
         kink_gaps.clear()
-        _, grads = tr.policy_gradient(policy, model, x0, xi, omega, objective, constraints,
-                                      weights, dyn.STATE_FEEDBACK)
+        _, grad = tr.policy_gradient(policy, model, x0, xi, omega, objective, constraints,
+                                     weights, dyn.STATE_FEEDBACK)
         if min(kink_gaps) < 1e-4:
             continue
 
+        flat = tr.pack_params(policy)  # policy.layers become views of flat
+
         def loss_now():
             states, actions = dyn.rollout_tensors(
-                model, lambda z: pol.apply_layers(policy.layers, z),
+                model, lambda z: pol.apply_layers(flat, policy.arch, z),
                 x0, xi, omega, dyn.STATE_FEEDBACK)
             return obj.total_loss(states, actions, xi, objective,
                                   constraints, weights).total.item()
 
         h = 1e-5
-        for arr, grad in zip(tr.flat_params(policy), grads):
+        grads = ad.unpack(grad, policy.arch.layer_dims)
+        for arr, arr_grad in zip(_arrays(policy.layers), _arrays(grads)):
             for at in np.ndindex(arr.shape):
                 old = arr[at]
                 arr[at] = old + h
@@ -240,7 +251,7 @@ def test_state_feedback_gradients_through_xi(monkeypatch):
                 down = loss_now()
                 arr[at] = old
                 fd = (up - down) / (2.0 * h)
-                g = grad[at]
+                g = arr_grad[at]
                 scale = max(abs(g), abs(fd))
                 if scale >= 1e-5:
                     assert abs(g - fd) / scale <= 1e-4, f"grad mismatch {g} vs {fd}"
@@ -332,8 +343,9 @@ def test_obstacle_desk_quality_gate(tmp_path):
     x0 = np.repeat(test.x0, test.s, axis=0)
     xi = np.repeat(test.xi, test.s, axis=0)
     omega = np.tile(test.omega, (test.m, 1, 1))
+    flat = pol.weight_vector(policy)
     states, _ = dyn.rollout_tensors(
-        cfg.model, lambda z: pol.apply_layers(policy.layers, z),
+        cfg.model, lambda z: pol.apply_layers(flat, policy.arch, z),
         x0, xi, omega, cfg.mode)
     stacked = states.values  # (b, N+1, n_x)
 
@@ -425,8 +437,9 @@ def test_core_property_rollup():
     policy = pol.init_policy(arch)
     x0 = gen.uniform(-0.5, 0.5, size=(3, 2))
     omega = gen.normal(0.0, 0.01, size=(3, 2, 2))
+    flat = pol.weight_vector(policy)
     states, actions = dyn.rollout_tensors(
-        model, lambda z: pol.apply_layers(policy.layers, z),
+        model, lambda z: pol.apply_layers(flat, arch, z),
         x0, None, omega, dyn.STATE_FEEDBACK)
     parts = obj.total_loss(states, actions, None, objective, constraints, weights)
     assert parts.total.item() >= 0.0
@@ -440,10 +453,9 @@ def test_core_property_rollup():
 
     # optimizer single-step hand value
     cfg = tr.TrainConfig(epochs=1, lr=0.01, weight_decay=0.0)
-    params = [np.array([1.0])]
-    state = tr.AdamWState.for_params(params)
-    tr.adamw_step(params, [np.array([1.0])], state, cfg)
-    adam_err = abs(params[0][0] - 0.9900000001)
+    theta = np.array([1.0])
+    tr.adamw_step(theta, np.array([1.0]), tr.AdamWState.like(theta), cfg)
+    adam_err = abs(theta[0] - 0.9900000001)
     assert adam_err < 1e-12
 
     # scenario sampling is bit-exact reproducible

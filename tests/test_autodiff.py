@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import re
 import zlib
 
 import numpy as np
@@ -72,26 +73,49 @@ def test_concat_narrow_affine_forward():
     np.testing.assert_array_equal(ad.narrow(cat, 1, 3, 5).values, b)
     w = np.array([[1.0, 0.0, 2.0], [0.0, -1.0, 0.5]])
     # a one-layer mlp is the affine map z W^T + b
-    np.testing.assert_array_equal(ad.mlp(a, [(w, [10.0, 20.0])]).values,
+    flat = np.concatenate([w, [10.0, 20.0]], axis=None)
+    np.testing.assert_array_equal(ad.mlp(a, flat, [(2, 3)]).values,
                                   [[14.0, 20.0], [23.0, 18.5]])
 
 
+def test_unpack_views_each_w_row_major_then_its_b():
+    flat = np.arange(17.0)
+    (w0, b0), (w1, b1) = ad.unpack(flat, [(3, 2), (2, 3)])
+    np.testing.assert_array_equal(w0, [[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]])
+    np.testing.assert_array_equal(b0, [6.0, 7.0, 8.0])
+    np.testing.assert_array_equal(w1, [[9.0, 10.0, 11.0], [12.0, 13.0, 14.0]])
+    np.testing.assert_array_equal(b1, [15.0, 16.0])
+    assert all(np.shares_memory(a, flat) for a in (w0, b0, w1, b1))
+    with pytest.raises(ad.ShapeError, match=r"size 16 .*\[\(3, 2\), \(2, 3\)\]"):
+        ad.unpack(flat[:16], [(3, 2), (2, 3)])
+
+
 def test_mlp_shape_errors():
-    one = [(np.ones((2, 3)), np.ones(2))]
-    with pytest.raises(ad.ShapeError, match=r"\(3,\).*\(2, 3\)"):
-        ad.mlp(np.ones(3), one)  # z must be a batch
-    with pytest.raises(ad.ShapeError, match=r"\(4, 3\).*\(2, 4\).*\(2,\)"):
-        ad.mlp(np.ones((4, 3)), [(np.ones((2, 4)), np.ones(2))])
-    with pytest.raises(ad.ShapeError, match=r"\(4, 3\).*\(3,\)"):
-        ad.mlp(np.ones((4, 3)), [(np.ones((2, 3)), np.ones(3))])
-    with pytest.raises(ad.ShapeError, match=r"\(2, 3\).*\(5, 3\)"):
-        ad.mlp(np.ones((4, 3)), one + [(np.ones((5, 3)), np.ones(5))])  # the second layer
-    with pytest.raises(ad.ShapeError, match=r"\(6,\)"):
-        ad.mlp(np.ones((4, 3)), [(np.ones(6), np.ones(2))])  # W must be 2-D
+    one = [(2, 3)]
+    with pytest.raises(ad.ShapeError, match=r"\(3,\).*size 8 .*\[\(2, 3\)\]"):
+        ad.mlp(np.ones(3), np.ones(8), one)  # z must be a batch
+    with pytest.raises(ad.ShapeError, match=r"\(4, 3\).*size 10 .*\[\(2, 4\)\]"):
+        ad.mlp(np.ones((4, 3)), np.ones(10), [(2, 4)])  # z has 3 columns, W 4
+    with pytest.raises(ad.ShapeError, match=r"\(4, 3\).*size 28 .*\[\(2, 3\), \(5, 3\)\]"):
+        ad.mlp(np.ones((4, 3)), np.ones(28), one + [(5, 3)])  # the second layer
+    with pytest.raises(ad.ShapeError, match=r"\(4, 3\).*size 8 .*\[\(2, 3\)\]"):
+        ad.mlp(np.ones((4, 3)), np.ones((2, 4)), one)  # the weights must be a vector
     tape = ad.Tape()
-    with pytest.raises(ad.ShapeError, match=r"\(4, 3\).*\[\]"):
-        ad.mlp(tape.param(np.ones((4, 3))), [])
+    with pytest.raises(ad.ShapeError, match=r"\(4, 3\).*size 0 .*\[\]"):
+        ad.mlp(tape.param(np.ones((4, 3))), np.ones(0), [])
     assert len(tape.nodes) == 1  # a rejected op records nothing
+
+
+@pytest.mark.parametrize("size", [0, 7, 9, 31])
+def test_mlp_rejects_a_vector_that_does_not_fit_the_dims(size):
+    # layers 3 -> 2 and 3 -> 2 -> 2 hold 8 and 14 weights; the input fits either
+    for dims in ([(2, 3)], [(2, 3), (2, 2)]):
+        tape = ad.Tape()
+        z = tape.param(np.ones((4, 3)))
+        message = f"mlp: input (4, 3) and a weight vector of size {size} do not fit layers {dims}"
+        with pytest.raises(ad.ShapeError, match=re.escape(message)):
+            ad.mlp(z, tape.param(np.ones(size)), dims)
+        assert [n.kind for n in tape.nodes] == ["param", "param"]
 
 
 def bare_mlp(z, layers, g):
@@ -121,18 +145,18 @@ def test_mlp_is_the_bare_numpy_calls_bit_for_bit():
         net = [(rng.normal(size=(out, d)), rng.normal(size=out))
                for d, out in zip(dims[:-1], dims[1:])]
         g = rng.normal(size=(batch, dims[-1]))
+        dims = [w.shape for w, _ in net]
+        flat0 = np.concatenate([a for layer in net for a in layer], axis=None)
         tape = ad.Tape()
-        z = tape.param(z0)
-        layers = [(tape.param(w), tape.param(b)) for w, b in net]
-        y = ad.mlp(z, layers)
-        assert [n.kind for n in tape.nodes] == ["param"] * (1 + 2 * len(net)) + ["mlp"]
+        z, flat = tape.param(z0), tape.param(flat0)
+        y = ad.mlp(z, flat, dims)
+        assert [n.kind for n in tape.nodes] == ["param", "param", "mlp"]
         y0, dz, dparams = bare_mlp(z0, net, g)
         assert y.values.tobytes() == y0.tobytes()
-        assert ad.mlp(z0, net).values.tobytes() == y0.tobytes()  # eager
+        assert ad.mlp(z0, flat0, dims).values.tobytes() == y0.tobytes()  # eager
         grads = tape.backward(ad.reduce_sum(ad.multiply(y, g)))
         assert grads[z.node].tobytes() == dz.tobytes()
-        got = [grads[t.node] for pair in layers for t in pair]
-        assert [a.tobytes() for a in got] == [a.tobytes() for a in dparams]
+        assert grads[flat.node].tobytes() == np.concatenate(dparams, axis=None).tobytes()
 
 
 def test_reshape_forward_and_shape_error():
@@ -184,16 +208,18 @@ def test_backward_mlp_hidden_kink_is_zero():
     # no adjoint, the subgradient relu takes at 0
     tape = ad.Tape()
     z = tape.param([[1.0, 2.0]])
-    w0, b0 = tape.param([[1.0, -0.5], [1.0, 1.0]]), tape.param([0.0, 0.5])
-    w1, b1 = tape.param([[2.0, 3.0]]), tape.param([0.25])
-    y = ad.mlp(z, [(w0, b0), (w1, b1)])
+    dims = [(2, 2), (1, 2)]
+    # W0 [[1, -0.5], [1, 1]], b0 [0, 0.5], W1 [[2, 3]], b1 [0.25]
+    flat = tape.param([1.0, -0.5, 1.0, 1.0, 0.0, 0.5, 2.0, 3.0, 0.25])
+    y = ad.mlp(z, flat, dims)
     assert tape.nodes[-1].attrs["inputs"][1].tolist() == [[0.0, 3.5]]
     np.testing.assert_array_equal(y.values, [[10.75]])
     grads = tape.backward(ad.reduce_sum(y))
-    np.testing.assert_array_equal(grads[b0.node], [0.0, 3.0])
-    np.testing.assert_array_equal(grads[w0.node], [[0.0, 0.0], [3.0, 6.0]])
+    (dw0, db0), (dw1, _) = ad.unpack(grads[flat.node], dims)
+    np.testing.assert_array_equal(db0, [0.0, 3.0])
+    np.testing.assert_array_equal(dw0, [[0.0, 0.0], [3.0, 6.0]])
     np.testing.assert_array_equal(grads[z.node], [[3.0, 3.0]])
-    np.testing.assert_array_equal(grads[w1.node], [[0.0, 3.5]])
+    np.testing.assert_array_equal(dw1, [[0.0, 3.5]])
 
 
 def test_backward_unused_param_gets_zero_adjoint():
@@ -270,6 +296,7 @@ FUSED_SHIFT = 0.4
 # each operand of a 3 -> 5 -> 4 -> 2 network on a batch of 4, in mlp's order
 MLP_SLOTS = {"mlp_z": (4, 3), "mlp_w0": (5, 3), "mlp_b0": (5,), "mlp_w1": (4, 5),
              "mlp_b1": (4,), "mlp_w2": (2, 4), "mlp_b2": (2,)}
+MLP_DIMS = [(5, 3), (4, 5), (2, 4)]
 
 
 @pytest.mark.parametrize("case", [
@@ -314,15 +341,17 @@ def test_single_op_gradients_match_fd(case):
             return ad.narrow(w, 1, 1, 3)
         # a one-layer mlp is the affine map z W^T + b
         if case == "affine_z":
-            return ad.mlp(w, [(mat.T, vec5)])
+            return ad.mlp(w, np.concatenate([mat.T, vec5], axis=None), [(5, 3)])
         if case == "affine_w":
-            return ad.mlp(rng2[:2], [(w, vec4)])
+            return ad.mlp(rng2[:2], ad.concat([ad.reshape(w, (12,)), vec4]), [(4, 3)])
         if case == "affine_bias":  # a (12,) bias broadcast over two rows
-            return ad.mlp(mat.T[:2], [(w12, ad.reshape(w, (12,)))])
-        if case in MLP_SLOTS:
+            return ad.mlp(mat.T[:2], ad.concat([w12.reshape(-1), ad.reshape(w, (12,))]),
+                          [(12, 3)])
+        if case in MLP_SLOTS:  # one operand taped, spliced into the weight vector
             ops = list(net)
             ops[list(MLP_SLOTS).index(case)] = w
-            return ad.mlp(ops[0], list(zip(ops[1::2], ops[2::2])))
+            flat = ad.concat([ad.reshape(op, (np.size(op),)) for op in ops[1:]])
+            return ad.mlp(ops[0], flat, MLP_DIMS)
         if case == "l2norm_vec":
             return ad.l2norm(ad.narrow(w, 0, 0, 1))
         if case == "l2norm_rows":
@@ -439,7 +468,8 @@ def test_composed_random_graphs_match_fd():
         w2_0 = rng.uniform(-1, 1, size=(1, dh))
 
         def run(w1v, b1v, w2v):
-            return mean(ad.square(ad.mlp(x, [(w1v, b1v), (w2v, 0.0)])))
+            flat = ad.concat([ad.reshape(w1v, (dh * din,)), b1v, ad.reshape(w2v, (dh,)), [0.0]])
+            return mean(ad.square(ad.mlp(x, flat, [(dh, din), (1, dh)])))
 
         # skip draws that place a preactivation on the relu kink
         pre = x @ w1_0.T + b1_0
@@ -462,7 +492,8 @@ def test_backward_bit_deterministic_across_rebuilds():
     def one_pass():
         tape = ad.Tape()
         w = tape.param(w0)
-        root = ad.reduce_sum(ad.square(ad.relu(ad.mlp(x, [(w, 0.0)]))))
+        flat = ad.concat([ad.reshape(w, (8,)), np.zeros(4)])
+        root = ad.reduce_sum(ad.square(ad.relu(ad.mlp(x, flat, [(4, 2)]))))
         return tape.backward(root)[w.node]
 
     a, b = one_pass(), one_pass()

@@ -48,8 +48,9 @@ def step(model, x, u, w):
 
 def rollout(model, policy, mode, x0, xi, omega):
     """Eager rollout of one scenario; returns states (N+1, n_x) and actions (N, n_u)."""
+    flat = pol.weight_vector(policy)
     states, actions = dyn.rollout_tensors(
-        model, lambda z: pol.apply_layers(policy.layers, z),
+        model, lambda z: pol.apply_layers(flat, policy.arch, z),
         np.atleast_2d(np.asarray(x0, dtype=float)),
         None if xi is None else np.atleast_2d(xi), np.asarray(omega)[None], mode)
     return states.values[0], actions.values[0]
@@ -319,34 +320,30 @@ def test_rollout_gradient_matches_fd(double_integrator):
     x0 = np.array([[0.8, -0.3]])
     omega = np.random.default_rng(7).normal(0, 0.05, size=(1, 2, 2))
 
-    def terminal_component(policy):
+    def terminal_states(flat):
         states, _ = dyn.rollout_tensors(
             double_integrator,
-            lambda z: pol.apply_layers(policy.layers, z),
+            lambda z: pol.apply_layers(flat, arch, z),
             x0, None, omega, dyn.STATE_FEEDBACK,
         )
-        return states.values[0, -1, 0]
+        return states
 
+    flat0 = pol.weight_vector(p)
     tape = ad.Tape()
-    layers = pol.taped_layers(tape, p)
-    states, _ = dyn.rollout_tensors(
-        double_integrator,
-        lambda z: pol.apply_layers(layers, z),
-        x0, None, omega, dyn.STATE_FEEDBACK,
-    )
-    root = ad.reduce_sum(ad.narrow(ad.narrow(states, 1, 2, 3), 2, 0, 1))
-    grads = tape.backward(root)
+    flat = tape.param(flat0)
+    root = ad.reduce_sum(ad.narrow(ad.narrow(terminal_states(flat), 1, 2, 3), 2, 0, 1))
+    grads = ad.unpack(tape.backward(root)[flat.node], arch.layer_dims)
 
     h = 1e-6
-    for li, (w0, b0) in enumerate(p.layers):
-        analytic = grads[layers[li][0].node]
+    for (w0, _), (analytic, _) in zip(ad.unpack(flat0, arch.layer_dims), grads):
         numeric = np.zeros_like(w0)
         for idx in np.ndindex(*w0.shape):
-            pert = [((w.copy(), b.copy())) for w, b in p.layers]
-            pert[li][0][idx] = w0[idx] + h
-            hi = terminal_component(pol.MlpPolicy(arch, pert))
-            pert[li][0][idx] = w0[idx] - h
-            lo = terminal_component(pol.MlpPolicy(arch, pert))
+            old = w0[idx]
+            w0[idx] = old + h
+            hi = terminal_states(flat0).values[0, -1, 0]
+            w0[idx] = old - h
+            lo = terminal_states(flat0).values[0, -1, 0]
+            w0[idx] = old
             numeric[idx] = (hi - lo) / (2 * h)
         err = np.abs(analytic - numeric)
         assert np.all(err <= np.maximum(1e-5, 1e-4 * np.abs(numeric)))
@@ -366,8 +363,9 @@ def test_block_rollout_matches_step_recursion(name, mode):
     full = mode == dyn.FULL_HORIZON
     arch = pol.PolicyArchitecture(n_x, (16,), horizon * n_u if full else n_u, seed=5)
     policy = pol.init_policy(arch)
+    flat = pol.weight_vector(policy)
     states, actions = dyn.rollout_tensors(
-        model, lambda z: pol.apply_layers(policy.layers, z), x0, None, omega, mode)
+        model, lambda z: pol.apply_layers(flat, arch, z), x0, None, omega, mode)
     assert states.shape == (batch, horizon + 1, n_x)
     assert actions.shape == (batch, horizon, n_u)
     np.testing.assert_array_equal(states.values[:, 0], x0)

@@ -62,33 +62,34 @@ def test_constant_broadcasts():
 def test_state_box_penalty_hand_value():
     box = obj.BoxConstraint((-10.0, -10.0), (10.0, 10.0))
     r = box.residuals(np.array([11.0, 0.0]))
-    assert obj.penalty(r, 10.0).item() == pytest.approx(10.0, abs=1e-12)
+    assert ad.relu_sumsq(r, 10.0).item() == pytest.approx(10.0, abs=1e-12)
 
 
 def test_input_box_penalty_hand_value():
     box = obj.BoxConstraint((-1.0,), (2.5,))
     r = box.residuals(np.array([3.0]))
-    assert obj.penalty(r, 2.0).item() == pytest.approx(0.5, abs=1e-12)
+    assert ad.relu_sumsq(r, 2.0).item() == pytest.approx(0.5, abs=1e-12)
 
 
 def test_penalty_zero_inside_box_including_boundary():
     box = obj.BoxConstraint((-1.0,), (1.0,))
-    assert obj.penalty(box.residuals(np.array([1.0])), 100.0).item() == 0.0
-    assert obj.penalty(box.residuals(np.array([-1.0])), 100.0).item() == 0.0
-    assert obj.penalty(box.residuals(np.array([0.3])), 100.0).item() == 0.0
+    assert ad.relu_sumsq(box.residuals(np.array([1.0])), 100.0).item() == 0.0
+    assert ad.relu_sumsq(box.residuals(np.array([-1.0])), 100.0).item() == 0.0
+    assert ad.relu_sumsq(box.residuals(np.array([0.3])), 100.0).item() == 0.0
 
 
 def test_penalty_doubles_with_weight():
     box = obj.BoxConstraint((-1.0,), (1.0,))
     r = box.residuals(np.array([1.7]))
-    assert obj.penalty(r, 20.0).item() == pytest.approx(2 * obj.penalty(r, 10.0).item(), rel=1e-15)
+    assert ad.relu_sumsq(r, 20.0).item() == pytest.approx(2 * ad.relu_sumsq(r, 10.0).item(),
+                                                          rel=1e-15)
 
 
 def test_contraction_penalty_hand_values():
     x = np.array([[1.0, 0.0]])
 
     def contraction_penalty(x, x_next, rate):
-        return obj.penalty(obj.ContractionConstraint(rate).residuals(x, x_next), 1.0).item()
+        return ad.relu_sumsq(obj.ContractionConstraint(rate).residuals(x, x_next), 1.0).item()
 
     assert contraction_penalty(x, x, 0.8) == pytest.approx(0.04, abs=1e-12)
     assert contraction_penalty(x, x, 0.9) == pytest.approx(0.01, abs=1e-12)
@@ -100,7 +101,7 @@ def test_ball_residual_hand_values():
     ball = obj.BallConstraint(radius=5.0)
     r = ball.residuals(np.array([[3.0, 4.0], [0.0, 0.0], [6.0, 8.0]])).values
     np.testing.assert_array_equal(r, [0.0, -5.0, 5.0])  # boundary residual is exactly 0
-    assert obj.penalty(ball.residuals(np.array([[6.0, 8.0]])), 2.0).item() == 50.0
+    assert ad.relu_sumsq(ball.residuals(np.array([[6.0, 8.0]])), 2.0).item() == 50.0
 
 
 def test_ball_residual_with_parametric_center_and_margin():
@@ -110,7 +111,7 @@ def test_ball_residual_with_parametric_center_and_margin():
     r = ball.residuals(block, xi).values
     np.testing.assert_allclose(r, [[-0.5, 0.0], [-1.0, -0.75]], atol=1e-15)
     # margin 0.5 tightens the penalty: relu(r + 0.5)^2 = 0 + 0.25 + 0 + 0
-    assert obj.penalty(ball.residuals(block, xi), 1.0, ball.margin).item() == 0.25
+    assert ad.relu_sumsq(ball.residuals(block, xi), 1.0, ball.margin).item() == 0.25
     # the residual itself, which certification reads, ignores the margin
     assert np.all(r <= 0.0)
 
@@ -129,7 +130,7 @@ def test_keepout_residual_hand_values():
     assert boundary.values[0, 0] == pytest.approx(0.0, abs=1e-12)
     inside = ell.residuals(np.array([[0.5, 0.0]]))
     assert inside.values[0, 0] == pytest.approx(0.75, abs=1e-12)
-    assert obj.penalty(inside, 100.0).item() == pytest.approx(56.25, abs=1e-10)
+    assert ad.relu_sumsq(inside, 100.0).item() == pytest.approx(56.25, abs=1e-10)
 
 
 def test_keepout_reads_parameters_from_xi():
@@ -375,10 +376,11 @@ def test_batch_from_trajectories_layout():
     # so the loss reads one layout whatever the batch size
     m = dyn.LinearSystem(np.array([[1.2, 1.0], [0.0, 1.0]]), np.array([[1.0], [0.5]]))
     p = pol.init_policy(pol.PolicyArchitecture(2, (4,), 1, seed=2))
+    flat = pol.weight_vector(p)
 
     def roll(x0):
         states, actions = dyn.rollout_tensors(
-            m, lambda z: pol.apply_layers(p.layers, z), x0, None,
+            m, lambda z: pol.apply_layers(flat, p.arch, z), x0, None,
             np.zeros((x0.shape[0], 3, 2)), dyn.STATE_FEEDBACK)
         return states.values, actions.values
 
@@ -409,26 +411,26 @@ def test_loss_gradient_through_rollout_matches_fd():
 
 
 def check_loss_gradient(m, p, x0, omega, s, cs, w):
-    def loss_for(layers):
+    def loss_for(flat):
         states, actions = dyn.rollout_tensors(
-            m, lambda z: pol.apply_layers(layers, z), x0, None, omega, dyn.STATE_FEEDBACK)
+            m, lambda z: pol.apply_layers(flat, p.arch, z), x0, None, omega, dyn.STATE_FEEDBACK)
         return obj.total_loss(states, actions, None, s, cs, w).total
 
+    flat0 = pol.weight_vector(p)
     tape = ad.Tape()
-    taped = pol.taped_layers(tape, p)
-    grads = tape.backward(loss_for(taped))
+    flat = tape.param(flat0)
+    grads = ad.unpack(tape.backward(loss_for(flat))[flat.node], p.arch.layer_dims)
 
     h = 1e-6
-    for li in range(len(p.layers)):
-        w0 = p.layers[li][0]
-        analytic = grads[taped[li][0].node]
+    for (w0, _), (analytic, _) in zip(ad.unpack(flat0, p.arch.layer_dims), grads):
         numeric = np.zeros_like(w0)
         for idx in np.ndindex(*w0.shape):
-            pert = [(wt.copy(), bt.copy()) for wt, bt in p.layers]
-            pert[li][0][idx] = w0[idx] + h
-            hi = loss_for(pert).item()
-            pert[li][0][idx] = w0[idx] - h
-            lo = loss_for(pert).item()
+            old = w0[idx]
+            w0[idx] = old + h
+            hi = loss_for(flat0).item()
+            w0[idx] = old - h
+            lo = loss_for(flat0).item()
+            w0[idx] = old
             numeric[idx] = (hi - lo) / (2 * h)
         err = np.abs(analytic - numeric)
         assert np.all(err <= np.maximum(1e-6, 1e-4 * np.abs(numeric)))
@@ -439,10 +441,10 @@ def test_margin_tightens_penalty_only():
     # residual + margin = 0.05 on the upper face, so relu^2 = 0.0025
     tight = obj.BoxConstraint((-1.0,), (1.0,), margin=0.1)
     v = np.array([0.95])
-    assert obj.penalty(tight.residuals(v), 1.0, tight.margin).item() == pytest.approx(
+    assert ad.relu_sumsq(tight.residuals(v), 1.0, tight.margin).item() == pytest.approx(
         0.0025, abs=1e-15)
     loose = obj.BoxConstraint((-1.0,), (1.0,))
-    assert obj.penalty(loose.residuals(v), 1.0, loose.margin).item() == 0.0
+    assert ad.relu_sumsq(loose.residuals(v), 1.0, loose.margin).item() == 0.0
     # the raw residuals are what certification checks, and they ignore margin
     assert np.all(tight.residuals(v).values <= 0.0)
 
@@ -462,9 +464,9 @@ def test_keepout_margin_inflates_penalty_onset():
                                   margin=0.1)
     x = np.array([[0.55, 0.0]])  # clear of the true ellipse, inside the margin band
     assert np.all(keep_out.residuals(x).values <= 0.0)
-    assert obj.penalty(keep_out.residuals(x), 1.0, keep_out.margin).item() > 0.0
+    assert ad.relu_sumsq(keep_out.residuals(x), 1.0, keep_out.margin).item() > 0.0
     x_far = np.array([[0.8, 0.0]])  # past the inflated surface too
-    assert obj.penalty(keep_out.residuals(x_far), 1.0, keep_out.margin).item() == 0.0
+    assert ad.relu_sumsq(keep_out.residuals(x_far), 1.0, keep_out.margin).item() == 0.0
 
 
 def test_split_tracking_reference_follows_track_index_order():
@@ -498,12 +500,12 @@ def unfused_penalty(residual, weight, margin=0.0):
 def loss_bits(cfg, policy, scenarios):
     """Taped loss parts and gradients, and the untaped evaluation, as bytes."""
     x0, xi, omega, _, _ = scenarios.pair_rows(np.arange(scenarios.size))
-    parts, grads = trainer.policy_gradient(policy, cfg.model, x0, xi, omega, cfg.objective,
-                                           cfg.constraints, cfg.weights, cfg.mode)
+    parts, grad = trainer.policy_gradient(policy, cfg.model, x0, xi, omega, cfg.objective,
+                                          cfg.constraints, cfg.weights, cfg.mode)
     evaluated = trainer.evaluate(policy, cfg.model, scenarios, cfg.objective,
                                  cfg.constraints, cfg.weights, cfg.mode)
     return ([np.float64(v).tobytes() for v in parts.floats().values()]
-            + [g.tobytes() for g in grads]
+            + [grad.tobytes()]
             + [np.float64(v).tobytes() for v in evaluated.values()])
 
 
@@ -517,5 +519,5 @@ def test_total_loss_is_the_unfused_loss_bit_for_bit(name, monkeypatch):
         b[...] = gen.normal(scale=2.0, size=b.shape)  # plans that cross the constraints
     fused = loss_bits(cfg, policy, scenarios)
     monkeypatch.setattr(ad, "sumsq", unfused_quad)
-    monkeypatch.setattr(obj, "penalty", unfused_penalty)
+    monkeypatch.setattr(ad, "relu_sumsq", unfused_penalty)
     assert loss_bits(cfg, policy, scenarios) == fused

@@ -116,12 +116,12 @@ def test_taped_forward_matches_eager_and_counts_adjoints():
     p = pol.init_policy(arch(3, [6, 5], 4, seed=7))
     xs = rng.normal(size=(5, 3))
     tape = ad.Tape()
-    layers = pol.taped_layers(tape, p)
-    out = pol.apply_layers(layers, xs)
+    flat = tape.param(pol.weight_vector(p))
+    out = pol.apply_layers(flat, p.arch, xs)
     np.testing.assert_allclose(out.values, pol.forward(p, xs), atol=1e-12)
     grads = tape.backward(ad.reduce_sum(ad.square(out)))
-    adjoint_entries = sum(grads[t.node].size for pair in layers for t in pair)
-    assert adjoint_entries == pol.param_count(p.arch)
+    assert [n.kind for n in tape.nodes] == ["param", "mlp", "square", "sum"]
+    assert grads[flat.node].shape == (pol.param_count(p.arch),)
 
 
 # ---------------------------------------------------------------------------
@@ -213,12 +213,13 @@ def test_untaped_forward_is_the_taped_pass_bit_for_bit(name, mode):
     untaped = pol.forward(p, xs)
     assert isinstance(untaped, np.ndarray)
     assert np.array_equal(xs, before)  # the in-place pass writes only its own blocks
-    eager = pol.apply_layers(p.layers, xs)
+    flat = pol.weight_vector(p)
+    eager = pol.apply_layers(flat, p.arch, xs)
     assert eager.tape is None
-    taped = pol.apply_layers(pol.taped_layers(ad.Tape(), p), xs)
+    taped = pol.apply_layers(ad.Tape().param(flat), p.arch, xs)
     assert np.array_equal(eager.values, taped.values)
     assert np.array_equal(untaped, taped.values)
-    one = pol.apply_layers(pol.taped_layers(ad.Tape(), p), xs[:1])
+    one = pol.apply_layers(ad.Tape().param(flat), p.arch, xs[:1])
     assert np.array_equal(pol.forward(p, xs[0]), one.values[0])
 
 

@@ -3,6 +3,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from spdpc import autodiff as ad
 from spdpc import dynamics as dyn
 from spdpc import objectives as obj
 from spdpc import policy as pol
@@ -28,35 +29,34 @@ class TestAdamW:
         # theta=1, g=1, lr=0.01, no decay: bias correction makes mhat=vhat=1,
         # so the step is lr / (1 + eps)
         cfg = tr.TrainConfig(epochs=1, lr=0.01, weight_decay=0.0)
-        params = [np.array([1.0])]
-        state = tr.AdamWState.for_params(params)
-        tr.adamw_step(params, [np.array([1.0])], state, cfg)
-        assert abs(params[0][0] - 0.9900000001) < 1e-12
+        theta = np.array([1.0])
+        state = tr.AdamWState.like(theta)
+        tr.adamw_step(theta, np.array([1.0]), state, cfg)
+        assert abs(theta[0] - 0.9900000001) < 1e-12
         assert state.t == 1
 
     def test_decay_alone_shrinks_weights(self):
         cfg = tr.TrainConfig(epochs=1, lr=0.1, weight_decay=0.5)
-        params = [np.array([2.0])]
-        state = tr.AdamWState.for_params(params)
-        tr.adamw_step(params, [np.array([0.0])], state, cfg)
+        theta = np.array([2.0])
+        tr.adamw_step(theta, np.array([0.0]), tr.AdamWState.like(theta), cfg)
         # gradient term vanishes, only -lr * wd * theta acts
-        assert params[0][0] == pytest.approx(1.9, abs=1e-15)
+        assert theta[0] == pytest.approx(1.9, abs=1e-15)
 
     def test_matches_scalar_reference_over_steps(self):
         cfg = tr.TrainConfig(epochs=1, lr=0.05, weight_decay=0.02)
-        params = [np.array([0.7])]
-        state = tr.AdamWState.for_params(params)
+        params = np.array([0.7])
+        state = tr.AdamWState.like(params)
         theta, m, v = 0.7, 0.0, 0.0
         gs = [0.3, -1.2, 0.5, 0.0, 2.0]
         for t, g in enumerate(gs, start=1):
-            tr.adamw_step(params, [np.array([g])], state, cfg)
+            tr.adamw_step(params, np.array([g]), state, cfg)
             m = cfg.beta1 * m + (1 - cfg.beta1) * g
             v = cfg.beta2 * v + (1 - cfg.beta2) * g * g
             mhat = m / (1 - cfg.beta1 ** t)
             vhat = v / (1 - cfg.beta2 ** t)
             theta = theta - cfg.lr * (mhat / (np.sqrt(vhat) + cfg.eps)
                                       + cfg.weight_decay * theta)
-        assert params[0][0] == pytest.approx(theta, abs=1e-15)
+        assert params[0] == pytest.approx(theta, abs=1e-15)
 
     @staticmethod
     def per_array_reference(params, grads, m, v, t, cfg):
@@ -77,31 +77,19 @@ class TestAdamW:
         ref = [gen.normal(size=shape) for shape in shapes]
         ref[0][0, 0] = 0.0
         flat = np.concatenate(ref, axis=None)
-        per = [a.copy() for a in ref]
         m = [np.zeros_like(a) for a in ref]
         v = [np.zeros_like(a) for a in ref]
-        state_flat = tr.AdamWState.for_params([flat])
-        state_per = tr.AdamWState.for_params(per)
+        state = tr.AdamWState.like(flat)
         for t in range(1, 6):
             grads = [gen.normal(size=shape) * 10.0 ** gen.integers(-6, 3) for shape in shapes]
             grads[1][0] = 0.0
             grads[2][0] = -0.0
             self.per_array_reference(ref, grads, m, v, t, cfg)
-            tr.adamw_step([flat], [np.concatenate(grads, axis=None)], state_flat, cfg)
-            tr.adamw_step(per, grads, state_per, cfg)
-            want = np.concatenate(ref, axis=None)
-            assert flat.tobytes() == want.tobytes()
-            assert np.concatenate(per, axis=None).tobytes() == want.tobytes()
-            assert state_flat.m[0].tobytes() == np.concatenate(m, axis=None).tobytes()
-            assert state_flat.v[0].tobytes() == np.concatenate(v, axis=None).tobytes()
-        assert state_flat.t == state_per.t == 5
-
-    def test_length_mismatch_rejected(self):
-        cfg = tr.TrainConfig(epochs=1)
-        params = [np.zeros(2)]
-        state = tr.AdamWState.for_params(params)
-        with pytest.raises(ValueError, match="disagree"):
-            tr.adamw_step(params, [np.zeros(2), np.zeros(2)], state, cfg)
+            tr.adamw_step(flat, np.concatenate(grads, axis=None), state, cfg)
+            assert flat.tobytes() == np.concatenate(ref, axis=None).tobytes()
+            assert state.m.tobytes() == np.concatenate(m, axis=None).tobytes()
+            assert state.v.tobytes() == np.concatenate(v, axis=None).tobytes()
+        assert state.t == 5
 
     def test_config_validation(self):
         with pytest.raises(ValueError, match="epochs"):
@@ -124,33 +112,34 @@ class TestPolicyGradient:
         x0 = gen.uniform(-1, 1, size=(2, 2))
         omega = gen.normal(0, 0.05, size=(2, 3, 2))
 
-        parts, grads = tr.policy_gradient(
+        parts, grad = tr.policy_gradient(
             policy, model, x0, None, omega, objective, constraints, weights,
             dyn.FULL_HORIZON)
 
-        def eager_loss(layers):
+        flat = tr.pack_params(policy)  # policy.layers become views of flat
+
+        def eager_loss():
             states, actions = dyn.rollout_tensors(
-                model, lambda z: pol.apply_layers(layers, z), x0, None, omega,
+                model, lambda z: pol.apply_layers(flat, arch, z), x0, None, omega,
                 dyn.FULL_HORIZON)
             return obj.total_loss(states, actions, None, objective,
                                   constraints, weights).total.item()
 
-        flat = tr.flat_params(policy)
-        assert len(grads) == len(flat)
+        assert grad.shape == flat.shape
         probe = np.random.default_rng(7)
-        for arr, grad in zip(flat, grads):
-            assert grad.shape == arr.shape
-            for _ in range(3):
-                at = tuple(probe.integers(0, n) for n in arr.shape)
-                h = 1e-6
-                old = arr[at]
-                arr[at] = old + h
-                up = eager_loss(policy.layers)
-                arr[at] = old - h
-                down = eager_loss(policy.layers)
-                arr[at] = old
-                numeric = (up - down) / (2 * h)
-                assert grad[at] == pytest.approx(numeric, abs=1e-5, rel=1e-4)
+        for layer, grad_layer in zip(policy.layers, ad.unpack(grad, arch.layer_dims)):
+            for arr, arr_grad in zip(layer, grad_layer):
+                for _ in range(3):
+                    at = tuple(probe.integers(0, n) for n in arr.shape)
+                    h = 1e-6
+                    old = arr[at]
+                    arr[at] = old + h
+                    up = eager_loss()
+                    arr[at] = old - h
+                    down = eager_loss()
+                    arr[at] = old
+                    numeric = (up - down) / (2 * h)
+                    assert arr_grad[at] == pytest.approx(numeric, abs=1e-5, rel=1e-4)
 
     def test_zero_everything_is_a_stationary_point(self):
         model = double_integrator()
@@ -162,20 +151,19 @@ class TestPolicyGradient:
         objective, constraints, weights = stabilization_setup()
         x0 = np.zeros((3, 2))
         omega = np.zeros((3, 2, 2))
-        parts, grads = tr.policy_gradient(
+        parts, grad = tr.policy_gradient(
             policy, model, x0, None, omega, objective, constraints, weights,
             dyn.FULL_HORIZON)
         assert parts.total.item() == 0.0
-        assert all(np.all(g == 0.0) for g in grads)
+        assert grad.shape == (pol.param_count(arch),) and np.all(grad == 0.0)
 
     def test_obstacle_step_tape_is_independent_of_the_horizon(self, monkeypatch):
         # ex3 desk: N=20, 4x100 policy, keep-out and terminal smoothing.  The
         # rollout and loss record whole time blocks, so a step's tape holds the
-        # policy layers plus a fixed number of loss nodes (about 1050 when the
-        # loss was built step by step)
+        # weights, one policy node and a fixed number of loss nodes (about 1050
+        # when the loss was built step by step)
         from pathlib import Path
 
-        from spdpc import autodiff as ad
         from spdpc.config import load_config
         from spdpc.sampling import split
         cfg = load_config(Path(__file__).resolve().parents[1] / "configs"
@@ -197,19 +185,18 @@ class TestPolicyGradient:
         assert len(sizes) == 1 and sizes[0] <= 120, sizes
 
 
-# Tape nodes one training step records on each desk config.  Each policy
-# call is one mlp node, whatever its depth, and a zero-weight loss term
-# records nothing; a change here changes the per-op dispatch cost of every
-# step, so it must be deliberate.
-STEP_NODES = {"ex1_double_integrator_desk": 50, "ex2_quadcopter_desk": 39,
-              "ex3_obstacle_desk": 50}
+# Tape nodes one training step records on each desk config.  The weights
+# are one param node, each policy call is one mlp node, whatever its depth,
+# and a zero-weight loss term records nothing; a change here changes the
+# per-op dispatch cost of every step, so it must be deliberate.
+STEP_NODES = {"ex1_double_integrator_desk": 41, "ex2_quadcopter_desk": 34,
+              "ex3_obstacle_desk": 41}
 
 
 @pytest.mark.parametrize("name", sorted(STEP_NODES))
 def test_tape_nodes_per_training_step(name, monkeypatch):
     from pathlib import Path
 
-    from spdpc import autodiff as ad
     from spdpc.config import load_config
     cfg = load_config(Path(__file__).resolve().parents[1] / "configs" / f"{name}.json")
     scen = sample_scenarios(cfg.params, cfg.noise, 8, 2, cfg.horizon, cfg.seed)
@@ -226,10 +213,9 @@ def test_tape_nodes_per_training_step(name, monkeypatch):
                        cfg.objective, cfg.constraints, cfg.weights, cfg.mode)
     assert len(tapes) == 1
     kinds = tapes[0]
-    layers = len(cfg.arch.layer_dims)
     calls = 1 if cfg.mode == dyn.FULL_HORIZON else cfg.horizon
     assert kinds.count("mlp") == calls
-    assert kinds.count("param") == 2 * layers
+    assert kinds.count("param") == 1
     assert len(kinds) == STEP_NODES[name], dict(Counter(kinds))
 
 
@@ -322,31 +308,32 @@ class TestTraining:
         live = pol.init_policy(pol.PolicyArchitecture(input_dim=2, hidden=(8, 5),
                                                       output_dim=3, seed=9))
         result = self.run(epochs=2, policy=live)
-        arrays = tr.flat_params(live)
+        arrays = [a for layer in live.layers for a in layer]
         base = arrays[0].base
         assert base is not None and base.ndim == 1
         assert base.size == pol.param_count(live.arch)
         assert all(a.base is base for a in arrays)
         start = 0
-        for a in arrays:  # flat_params order, each array row-major
+        for a in arrays:  # each W row-major, then its b
             assert a.flags.c_contiguous
             assert np.shares_memory(a, base[start:start + a.size])
             start += a.size
         assert start == base.size
-        assert not any(np.shares_memory(snap, base) for snap in tr.flat_params(result.policy))
+        snapshot = [a for layer in result.policy.layers for a in layer]
+        assert not any(np.shares_memory(snap, base) for snap in snapshot)
 
     def test_pack_params_keeps_the_values(self):
         policy = pol.init_policy(pol.PolicyArchitecture(input_dim=3, hidden=(4,),
                                                         output_dim=2, seed=1))
-        before = [a.copy() for a in tr.flat_params(policy)]
+        before = [a.copy() for layer in policy.layers for a in layer]
         flat = tr.pack_params(policy)
         assert flat.tobytes() == np.concatenate(before, axis=None).tobytes()
-        for a, b in zip(tr.flat_params(policy), before):
+        for a, b in zip([a for layer in policy.layers for a in layer], before):
             assert a.shape == b.shape and np.array_equal(a, b)
         flat[0] = 42.0
         assert policy.layers[0][0][0, 0] == 42.0
         policy.layers = policy.layers[:1]
-        with pytest.raises(ValueError, match="architecture"):
+        with pytest.raises(ValueError, match=r"size 16 does not fit layers \[\(4, 3\), \(2, 4\)"):
             tr.pack_params(policy)
 
     def test_on_epoch_callback_sees_every_epoch(self):
@@ -383,10 +370,9 @@ class TestTraining:
         exact = tr.policy_gradient
 
         def poisoned(*args):
-            parts, grads = exact(*args)
-            grads[2] = grads[2].copy()
-            grads[2].flat[1] = np.nan
-            return parts, grads
+            parts, grad = exact(*args)
+            grad[17] = np.nan  # the second entry of the first hidden layer's bias
+            return parts, grad
 
         monkeypatch.setattr(tr, "policy_gradient", poisoned)
         policy = pol.init_policy(pol.PolicyArchitecture(input_dim=2, hidden=(8,),
