@@ -82,6 +82,7 @@ class CertificationReport:
     policy_checkpoint: str
     seed: int
     failures: tuple = ()  # {"part", "kind", "failed"} per entry of constraints.checked()
+    policy_sha256: str = ""  # of the checkpoint file scored; set by ``spdpc certify``
 
     def __post_init__(self):
         object.__setattr__(self, "failures", tuple(self.failures))

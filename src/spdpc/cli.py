@@ -114,6 +114,8 @@ def run_train(cfg, seed: int, out: Path, checkpoint_every: int = 0):
 
 
 def run_certify(cfg, seed: int, out: Path, checkpoint: str):
+    from dataclasses import replace
+
     import numpy as np
 
     from .certify import run_certification, save_report
@@ -124,7 +126,8 @@ def run_certify(cfg, seed: int, out: Path, checkpoint: str):
     report, flags = run_certification(policy, cfg.model, test_set, cfg.constraints,
                                       cfg.terminal, cfg.mode, cfg.beta, cfg.delta,
                                       Path(checkpoint).name)
-    save_report(report, out / "certificate.json")
+    digest = hashlib.sha256(Path(checkpoint).read_bytes()).hexdigest()
+    save_report(replace(report, policy_sha256=digest), out / "certificate.json")
     i_idx, j_idx = test_set.pair_index(np.arange(test_set.size))
     write_csv(out / "indicator.csv", ["i", "j", "pass"],
               [[int(i), int(j), int(flag)] for i, j, flag in zip(i_idx, j_idx, flags)])

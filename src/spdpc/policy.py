@@ -48,26 +48,32 @@ def param_count(arch: PolicyArchitecture) -> int:
     return sum(rows * cols + rows for rows, cols in arch.layer_dims)
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class MlpPolicy:
+    """Weights as one float64 vector in ``autodiff.unpack`` layout; ``layers``
+    are its (W (out,in), b (out,)) views, built once here, so every pass reads
+    an in-place update of ``weights``."""
+
     arch: PolicyArchitecture
-    layers: list = field(default_factory=list)  # [(W (out,in), b (out,)), ...]
+    weights: np.ndarray
+    layers: list = field(init=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "layers", ad.unpack(self.weights, self.arch.layer_dims))
+
+    def __reduce__(self):
+        # a copy or a pickle carries the vector alone; the views are rebuilt on it
+        return MlpPolicy, (self.arch, self.weights)
 
 
 def init_policy(arch: PolicyArchitecture) -> MlpPolicy:
     """Weights uniform in [-1/sqrt(fan_in), +1/sqrt(fan_in)], biases zero."""
-    layers = []
-    for idx, (rows, cols) in enumerate(arch.layer_dims):
+    policy = MlpPolicy(arch, np.zeros(param_count(arch)))
+    for idx, (w, _) in enumerate(policy.layers):
         gen = _rng.substream(arch.seed, _rng.POLICY_INIT, idx)
-        bound = 1.0 / np.sqrt(cols)
-        w = gen.uniform(-bound, bound, size=(rows, cols))
-        layers.append((w, np.zeros(rows)))
-    return MlpPolicy(arch, layers)
-
-
-def weight_vector(policy: MlpPolicy) -> np.ndarray:
-    """The weights copied into one vector, in ``autodiff.unpack`` layout."""
-    return np.concatenate([a for layer in policy.layers for a in layer], axis=None)
+        bound = 1.0 / np.sqrt(w.shape[1])
+        w[...] = gen.uniform(-bound, bound, size=w.shape)
+    return policy
 
 
 def apply_layers(flat, arch: PolicyArchitecture, z):
@@ -140,4 +146,4 @@ def load_checkpoint(path) -> MlpPolicy:
             if w.shape != (rows, cols) or b.shape != (rows,):
                 raise ValueError(f"layer {k}: shapes W{w.shape} b{b.shape} do not match "
                                  f"({rows}, {cols})")
-    return MlpPolicy(arch, layers)
+    return MlpPolicy(arch, np.concatenate([a for layer in layers for a in layer], axis=None))

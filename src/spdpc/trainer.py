@@ -30,6 +30,17 @@ class TrainingDiverged(RuntimeError):
     """The loss, a gradient or a weight left the floats."""
 
 
+def _diverged(fault: str, history) -> TrainingDiverged:
+    last = f"last finite epoch {history[-1]['epoch']}" if history else "no epoch finished finite"
+    return TrainingDiverged(f"{fault}; {last}")
+
+
+def _blown_part(parts: dict) -> str:
+    """The first loss part besides the total that is not finite (else the total), with its value."""
+    name = next((k for k in obj.LOSS_PARTS if k != "total" and not np.isfinite(parts[k])), "total")
+    return f"loss part {name} is {parts[name]}"
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     epochs: int
@@ -65,13 +76,6 @@ class AdamWState:
     @classmethod
     def like(cls, p) -> "AdamWState":
         return cls(np.zeros_like(p), np.zeros_like(p), np.empty_like(p), np.empty_like(p))
-
-
-def pack_params(policy: pol.MlpPolicy) -> np.ndarray:
-    """Copy the weights into one vector and rebind ``policy.layers`` to views of it."""
-    flat = pol.weight_vector(policy)
-    policy.layers = ad.unpack(flat, policy.arch.layer_dims)
-    return flat
 
 
 def adamw_step(p, g, state: AdamWState, cfg: TrainConfig) -> None:
@@ -112,7 +116,7 @@ def policy_gradient(policy, model, x0, xi, omega, objective, constraints,
     Returns (LossParts, gradient vector in ``autodiff.unpack`` layout).
     """
     tape = ad.Tape()
-    flat = tape.param(pol.weight_vector(policy))
+    flat = tape.param(policy.weights)
     states, actions = dyn.rollout_tensors(
         model, lambda z: pol.apply_layers(flat, policy.arch, z), x0, xi, omega, mode)
     parts = obj.total_loss(states, actions, xi, objective, constraints, weights)
@@ -147,16 +151,13 @@ class TrainResult:
 
 def train(model, policy, train_set, dev_set, objective, constraints, weights,
           cfg: TrainConfig, mode, seed: int, on_epoch=None) -> TrainResult:
-    """Optimize ``policy`` in place; returns the best-dev snapshot and history.
-
-    The weights are packed into one vector first: ``policy.layers`` become
-    views of it, and each step updates the whole vector with one AdamW call.
-    ``result.policy`` is a copy that later updates do not touch.
+    """Optimize ``policy.weights`` in place, one AdamW call a step; returns the
+    best-dev snapshot, a copy that later updates do not touch, and history.
 
     ``on_epoch(epoch, policy, dev_loss)`` runs after each epoch when given,
     for periodic checkpointing.
     """
-    flat = pack_params(policy)
+    flat = policy.weights
     state = AdamWState.like(flat)
     result = TrainResult(policy=policy)
     for epoch in range(cfg.epochs):
@@ -167,9 +168,9 @@ def train(model, policy, train_set, dev_set, objective, constraints, weights,
             x0, xi, omega, i_idx, _ = train_set.pair_rows(idx)
             parts, grad = policy_gradient(
                 policy, model, x0, xi, omega, objective, constraints, weights, mode)
-            loss = parts.total.item()
-            if not np.isfinite(loss):
-                fault = f"loss is {loss}"
+            floats = parts.floats()
+            if not np.isfinite(floats["total"]):
+                fault = _blown_part(floats)
             elif not np.isfinite(grad).all():
                 fault = "gradient left the floats"
             else:
@@ -178,19 +179,19 @@ def train(model, policy, train_set, dev_set, objective, constraints, weights,
                          else "weights left the floats after the update")
             if fault is not None:
                 rows = sorted(set(int(i) for i in i_idx))
-                raise TrainingDiverged(f"{fault} at epoch {epoch}, parametric rows {rows}")
-            for key, val in parts.floats().items():
+                raise _diverged(f"{fault} at epoch {epoch}, parametric rows {rows}",
+                                result.history)
+            for key, val in floats.items():
                 acc[key] += val * len(idx)
         dev = evaluate(policy, model, dev_set, objective, constraints, weights, mode)
         if not np.isfinite(dev["total"]):
-            raise TrainingDiverged(f"dev loss is {dev['total']} at epoch {epoch}")
+            raise _diverged(f"dev {_blown_part(dev)} at epoch {epoch}", result.history)
         mean = {"train": {k: v / train_set.size for k, v in acc.items()}, "dev": dev}
         result.history.append({"epoch": epoch, **{c: mean[s][p] for c, (s, p) in HISTORY.items()}})
         if dev["total"] < result.best_dev_loss:
             result.best_dev_loss = dev["total"]
             result.best_epoch = epoch
-            result.policy = pol.MlpPolicy(policy.arch,
-                                          ad.unpack(flat.copy(), policy.arch.layer_dims))
+            result.policy = pol.MlpPolicy(policy.arch, flat.copy())
         if on_epoch is not None:
             on_epoch(epoch, policy, dev["total"])
     return result

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import subprocess
 import sys
 import time
@@ -41,9 +42,11 @@ CONFIGS = REPO / "configs"
 
 
 def run_cli(*args):
-    """Invoke the command line as a subprocess and require exit 0."""
+    """Invoke the command line of the package under test as a subprocess and
+    require exit 0."""
+    env = {**os.environ, "PYTHONPATH": str(Path(pol.__file__).resolve().parents[1])}
     proc = subprocess.run([sys.executable, "-m", "spdpc.cli", *map(str, args)],
-                          capture_output=True, text=True, cwd=REPO)
+                          capture_output=True, text=True, cwd=REPO, env=env)
     assert proc.returncode == 0, f"cli {args} failed:\n{proc.stdout}\n{proc.stderr}"
     return proc.stdout
 
@@ -153,7 +156,7 @@ def test_gradients_match_finite_differences(monkeypatch):
         if kink_gaps and min(kink_gaps) < 1e-4:
             continue
 
-        flat = tr.pack_params(policy)  # policy.layers become views of flat
+        flat = policy.weights
 
         def loss_now():
             states, actions = dyn.rollout_tensors(
@@ -231,7 +234,7 @@ def test_state_feedback_gradients_through_xi(monkeypatch):
         if min(kink_gaps) < 1e-4:
             continue
 
-        flat = tr.pack_params(policy)  # policy.layers become views of flat
+        flat = policy.weights
 
         def loss_now():
             states, actions = dyn.rollout_tensors(
@@ -343,7 +346,7 @@ def test_obstacle_desk_quality_gate(tmp_path):
     x0 = np.repeat(test.x0, test.s, axis=0)
     xi = np.repeat(test.xi, test.s, axis=0)
     omega = np.tile(test.omega, (test.m, 1, 1))
-    flat = pol.weight_vector(policy)
+    flat = policy.weights
     states, _ = dyn.rollout_tensors(
         cfg.model, lambda z: pol.apply_layers(flat, policy.arch, z),
         x0, xi, omega, cfg.mode)
@@ -437,7 +440,7 @@ def test_core_property_rollup():
     policy = pol.init_policy(arch)
     x0 = gen.uniform(-0.5, 0.5, size=(3, 2))
     omega = gen.normal(0.0, 0.01, size=(3, 2, 2))
-    flat = pol.weight_vector(policy)
+    flat = policy.weights
     states, actions = dyn.rollout_tensors(
         model, lambda z: pol.apply_layers(flat, arch, z),
         x0, None, omega, dyn.STATE_FEEDBACK)

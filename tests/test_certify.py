@@ -365,7 +365,7 @@ class TestReportIO:
         data = json.loads(path.read_text())
         assert list(data) == ["r", "m", "s", "beta", "delta", "mu_tilde", "alpha",
                               "lower_bound", "verdict", "policy_checkpoint", "seed",
-                              "failures"]
+                              "failures", "policy_sha256"]
         assert cert.CertificationReport(**data) == report
 
 

@@ -19,7 +19,8 @@ from spdpc.policy import init_policy, load_checkpoint, save_checkpoint
 from spdpc.trainer import HISTORY_COLUMNS
 
 REPORT_KEYS = ["r", "m", "s", "beta", "delta", "mu_tilde", "alpha",
-               "lower_bound", "verdict", "policy_checkpoint", "seed", "failures"]
+               "lower_bound", "verdict", "policy_checkpoint", "seed", "failures",
+               "policy_sha256"]
 
 
 def micro_config(tmp_path, **overrides):
@@ -410,6 +411,22 @@ class TestExitCodes:
 
 
 class TestPipeline:
+    def test_certificate_hashes_the_checkpoint_it_scored(self, tmp_path):
+        config = micro_config(tmp_path)
+        policy = init_policy(load_config(config).arch)
+        checkpoint = tmp_path / "policy.json"
+        digests = []
+        for bump in (0.0, 1e-3):  # the second checkpoint differs in one weight
+            policy.weights[0] += bump
+            save_checkpoint(policy, checkpoint)
+            out = tmp_path / f"certified{len(digests)}"
+            assert run("certify", "--config", str(config), "--out", str(out),
+                       "--checkpoint", str(checkpoint)) == 0
+            report = json.loads((out / "certificate.json").read_text())
+            assert report["policy_sha256"] == hashlib.sha256(checkpoint.read_bytes()).hexdigest()
+            digests.append(report["policy_sha256"])
+        assert digests[0] != digests[1]
+
     def test_all_commands_end_to_end(self, tmp_path, capsys):
         config = micro_config(tmp_path)
 

@@ -29,9 +29,7 @@ def double_integrator():
 
 def zero_policy(n_in, n_out):
     arch = pol.PolicyArchitecture(n_in, (4,), n_out)
-    p = pol.init_policy(arch)
-    p.layers = [(np.zeros_like(w), np.zeros_like(b)) for w, b in p.layers]
-    return p
+    return pol.MlpPolicy(arch, np.zeros(pol.param_count(arch)))
 
 
 def step(model, x, u, w):
@@ -48,7 +46,7 @@ def step(model, x, u, w):
 
 def rollout(model, policy, mode, x0, xi, omega):
     """Eager rollout of one scenario; returns states (N+1, n_x) and actions (N, n_u)."""
-    flat = pol.weight_vector(policy)
+    flat = policy.weights
     states, actions = dyn.rollout_tensors(
         model, lambda z: pol.apply_layers(flat, policy.arch, z),
         np.atleast_2d(np.asarray(x0, dtype=float)),
@@ -328,7 +326,7 @@ def test_rollout_gradient_matches_fd(double_integrator):
         )
         return states
 
-    flat0 = pol.weight_vector(p)
+    flat0 = p.weights
     tape = ad.Tape()
     flat = tape.param(flat0)
     root = ad.reduce_sum(ad.narrow(ad.narrow(terminal_states(flat), 1, 2, 3), 2, 0, 1))
@@ -363,7 +361,7 @@ def test_block_rollout_matches_step_recursion(name, mode):
     full = mode == dyn.FULL_HORIZON
     arch = pol.PolicyArchitecture(n_x, (16,), horizon * n_u if full else n_u, seed=5)
     policy = pol.init_policy(arch)
-    flat = pol.weight_vector(policy)
+    flat = policy.weights
     states, actions = dyn.rollout_tensors(
         model, lambda z: pol.apply_layers(flat, arch, z), x0, None, omega, mode)
     assert states.shape == (batch, horizon + 1, n_x)
@@ -459,8 +457,7 @@ def test_simulate_matches_numpy_per_run_loop(name, request):
 def test_simulate_names_the_run_and_step_that_leave_the_floats(double_integrator):
     # run 0 rests at the origin; runs 1 and 2 are driven by a gain of 1e200
     # until their states overflow, and the error names the first of them
-    p = pol.init_policy(pol.PolicyArchitecture(2, (), 1))
-    p.layers = [(np.full((1, 2), 1e200), np.zeros(1))]
+    p = pol.MlpPolicy(pol.PolicyArchitecture(2, (), 1), np.array([1e200, 1e200, 0.0]))
     x0 = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 0.0]])
     with np.errstate(over="ignore", invalid="ignore"):
         x, first = x0[1], None

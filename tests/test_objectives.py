@@ -376,7 +376,7 @@ def test_batch_from_trajectories_layout():
     # so the loss reads one layout whatever the batch size
     m = dyn.LinearSystem(np.array([[1.2, 1.0], [0.0, 1.0]]), np.array([[1.0], [0.5]]))
     p = pol.init_policy(pol.PolicyArchitecture(2, (4,), 1, seed=2))
-    flat = pol.weight_vector(p)
+    flat = p.weights
 
     def roll(x0):
         states, actions = dyn.rollout_tensors(
@@ -416,7 +416,7 @@ def check_loss_gradient(m, p, x0, omega, s, cs, w):
             m, lambda z: pol.apply_layers(flat, p.arch, z), x0, None, omega, dyn.STATE_FEEDBACK)
         return obj.total_loss(states, actions, None, s, cs, w).total
 
-    flat0 = pol.weight_vector(p)
+    flat0 = p.weights
     tape = ad.Tape()
     flat = tape.param(flat0)
     grads = ad.unpack(tape.backward(loss_for(flat))[flat.node], p.arch.layer_dims)

@@ -1,14 +1,20 @@
 from __future__ import annotations
 
+import copy
+import dataclasses
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from spdpc import autodiff as ad
+from spdpc import dynamics as dyn
+from spdpc import objectives as obj
 from spdpc import policy as pol
+from spdpc import trainer as tr
 from spdpc.config import load_config
 from spdpc.dynamics import FULL_HORIZON, MODES
+from spdpc.sampling import DistSpec, ParamSpec, sample_scenarios, split
 
 
 def arch(i, h, o, seed=0):
@@ -58,21 +64,100 @@ def test_bad_architecture_rejected():
 
 
 # ---------------------------------------------------------------------------
+# one weight vector
+
+def assert_views_of_weights(p):
+    """Each layer's W (row-major), then its b, is a view of ``p.weights`` in order."""
+    assert p.weights.ndim == 1 and p.weights.size == pol.param_count(p.arch)
+    start = 0
+    for a in (a for layer in p.layers for a in layer):
+        assert a.base is p.weights and a.flags.c_contiguous
+        assert np.shares_memory(a, p.weights[start:start + a.size])
+        start += a.size
+    assert start == p.weights.size
+
+
+def train_briefly(p):
+    """``trainer.train`` on a double integrator, two-step plans of a 2-d state."""
+    spec = ParamSpec(x0=DistSpec("uniform", (-0.5, -0.5), (0.5, 0.5)))
+    scen = sample_scenarios(spec, dyn.NoiseSpec("zero", [0.0, 0.0]), m=8, s=2,
+                            horizon=2, seed=4)
+    train_set, dev_set = split(scen, (0.5, 0.5))
+    model = dyn.LinearSystem(A=np.array([[1.0, 0.1], [0.0, 1.0]]), B=np.array([[0.0], [0.1]]))
+    return tr.train(model, p, train_set, dev_set, obj.StageObjective(kind="stabilization"),
+                    obj.ConstraintSet(), obj.LossWeights(Q_x=1.0, Q_u=0.1),
+                    tr.TrainConfig(epochs=2, lr=1e-2, minibatch=8), FULL_HORIZON, 11)
+
+
+def test_layers_are_views_of_the_weights(tmp_path):
+    live = pol.init_policy(arch(2, [8, 5], 2, seed=9))
+    assert_views_of_weights(live)
+    pol.save_checkpoint(live, tmp_path / "ckpt.json")
+    assert_views_of_weights(pol.load_checkpoint(tmp_path / "ckpt.json"))
+    weights = live.weights
+    snapshot = train_briefly(live).policy
+    assert live.weights is weights  # trained in place
+    assert_views_of_weights(live)
+    assert_views_of_weights(snapshot)
+    assert not np.shares_memory(snapshot.weights, live.weights)
+
+
+def test_a_deep_copy_has_views_of_its_own_weights():
+    p = pol.init_policy(arch(2, [8], 2, seed=9))
+    q = copy.deepcopy(p)
+    assert_views_of_weights(q)
+    assert not np.shares_memory(q.weights, p.weights)
+    x = np.array([0.3, -0.2])
+    before = pol.forward(p, x)
+    assert np.array_equal(pol.forward(q, x), before)
+    train_briefly(q)
+    assert not np.array_equal(pol.forward(q, x), before)  # the copy reads its trained vector
+    assert np.array_equal(pol.forward(p, x), before)
+
+
+def test_layers_state_the_unpack_layout_and_write_through():
+    p = pol.MlpPolicy(arch(3, [4], 2), np.arange(26.0))
+    (w0, b0), (w1, b1) = p.layers
+    assert np.array_equal(w0, np.arange(12.0).reshape(4, 3))
+    assert np.array_equal(b0, np.arange(12.0, 16.0))
+    assert np.array_equal(w1, np.arange(16.0, 24.0).reshape(2, 4))
+    assert np.array_equal(b1, [24.0, 25.0])
+    p.weights[0] = 42.0
+    assert w0[0, 0] == 42.0
+    b1[1] = -1.0
+    assert p.weights[-1] == -1.0
+
+
+def test_weights_must_fit_the_layers():
+    with pytest.raises(ad.ShapeError, match=r"size 16 does not fit layers \[\(4, 3\), \(2, 4\)"):
+        pol.MlpPolicy(arch(3, [4], 2), np.zeros(16))
+
+
+def test_weights_and_layers_cannot_be_rebound():
+    p = pol.init_policy(arch(3, [4], 2))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        p.layers = p.layers[:1]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        p.weights = np.zeros(26)
+
+
+# ---------------------------------------------------------------------------
 # forward pass
 
 def test_zero_weights_give_zero_output():
-    p = pol.init_policy(arch(3, [5], 2))
-    p.layers = [(np.zeros_like(w), np.zeros_like(b)) for w, b in p.layers]
+    a = arch(3, [5], 2)
+    p = pol.MlpPolicy(a, np.zeros(pol.param_count(a)))
     np.testing.assert_array_equal(pol.forward(p, [1.0, -2.0, 3.0]), [0.0, 0.0])
 
 
 def test_identity_single_hidden_layer_is_relu():
-    p = pol.MlpPolicy(arch(2, [2], 2), [(np.eye(2), np.zeros(2)), (np.eye(2), np.zeros(2))])
+    layer = [*np.eye(2).ravel(), 0.0, 0.0]
+    p = pol.MlpPolicy(arch(2, [2], 2), np.array(layer + layer))
     np.testing.assert_array_equal(pol.forward(p, [-1.0, 2.0]), [0.0, 2.0])
 
 
 def test_forward_concatenates_xi():
-    p = pol.MlpPolicy(arch(4, [], 4), [(np.eye(4), np.zeros(4))])
+    p = pol.MlpPolicy(arch(4, [], 4), np.concatenate([np.eye(4).ravel(), np.zeros(4)]))
     out = pol.forward(p, [1.0, 2.0], xi=[3.0, 4.0])
     np.testing.assert_array_equal(out, [1.0, 2.0, 3.0, 4.0])
 
@@ -96,8 +181,9 @@ def test_output_layer_scale_covariance():
     p = pol.init_policy(arch(3, [6], 2, seed=9))
     x = np.array([0.3, -0.4, 1.1])
     base = pol.forward(p, x)
-    w, b = p.layers[-1]
-    doubled = pol.MlpPolicy(p.arch, p.layers[:-1] + [(2.0 * w, 2.0 * b)])
+    doubled = pol.MlpPolicy(p.arch, p.weights.copy())
+    for a in doubled.layers[-1]:
+        a *= 2.0
     np.testing.assert_allclose(pol.forward(doubled, x), 2.0 * base, atol=1e-12)
 
 
@@ -116,7 +202,7 @@ def test_taped_forward_matches_eager_and_counts_adjoints():
     p = pol.init_policy(arch(3, [6, 5], 4, seed=7))
     xs = rng.normal(size=(5, 3))
     tape = ad.Tape()
-    flat = tape.param(pol.weight_vector(p))
+    flat = tape.param(p.weights)
     out = pol.apply_layers(flat, p.arch, xs)
     np.testing.assert_allclose(out.values, pol.forward(p, xs), atol=1e-12)
     grads = tape.backward(ad.reduce_sum(ad.square(out)))
@@ -213,7 +299,7 @@ def test_untaped_forward_is_the_taped_pass_bit_for_bit(name, mode):
     untaped = pol.forward(p, xs)
     assert isinstance(untaped, np.ndarray)
     assert np.array_equal(xs, before)  # the in-place pass writes only its own blocks
-    flat = pol.weight_vector(p)
+    flat = p.weights
     eager = pol.apply_layers(flat, p.arch, xs)
     assert eager.tape is None
     taped = pol.apply_layers(ad.Tape().param(flat), p.arch, xs)

@@ -1,3 +1,4 @@
+import dataclasses
 from collections import Counter
 
 import numpy as np
@@ -116,7 +117,7 @@ class TestPolicyGradient:
             policy, model, x0, None, omega, objective, constraints, weights,
             dyn.FULL_HORIZON)
 
-        flat = tr.pack_params(policy)  # policy.layers become views of flat
+        flat = policy.weights
 
         def eager_loss():
             states, actions = dyn.rollout_tensors(
@@ -304,38 +305,6 @@ class TestTraining:
         for snap, (w, _) in zip(before, result.policy.layers):
             assert np.array_equal(snap, w)
 
-    def test_layers_become_views_of_one_vector(self):
-        live = pol.init_policy(pol.PolicyArchitecture(input_dim=2, hidden=(8, 5),
-                                                      output_dim=3, seed=9))
-        result = self.run(epochs=2, policy=live)
-        arrays = [a for layer in live.layers for a in layer]
-        base = arrays[0].base
-        assert base is not None and base.ndim == 1
-        assert base.size == pol.param_count(live.arch)
-        assert all(a.base is base for a in arrays)
-        start = 0
-        for a in arrays:  # each W row-major, then its b
-            assert a.flags.c_contiguous
-            assert np.shares_memory(a, base[start:start + a.size])
-            start += a.size
-        assert start == base.size
-        snapshot = [a for layer in result.policy.layers for a in layer]
-        assert not any(np.shares_memory(snap, base) for snap in snapshot)
-
-    def test_pack_params_keeps_the_values(self):
-        policy = pol.init_policy(pol.PolicyArchitecture(input_dim=3, hidden=(4,),
-                                                        output_dim=2, seed=1))
-        before = [a.copy() for layer in policy.layers for a in layer]
-        flat = tr.pack_params(policy)
-        assert flat.tobytes() == np.concatenate(before, axis=None).tobytes()
-        for a, b in zip([a for layer in policy.layers for a in layer], before):
-            assert a.shape == b.shape and np.array_equal(a, b)
-        flat[0] = 42.0
-        assert policy.layers[0][0][0, 0] == 42.0
-        policy.layers = policy.layers[:1]
-        with pytest.raises(ValueError, match=r"size 16 does not fit layers \[\(4, 3\), \(2, 4\)"):
-            tr.pack_params(policy)
-
     def test_on_epoch_callback_sees_every_epoch(self):
         seen = []
         model = double_integrator()
@@ -360,9 +329,44 @@ class TestTraining:
         policy = pol.init_policy(arch)
         objective, constraints, weights = stabilization_setup()
         cfg = tr.TrainConfig(epochs=50, lr=1e80, minibatch=12)
-        with pytest.raises(tr.TrainingDiverged, match="epoch"):
+        with pytest.raises(tr.TrainingDiverged,
+                           match=r"^dev loss part objective is inf at epoch 0; "
+                                 r"no epoch finished finite$"):
             tr.train(model, policy, train_set, dev_set, objective,
                      constraints, weights, cfg, dyn.FULL_HORIZON, seed=2)
+
+    def test_a_step_names_the_loss_part_and_the_last_finite_epoch(self, monkeypatch):
+        exact, calls = tr.policy_gradient, []
+
+        def poisoned(*args):
+            parts, grad = exact(*args)
+            calls.append(None)
+            if len(calls) == 5:  # the first step of epoch 2: 12 train pairs, minibatch 8
+                nan = ad.as_tensor(np.nan)
+                parts = dataclasses.replace(parts, state=nan, total=nan)
+            return parts, grad
+
+        monkeypatch.setattr(tr, "policy_gradient", poisoned)
+        with pytest.raises(tr.TrainingDiverged,
+                           match=r"^loss part state is nan at epoch 2, parametric rows "
+                                 r"\[.*\]; last finite epoch 1$"):
+            self.run()
+
+    def test_the_dev_loss_names_its_part_and_the_last_finite_epoch(self, monkeypatch):
+        exact, calls = tr.evaluate, []
+
+        def poisoned(*args):
+            dev = exact(*args)
+            calls.append(None)
+            if len(calls) == 2:  # the dev pass of epoch 1
+                dev["terminal"] = dev["total"] = np.inf
+            return dev
+
+        monkeypatch.setattr(tr, "evaluate", poisoned)
+        with pytest.raises(tr.TrainingDiverged,
+                           match=r"^dev loss part terminal is inf at epoch 1; "
+                                 r"last finite epoch 0$"):
+            self.run()
 
     def test_non_finite_gradient_aborts_before_the_update(self, monkeypatch):
         # a finite loss whose gradient is not finite must stop the run
@@ -379,7 +383,8 @@ class TestTraining:
                                                         output_dim=3, seed=9))
         before = [(w.copy(), b.copy()) for w, b in policy.layers]
         with pytest.raises(tr.TrainingDiverged,
-                           match=r"gradient left the floats at epoch 0, parametric rows \["):
+                           match=r"^gradient left the floats at epoch 0, parametric rows "
+                                 r"\[.*\]; no epoch finished finite$"):
             self.run(policy=policy)
         for (w, b), (w0, b0) in zip(policy.layers, before):
             assert np.array_equal(w, w0) and np.array_equal(b, b0)
