@@ -15,10 +15,10 @@ it stands for in the same order, so values and adjoints keep their bits.
 one vector (:func:`unpack` states the layout); its forward is
 :func:`mlp_values`, the layer loop that a deployed policy pass runs too.
 
-Operations also run *eagerly*: applying an op to plain arrays (or tensors
-that live on no tape) computes the value without recording anything.  The
-same loss code therefore serves both training (taped) and evaluation
-(untaped), which removes a whole class of train/eval drift bugs.
+Operations also run *eagerly*: an op applied to plain arrays records nothing
+and returns its plain ndarray, so a :class:`Tensor` is always a node of a
+tape.  The same loss code therefore serves both training (taped) and
+evaluation (untaped), which removes a whole class of train/eval drift bugs.
 
 Conventions:
   * relu has subgradient 0 at exactly 0.
@@ -40,18 +40,22 @@ class ShapeError(ValueError):
 
 
 class Tensor:
-    """A dense float64 array, optionally bound to a node on a tape."""
+    """A dense float64 array, the value of node ``node`` on ``tape``."""
 
     __slots__ = ("values", "tape", "node")
 
-    def __init__(self, values, tape=None, node=None):
-        self.values = np.asarray(values, dtype=np.float64)
+    def __init__(self, values, tape, node):
+        self.values = values
         self.tape = tape
         self.node = node
 
     @property
     def shape(self) -> tuple[int, ...]:
         return self.values.shape
+
+    @property
+    def ndim(self) -> int:
+        return self.values.ndim
 
     @property
     def size(self) -> int:
@@ -61,12 +65,7 @@ class Tensor:
         return float(self.values)
 
     def __repr__(self):
-        where = f" node={self.node}" if self.tape is not None else ""
-        return f"Tensor(shape={self.shape}{where})"
-
-
-def as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
+        return f"Tensor(shape={self.shape} node={self.node})"
 
 
 @dataclass(slots=True)
@@ -106,8 +105,8 @@ class Tape:
         sweep reached; parameters the root does not depend on are included
         with zero adjoints so callers always see one entry per parameter.
         """
-        if root.tape is not self or root.node is None:
-            raise ValueError("backward root is not on this tape")
+        if not isinstance(root, Tensor) or root.tape is not self:
+            raise ValueError("backward root is not a tensor of this tape")
         if root.values.size != 1:
             raise ShapeError(
                 f"backward root must be scalar-sized, got shape {root.values.shape}"
@@ -168,9 +167,6 @@ def _forward(kind, vals, attrs):
     if kind == "sum":
         (a,) = vals
         return np.asarray(a.sum())
-    if kind == "scale":
-        (a,) = vals
-        return a * attrs["factor"]
     if kind in ("sumsq", "relu_sumsq"):
         (a,) = vals
         if kind == "relu_sumsq":  # keep the relu for the VJP
@@ -258,8 +254,6 @@ def _vjp(node, g):
     if kind == "sum":
         (a,) = vals
         return [(0, np.broadcast_to(g, a.shape).copy())]
-    if kind == "scale":
-        return [(0, g * node.attrs["factor"])]
     if kind == "sumsq":
         return [(0, 2.0 * vals[0] * (g * node.attrs["weight"]))]
     if kind == "relu_sumsq":
@@ -295,16 +289,16 @@ def _vjp(node, g):
 
 
 # ---------------------------------------------------------------------------
-# functional front end: taped when any input is taped, eager otherwise
+# functional front end: taped when any input is a tensor, eager otherwise
 
 def _apply(kind, *inputs, **attrs):
     """Run one op in a single pass over its inputs.  It is recorded on the
-    tape of its taped inputs, and runs eagerly when there is none.  Mixing
-    tensors from different tapes is an error."""
+    tape of its tensor inputs and returns a tensor; with none it returns the
+    plain ndarray.  Mixing tensors from different tapes is an error."""
     tape, values, ids = None, [], []
     for x in inputs:
         if isinstance(x, Tensor):
-            if x.tape is not None and x.tape is not tape:
+            if x.tape is not tape:
                 if tape is not None:
                     raise ValueError("cannot combine tensors from different tapes")
                 tape = x.tape
@@ -313,12 +307,11 @@ def _apply(kind, *inputs, **attrs):
         else:
             values.append(np.asarray(x, dtype=np.float64))
             ids.append(None)
-    out = _forward(kind, values, attrs)
+    out = np.asarray(_forward(kind, values, attrs))
     if tape is None:
-        return Tensor(out)
-    out = Tensor(out, tape, len(tape.nodes))
-    tape.nodes.append(Node(kind, tuple(ids), tuple(values), out.values, attrs))
-    return out
+        return out
+    tape.nodes.append(Node(kind, tuple(ids), tuple(values), out, attrs))
+    return Tensor(out, tape, len(tape.nodes) - 1)
 
 
 def add(a, b):
@@ -350,12 +343,8 @@ def reduce_sum(a):
     return _apply("sum", a)
 
 
-def scale(a, factor: float):
-    return _apply("scale", a, factor=float(factor))
-
-
 def sumsq(a, weight: float):
-    """weight * sum of a^2 over every entry: scale(reduce_sum(square(a)))."""
+    """weight * sum of a^2 over every entry: multiply(reduce_sum(square(a)), weight)."""
     return _apply("sumsq", a, weight=float(weight))
 
 

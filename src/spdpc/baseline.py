@@ -198,12 +198,11 @@ def benchmark(policy, model, instances, horizon, objective, constraints,
     rows = []
     prev = None
     for t, (x0, xi) in enumerate(instances):
-        pol.forward(policy, np.asarray(x0, dtype=np.float64),
-                    None if xi is None else np.asarray(xi, dtype=np.float64))
-        p_mean, p_max, _ = _time_ns(
-            lambda: pol.forward(policy, np.asarray(x0, dtype=np.float64),
-                                None if xi is None else np.asarray(xi, dtype=np.float64)),
-            repeats)
+        x0 = np.asarray(x0, dtype=np.float64)
+        xi = None if xi is None else np.asarray(xi, dtype=np.float64)
+        decide = lambda: pol.forward(policy, x0, xi)
+        decide()  # warm-up
+        p_mean, p_max, _ = _time_ns(decide, repeats)
         warm = None if prev is None else shift_warm_start(prev)
         b_mean, b_max, solved = _time_ns(
             lambda: solve(model, x0, xi, horizon, objective, constraints,

@@ -30,8 +30,7 @@ from .objectives import rollout_blocks
 
 def _rows_ok(residuals) -> np.ndarray:
     """True per scenario where every residual of its (b, ...) block is <= 0."""
-    vals = residuals.values
-    return np.all(vals.reshape(vals.shape[0], -1) <= 0.0, axis=1)
+    return np.all(residuals.reshape(residuals.shape[0], -1) <= 0.0, axis=1)
 
 
 def satisfied(states, actions, xi, constraints) -> np.ndarray:
@@ -44,7 +43,7 @@ def satisfied(states, actions, xi, constraints) -> np.ndarray:
     """
     blocks = rollout_blocks(states, actions)
     checked = constraints.checked()
-    passes = np.ones((blocks["inputs"].values.shape[0], len(checked)), dtype=bool)
+    passes = np.ones((blocks["inputs"].shape[0], len(checked)), dtype=bool)
     for k, (part, c) in enumerate(checked):
         passes[:, k] = _rows_ok(c.residuals(blocks[part], xi))
     return passes
@@ -54,7 +53,7 @@ def empirical_risk(policy, model, scenarios, constraints, mode, chunk: int = 102
     """Success fraction and the (pairs, K) pass flags of ``satisfied``, in pair order."""
     passes = np.zeros((scenarios.size, len(constraints.checked())), dtype=bool)
     for idx, xi, states, actions in dyn.rollout_pairs(model, policy, scenarios, mode, chunk):
-        passes[idx] = satisfied(states.values, actions.values, xi, constraints)
+        passes[idx] = satisfied(states, actions, xi, constraints)
     return float(passes.all(axis=1).mean()), passes
 
 

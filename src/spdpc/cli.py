@@ -174,7 +174,10 @@ def run_simulate(cfg, seed: int, out: Path, checkpoint: str,
     blocks = {"state": states, "inputs": actions, "terminal": states[:, -1:]}
     worst = dict.fromkeys(blocks, 0.0)
     for part, c in cfg.constraints.checked():
-        worst[part] = max(worst[part], float(c.residuals(blocks[part], xi_rows).values.max()))
+        worst[part] = max(worst[part], float(c.residuals(blocks[part], xi_rows).max()))
+    # per run, how many last steps stay in the terminal set: it holds from the first of them
+    inside = cfg.terminal.residuals(states, xi_rows).reshape(count, steps + 1, -1) <= 0.0
+    held = np.logical_and.accumulate(inside.all(axis=2)[:, ::-1], axis=1).sum(axis=1)
     summary = {
         "count": count,
         "steps": steps,
@@ -182,6 +185,7 @@ def run_simulate(cfg, seed: int, out: Path, checkpoint: str,
         "input_violation_max": worst["inputs"],
         "state_violation_max": worst["state"],
         "terminal_violation_max": worst["terminal"],
+        "terminal_holds_from": [int(steps + 1 - n) if n else None for n in held],
     }
     write_json(out / "summary.json", summary)
 

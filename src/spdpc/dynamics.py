@@ -147,13 +147,13 @@ class NoiseSpec:
 def rollout_tensors(model, policy_fn, x0, xi, omega, mode):
     """Roll the closed loop over a batch; returns the state and action blocks.
 
-    ``policy_fn`` maps a (b, n_x + d) tensor, the state joined with ``xi``,
-    to actions: in full-horizon mode one call on x0 produces the flat
-    (b, N * n_u) plan, in state-feedback mode it is called on (x_k, xi) at
-    every step.  ``xi`` is (b, d) or None, ``omega`` (b, N, n_x).
+    ``policy_fn`` maps a (b, n_x + d) block, the state joined with ``xi``,
+    to an action array or tape tensor: in full-horizon mode one call on x0
+    produces the flat (b, N * n_u) plan, in state-feedback mode it is called
+    on (x_k, xi) at every step.  ``xi`` is (b, d) or None, ``omega`` (b, N, n_x).
 
-    Returns (states, actions): tensors of shape (b, N+1, n_x) and (b, N, n_u),
-    with states[:, 0] = x0.
+    Returns (states, actions) of shape (b, N+1, n_x) and (b, N, n_u), with
+    states[:, 0] = x0: tape tensors when the policy's are, else ndarrays.
     """
     if mode not in MODES:
         raise ValueError(f"unknown rollout mode {mode!r}")
@@ -161,23 +161,21 @@ def rollout_tensors(model, policy_fn, x0, xi, omega, mode):
     omega = np.asarray(omega, dtype=np.float64)
     (batch, horizon, n_x), n_u = omega.shape, model.n_u
     if mode == FULL_HORIZON:
-        plan = ad.as_tensor(policy_fn(pol.join_input(x0, xi)))
-        if plan.values.shape[1] != horizon * n_u:
-            raise ValueError(
-                f"policy emits width {plan.values.shape[1]}, "
-                f"horizon wants {horizon} * {n_u}"
-            )
+        plan = policy_fn(pol.join_input(x0, xi))
+        if plan.shape[1] != horizon * n_u:
+            raise ValueError(f"policy emits width {plan.shape[1]}, "
+                             f"horizon wants {horizon} * {n_u}")
         phi, gamma, gamma_w = model.prediction(horizon)
         free = x0 @ phi.T + omega.reshape(batch, -1) @ gamma_w.T  # data only
         moved = ad.add(ad.matmul(plan, gamma.T), free)
         states = ad.concat([x0[:, None, :], ad.reshape(moved, (batch, horizon, n_x))], axis=1)
         return states, ad.reshape(plan, (batch, horizon, n_u))
     joined = xi is not None and np.size(xi) > 0
-    states = [ad.as_tensor(x0)]
+    states = [x0]
     actions = []
     for k in range(horizon):
         z = ad.concat([states[k], xi], axis=1) if joined else states[k]
-        actions.append(ad.as_tensor(policy_fn(z)))
+        actions.append(policy_fn(z))
         # x' = x A^T + u B^T + w, row by row
         drift = ad.add(ad.matmul(states[k], model.A.T), ad.matmul(actions[k], model.B.T))
         states.append(ad.add(drift, omega[:, k, :]))
@@ -198,7 +196,7 @@ def rollout_pairs(model, policy, scenarios, mode, chunk: int):
             plans = pol.forward(policy, scenarios.x0[lo:hi], scenarios.xi[lo:hi])
             policy_fn = lambda z: plans[i - lo]
         else:
-            policy_fn = lambda z: pol.forward(policy, z.values)
+            policy_fn = lambda z: pol.forward(policy, z)
         states, actions = rollout_tensors(model, policy_fn, x0, xi, omega, mode)
         yield idx, xi, states, actions
 
@@ -214,11 +212,11 @@ def simulate(model, policy, x0, xi, omega):
     state that leaves the floats raises ValueError naming its run and step.
     """
     def decide(z):
-        return pol.forward(policy, z.values)[:, :model.n_u]
+        return pol.forward(policy, z)[:, :model.n_u]
 
     states, actions = rollout_tensors(model, decide, x0, xi, omega, STATE_FEEDBACK)
-    bad = np.argwhere(~np.all(np.isfinite(states.values), axis=2))
+    bad = np.argwhere(~np.all(np.isfinite(states), axis=2))
     if bad.size:
         run, k = bad[0]
         raise ValueError(f"simulate: the state of run {run} left the floats at step {k}")
-    return states.values, actions.values
+    return states, actions

@@ -167,15 +167,12 @@ class EllipseKeepOut:
     def residuals(self, x, xi=None):
         """(b, ..., 1) residuals of a (b, ..., n_x) state block; the
         per-scenario parameters hold at every step of the block."""
-        xv = ad.as_tensor(x)
-        ndim = xv.values.ndim
-        if ndim < 2:
+        if x.ndim < 2:
             raise ValueError("keep-out residuals expect a (batch, ..., n_x) state block")
-        batch = xv.values.shape[0]
-        radius, shape, cx, cy = (_per_scenario(ref.resolve(xi, batch), ndim) for ref in
+        radius, shape, cx, cy = (_per_scenario(ref.resolve(xi, x.shape[0]), x.ndim) for ref in
                                  (self.radius, self.shape, self.center_x, self.center_y))
-        x1 = ad.narrow(xv, -1, 0, 1)
-        x2 = ad.narrow(xv, -1, 1, 2)
+        x1 = ad.narrow(x, -1, 0, 1)
+        x2 = ad.narrow(x, -1, 1, 2)
         return ad.subtract(
             ad.subtract(radius * radius, ad.multiply(shape, ad.square(ad.subtract(x1, cx)))),
             ad.square(ad.subtract(x2, cy)),
@@ -203,11 +200,9 @@ class BallConstraint:
 
     def residuals(self, x, xi=None):
         """(...) residuals of a (..., n) vector or block; <= 0 inside."""
-        xv = ad.as_tensor(x)
         if self.center is not None:
-            center = self.center.resolve(xi, xv.values.shape[0])
-            xv = ad.subtract(xv, _per_scenario(center, xv.values.ndim))
-        return ad.subtract(ad.l2norm(xv), self.radius)
+            x = ad.subtract(x, _per_scenario(self.center.resolve(xi, x.shape[0]), x.ndim))
+        return ad.subtract(ad.l2norm(x), self.radius)
 
 
 @dataclass(frozen=True)
@@ -222,7 +217,7 @@ class ContractionConstraint:
 
     def residuals(self, x, x_next):
         """||x_next|| - rate * ||x||, row by row over (..., n_x) blocks."""
-        return ad.subtract(ad.l2norm(x_next), ad.scale(ad.l2norm(x), self.rate))
+        return ad.subtract(ad.l2norm(x_next), ad.multiply(ad.l2norm(x), self.rate))
 
 
 @dataclass
@@ -246,11 +241,11 @@ class ConstraintSet:
 # penalties
 
 def _sum(terms):
-    """Sum of scalar tensors; 0 for none."""
+    """Sum of scalar terms; 0.0 for none."""
     total = None
     for t in terms:
         total = t if total is None else ad.add(total, t)
-    return ad.as_tensor(0.0) if total is None else total
+    return 0.0 if total is None else total
 
 
 # ---------------------------------------------------------------------------
@@ -284,12 +279,11 @@ def rollout_blocks(states, actions) -> dict:
     """The blocks of a (b, N+1, n_x) state and (b, N, n_u) action rollout, eager
     or taped: the parts ``state`` x_0..x_{N-1}, ``inputs`` u and ``terminal``
     x_N that the loss and the indicator read, and ``next`` x_1..x_N."""
-    states, actions = ad.as_tensor(states), ad.as_tensor(actions)
-    if states.values.ndim != 3 or actions.values.ndim != 3:
+    if states.ndim != 3 or actions.ndim != 3:
         raise ValueError(f"expected (b, N+1, n_x) states and (b, N, n_u) actions, "
                          f"got {states.shape} and {actions.shape}")
-    batch, horizon = actions.values.shape[:2]
-    if states.values.shape[:2] != (batch, horizon + 1):
+    batch, horizon = actions.shape[:2]
+    if states.shape[:2] != (batch, horizon + 1):
         raise ValueError(f"states {states.shape} do not bracket actions {actions.shape}")
     return {"state": ad.narrow(states, 1, 0, horizon), "inputs": actions,
             "next": ad.narrow(states, 1, 1, horizon + 1),
@@ -300,7 +294,7 @@ def objective_cost(objective: StageObjective, weights: LossWeights, blocks: dict
     """The objective's cost summed over the batch and the horizon, from the
     ``rollout_blocks`` of a rollout and the (b, d) parameter block ``xi``."""
     x, u = blocks["state"], blocks["inputs"]
-    batch, horizon = u.values.shape[:2]
+    batch, horizon = u.shape[:2]
     if objective.kind in ("tracking", "split-tracking"):
         ref = _per_scenario(objective.reference.resolve(xi, batch), 3)
     if objective.kind == "stabilization":
@@ -310,9 +304,9 @@ def objective_cost(objective: StageObjective, weights: LossWeights, blocks: dict
     elif objective.kind == "split-tracking":
         # Q_r on the tracked components' error, Q_x on every other component
         cols = list(objective.track_indices)
-        target = np.zeros(ref.shape[:-1] + x.values.shape[-1:])
+        target = np.zeros(ref.shape[:-1] + x.shape[-1:])
         target[..., cols] = ref
-        column_weight = np.full(x.values.shape[-1], weights.Q_x)
+        column_weight = np.full(x.shape[-1], weights.Q_x)
         column_weight[cols] = weights.Q_r
         terms = [ad.reduce_sum(ad.multiply(ad.square(ad.subtract(x, target)), column_weight))]
     else:  # terminal-smoothing: reach the target at step N with smooth increments
@@ -327,13 +321,14 @@ def objective_cost(objective: StageObjective, weights: LossWeights, blocks: dict
 
 @dataclass
 class LossParts:
-    """J and its decomposition; total == objective + state + inputs + terminal."""
+    """J and its decomposition; total == objective + state + inputs + terminal.
+    Each is a scalar tape tensor, or a 0-d ndarray when nothing taped enters it."""
 
-    total: ad.Tensor
-    objective: ad.Tensor
-    state: ad.Tensor
-    inputs: ad.Tensor
-    terminal: ad.Tensor
+    total: ad.Tensor | np.ndarray
+    objective: ad.Tensor | np.ndarray
+    state: ad.Tensor | np.ndarray
+    inputs: ad.Tensor | np.ndarray
+    terminal: ad.Tensor | np.ndarray
 
     def floats(self) -> dict[str, float]:
         return {name: getattr(self, name).item() for name in LOSS_PARTS}
@@ -352,7 +347,7 @@ def total_loss(states, actions, xi, objective, constraints, weights) -> LossPart
     penalty whose weight is 0 is not built, so it records no tape nodes.
     """
     blocks = rollout_blocks(states, actions)
-    batch, horizon = blocks["inputs"].values.shape[:2]
+    batch, horizon = blocks["inputs"].shape[:2]
     norm = 1.0 / (batch * horizon)
     obj = objective_cost(objective, weights, blocks, xi)
 
@@ -366,7 +361,7 @@ def total_loss(states, actions, xi, objective, constraints, weights) -> LossPart
         terms["state"].append(ad.relu_sumsq(
             constraints.contraction.residuals(blocks["state"], blocks["next"]), weights.Q_c))
 
-    obj = ad.scale(obj, norm)
-    sp, ip, term = (ad.scale(_sum(terms[part]), norm) for part in ("state", "inputs", "terminal"))
+    obj = ad.multiply(obj, norm)
+    sp, ip, term = (ad.multiply(_sum(terms[p]), norm) for p in ("state", "inputs", "terminal"))
     total = ad.add(ad.add(obj, sp), ad.add(ip, term))
     return LossParts(total, obj, sp, ip, term)

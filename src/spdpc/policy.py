@@ -78,8 +78,8 @@ def init_policy(arch: PolicyArchitecture) -> MlpPolicy:
 
 def apply_layers(flat, arch: PolicyArchitecture, z):
     """The network with weight vector ``flat`` on a batch z (n, d) as one
-    ``autodiff.mlp`` op: recorded when ``z`` or ``flat`` is on a tape, eager
-    otherwise; returns a tensor."""
+    ``autodiff.mlp`` op: a tape tensor when ``z`` or ``flat`` is one, else the
+    plain ndarray."""
     return ad.mlp(z, flat, arch.layer_dims)
 
 

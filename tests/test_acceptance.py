@@ -350,11 +350,11 @@ def test_obstacle_desk_quality_gate(tmp_path):
     states, _ = dyn.rollout_tensors(
         cfg.model, lambda z: pol.apply_layers(flat, policy.arch, z),
         x0, xi, omega, cfg.mode)
-    stacked = states.values  # (b, N+1, n_x)
+    stacked = states  # (b, N+1, n_x)
 
     keep_out = next(c for c in cfg.constraints.state
                     if isinstance(c, EllipseKeepOut))
-    residuals = keep_out.residuals(stacked, xi).values  # (b, N+1, 1), every step
+    residuals = keep_out.residuals(stacked, xi)  # (b, N+1, 1), every step
     clear = np.all(residuals <= 0.0, axis=(1, 2))
     target = xi[:, 0:2]
     in_ball = np.linalg.norm(stacked[:, -1] - target, axis=1) <= 0.5
@@ -417,9 +417,9 @@ def test_core_property_rollup():
     wa, wb = gen.normal(size=(4, 2)), gen.normal(size=(4, 2))
     plans = np.stack([ua, ub, ua + ub]).reshape(3, -1)
     rolled, _ = dyn.rollout_tensors(
-        model, lambda z: ad.as_tensor(plans), np.stack([x0a, x0b, x0a + x0b]), None,
+        model, lambda z: plans, np.stack([x0a, x0b, x0a + x0b]), None,
         np.stack([wa, wb, wa + wb]), dyn.FULL_HORIZON)
-    ta, tb, tsum = rolled.values
+    ta, tb, tsum = rolled
     sup_err = np.abs(tsum - (ta + tb)).max()
     assert sup_err <= 1e-10
     # and the condensed rollout replays through x' = A x + B u + w

@@ -662,7 +662,8 @@ class TestSimulateAndBenchmarkInputs:
                    "--checkpoint", str(checkpoint), "--count", "6", "--steps", "5") == 0
         summary = json.loads((out / "summary.json").read_text())
         assert list(summary) == ["count", "steps", "final_infnorm", "input_violation_max",
-                                 "state_violation_max", "terminal_violation_max"]
+                                 "state_violation_max", "terminal_violation_max",
+                                 "terminal_holds_from"]
         final = read_rows(out / "sim_states.csv", 2).reshape(6, 6, -1)[:, -1]
         xi = read_rows(out / "sim_params.csv", 1).reshape(6, -1)
         terminal = cfg.constraints.terminal
@@ -673,3 +674,27 @@ class TestSimulateAndBenchmarkInputs:
                 xi[:, terminal.center.start:terminal.center.stop]
             worst = np.max(np.sqrt(np.sum((final - center) ** 2, axis=-1)) - terminal.radius)
         assert summary["terminal_violation_max"] == pytest.approx(max(worst, 0.0), rel=1e-12)
+
+    def test_summary_names_the_step_from_which_each_run_holds_the_terminal_set(
+            self, tmp_path, monkeypatch):
+        # micro's terminal set is a ball of radius 0.5 around the parameter
+        # "target"; each run sits at these distances from its own center
+        distances = [[2.0, 1.0, 0.2, 0.1],   # reaches the set at step 2 and stays
+                     [2.0, 0.1, 0.2, 1.0],   # reaches it and leaves
+                     [2.0, 2.0, 2.0, 2.0],   # never reaches it
+                     [0.1, 0.1, 0.1, 0.1],   # inside from step 0
+                     [0.1, 1.0, 0.1, 0.1]]   # leaves and comes back at step 2
+
+        def hand_built(model, policy, x0, xi, omega):
+            states = xi[:, None, :] + np.array(distances)[..., None] * [1.0, 0.0]
+            return states, np.zeros((len(distances), 3, 1))
+
+        monkeypatch.setattr("spdpc.dynamics.simulate", hand_built)
+        config = micro_config(tmp_path)
+        checkpoint = tmp_path / "policy.json"
+        save_checkpoint(init_policy(load_config(config).arch), checkpoint)
+        out = tmp_path / "sim"
+        assert run("simulate", "--config", str(config), "--out", str(out),
+                   "--checkpoint", str(checkpoint), "--count", "5", "--steps", "3") == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["terminal_holds_from"] == [2, None, None, 0, 2]

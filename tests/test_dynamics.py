@@ -39,9 +39,9 @@ def step(model, x, u, w):
     """
     single = np.ndim(x) == 1
     x, u, w = (np.atleast_2d(np.asarray(v, dtype=float)) for v in (x, u, w))
-    states, _ = dyn.rollout_tensors(model, lambda z: ad.as_tensor(u), x, None,
+    states, _ = dyn.rollout_tensors(model, lambda z: u, x, None,
                                     w[:, None, :], dyn.STATE_FEEDBACK)
-    return states.values[0, 1] if single else states.values[:, 1]
+    return states[0, 1] if single else states[:, 1]
 
 
 def rollout(model, policy, mode, x0, xi, omega):
@@ -51,26 +51,26 @@ def rollout(model, policy, mode, x0, xi, omega):
         model, lambda z: pol.apply_layers(flat, policy.arch, z),
         np.atleast_2d(np.asarray(x0, dtype=float)),
         None if xi is None else np.atleast_2d(xi), np.asarray(omega)[None], mode)
-    return states.values[0], actions.values[0]
+    return states[0], actions[0]
 
 
 def open_loop(model, x0, actions, omega):
     """States (N+1, n_x) under a fixed action sequence (N, n_u): a full-horizon
     rollout whose policy ignores its input and emits the given plan."""
-    plan = ad.as_tensor(np.asarray(actions, dtype=float).reshape(1, -1))
+    plan = np.asarray(actions, dtype=float).reshape(1, -1)
     states, _ = dyn.rollout_tensors(model, lambda z: plan, np.atleast_2d(x0), None,
                                     np.asarray(omega)[None], dyn.FULL_HORIZON)
-    return states.values[0]
+    return states[0]
 
 
 def fixed_inputs(model, x0, actions, omega):
     """The same through the state-feedback recursion: the policy plays
     ``actions`` in order, whatever the state."""
     queue = iter(np.asarray(actions, dtype=float))
-    states, _ = dyn.rollout_tensors(model, lambda z: ad.as_tensor(next(queue)[None]),
+    states, _ = dyn.rollout_tensors(model, lambda z: next(queue)[None],
                                     np.atleast_2d(x0), None, np.asarray(omega)[None],
                                     dyn.STATE_FEEDBACK)
-    return states.values[0]
+    return states[0]
 
 
 def _recursion(model, x0, actions, omega):
@@ -338,9 +338,9 @@ def test_rollout_gradient_matches_fd(double_integrator):
         for idx in np.ndindex(*w0.shape):
             old = w0[idx]
             w0[idx] = old + h
-            hi = terminal_states(flat0).values[0, -1, 0]
+            hi = terminal_states(flat0)[0, -1, 0]
             w0[idx] = old - h
-            lo = terminal_states(flat0).values[0, -1, 0]
+            lo = terminal_states(flat0)[0, -1, 0]
             w0[idx] = old
             numeric[idx] = (hi - lo) / (2 * h)
         err = np.abs(analytic - numeric)
@@ -364,14 +364,16 @@ def test_block_rollout_matches_step_recursion(name, mode):
     flat = policy.weights
     states, actions = dyn.rollout_tensors(
         model, lambda z: pol.apply_layers(flat, arch, z), x0, None, omega, mode)
+    # an array-returning policy gives an untaped rollout of plain ndarrays
+    assert type(states) is np.ndarray and type(actions) is np.ndarray
     assert states.shape == (batch, horizon + 1, n_x)
     assert actions.shape == (batch, horizon, n_u)
-    np.testing.assert_array_equal(states.values[:, 0], x0)
+    np.testing.assert_array_equal(states[:, 0], x0)
     if full:
         plan = pol.forward(policy, x0).reshape(batch, horizon, n_u)
-        np.testing.assert_array_equal(actions.values, plan)
-    replay = _recursion(model, x0, actions.values, omega)
-    err = np.abs(states.values - replay).max()
+        np.testing.assert_array_equal(actions, plan)
+    replay = _recursion(model, x0, actions, omega)
+    err = np.abs(states - replay).max()
     assert err <= 1e-12 * np.abs(replay).max(), err
 
 
@@ -400,6 +402,22 @@ def test_receding_horizon_zero_noise_matches_rollout(double_integrator):
                                    np.array([[0.4, -0.2]]), None, np.zeros((1, 6, 2)))
     np.testing.assert_allclose(states[0], ref_states, atol=1e-12)
     np.testing.assert_allclose(actions[0], ref_actions, atol=1e-12)
+
+
+def test_simulate_returns_the_rollout_arrays(double_integrator, monkeypatch):
+    rolled, roll = [], dyn.rollout_tensors
+
+    def spy(*args):
+        rolled.append(roll(*args))
+        return rolled[-1]
+
+    monkeypatch.setattr(dyn, "rollout_tensors", spy)
+    p = pol.init_policy(pol.PolicyArchitecture(2, (8,), 1, seed=13))
+    states, actions = dyn.simulate(double_integrator, p,
+                                   np.array([[0.4, -0.2]]), None, np.zeros((1, 6, 2)))
+    (want_states, want_actions), = rolled
+    assert type(want_states) is np.ndarray and type(want_actions) is np.ndarray
+    assert states is want_states and actions is want_actions
 
 
 def test_receding_horizon_replans_full_horizon(double_integrator):

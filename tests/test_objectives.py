@@ -99,7 +99,7 @@ def test_contraction_penalty_hand_values():
 
 def test_ball_residual_hand_values():
     ball = obj.BallConstraint(radius=5.0)
-    r = ball.residuals(np.array([[3.0, 4.0], [0.0, 0.0], [6.0, 8.0]])).values
+    r = ball.residuals(np.array([[3.0, 4.0], [0.0, 0.0], [6.0, 8.0]]))
     np.testing.assert_array_equal(r, [0.0, -5.0, 5.0])  # boundary residual is exactly 0
     assert ad.relu_sumsq(ball.residuals(np.array([[6.0, 8.0]])), 2.0).item() == 50.0
 
@@ -108,7 +108,7 @@ def test_ball_residual_with_parametric_center_and_margin():
     ball = obj.BallConstraint(radius=1.0, center=obj.XiSlice(1, 3), margin=0.5)
     xi = np.array([[9.0, 1.0, 1.0], [9.0, -2.0, 0.0]])
     block = np.array([[[1.0, 1.5], [1.0, 2.0]], [[-2.0, 0.0], [-2.0, 0.25]]])  # (b, steps, n)
-    r = ball.residuals(block, xi).values
+    r = ball.residuals(block, xi)
     np.testing.assert_allclose(r, [[-0.5, 0.0], [-1.0, -0.75]], atol=1e-15)
     # margin 0.5 tightens the penalty: relu(r + 0.5)^2 = 0 + 0.25 + 0 + 0
     assert ad.relu_sumsq(ball.residuals(block, xi), 1.0, ball.margin).item() == 0.25
@@ -125,11 +125,11 @@ def test_ball_validation():
 def test_keepout_residual_hand_values():
     ell = obj.EllipseKeepOut(const(1.0), const(1.0), const(0.0), const(0.0))
     outside = ell.residuals(np.array([[2.0, 0.0]]))
-    assert outside.values[0, 0] == pytest.approx(-3.0, abs=1e-12)
+    assert outside[0, 0] == pytest.approx(-3.0, abs=1e-12)
     boundary = ell.residuals(np.array([[1.0, 0.0]]))
-    assert boundary.values[0, 0] == pytest.approx(0.0, abs=1e-12)
+    assert boundary[0, 0] == pytest.approx(0.0, abs=1e-12)
     inside = ell.residuals(np.array([[0.5, 0.0]]))
-    assert inside.values[0, 0] == pytest.approx(0.75, abs=1e-12)
+    assert inside[0, 0] == pytest.approx(0.75, abs=1e-12)
     assert ad.relu_sumsq(inside, 100.0).item() == pytest.approx(56.25, abs=1e-10)
 
 
@@ -138,7 +138,7 @@ def test_keepout_reads_parameters_from_xi():
         obj.XiSlice(0, 1), obj.XiSlice(1, 2), obj.XiSlice(2, 3), obj.XiSlice(3, 4))
     xi = np.array([[1.0, 1.0, 0.0, 0.0], [2.0, 1.0, 5.0, 0.0]])
     x = np.array([[0.5, 0.0], [5.0, 0.0]])
-    r = ell.residuals(x, xi).values
+    r = ell.residuals(x, xi)
     assert r[0, 0] == pytest.approx(0.75)
     assert r[1, 0] == pytest.approx(4.0)  # on-center with radius 2: 4 - 0 - 0
 
@@ -316,10 +316,10 @@ def test_zero_terminal_weight_records_no_tape_node():
     zero, parts = taped(weights(Q_x=1.0, Q_u=1.0))
     weighted, _ = taped(weights(Q_x=1.0, Q_u=1.0, Q_f=0.5))
     assert zero.count("sumsq") == 2 and weighted.count("sumsq") == 3
-    # the terminal sumsq, its scale and the add that joins it to the input part,
-    # which with no constraints is an untaped constant too
+    # the terminal sumsq, its multiply by the norm and the add that joins it to
+    # the input part, which with no constraints is an untaped constant too
     assert len(weighted) == len(zero) + 3
-    assert parts.terminal.item() == 0.0 and parts.terminal.tape is None
+    assert parts.terminal.item() == 0.0 and type(parts.terminal) is np.ndarray
     assert parts.total.item() == parts.objective.item()
 
 
@@ -382,7 +382,7 @@ def test_batch_from_trajectories_layout():
         states, actions = dyn.rollout_tensors(
             m, lambda z: pol.apply_layers(flat, p.arch, z), x0, None,
             np.zeros((x0.shape[0], 3, 2)), dyn.STATE_FEEDBACK)
-        return states.values, actions.values
+        return states, actions
 
     x0 = np.array([[0.1 * k, -0.1] for k in range(4)])
     states, actions = roll(x0)
@@ -446,7 +446,7 @@ def test_margin_tightens_penalty_only():
     loose = obj.BoxConstraint((-1.0,), (1.0,))
     assert ad.relu_sumsq(loose.residuals(v), 1.0, loose.margin).item() == 0.0
     # the raw residuals are what certification checks, and they ignore margin
-    assert np.all(tight.residuals(v).values <= 0.0)
+    assert np.all(tight.residuals(v) <= 0.0)
 
 
 def test_margin_validation():
@@ -463,7 +463,7 @@ def test_keepout_margin_inflates_penalty_onset():
                                   center_x=const(0.0), center_y=const(0.0),
                                   margin=0.1)
     x = np.array([[0.55, 0.0]])  # clear of the true ellipse, inside the margin band
-    assert np.all(keep_out.residuals(x).values <= 0.0)
+    assert np.all(keep_out.residuals(x) <= 0.0)
     assert ad.relu_sumsq(keep_out.residuals(x), 1.0, keep_out.margin).item() > 0.0
     x_far = np.array([[0.8, 0.0]])  # past the inflated surface too
     assert ad.relu_sumsq(keep_out.residuals(x_far), 1.0, keep_out.margin).item() == 0.0
@@ -485,13 +485,13 @@ CONFIGS = sorted(p.stem for p in (REPO / "configs").glob("ex*.json"))
 
 
 def unfused_quad(v, weight):
-    """weight * sum of squares as a square -> sum -> scale chain."""
-    return ad.scale(ad.reduce_sum(ad.square(v)), weight)
+    """weight * sum of squares as a square -> sum -> multiply chain."""
+    return ad.multiply(ad.reduce_sum(ad.square(v)), weight)
 
 
 def unfused_penalty(residual, weight, margin=0.0):
     """weight * sum relu(residual + margin)^2 as an add -> relu -> square ->
-    sum -> scale chain."""
+    sum -> multiply chain."""
     if margin:
         residual = ad.add(residual, margin)
     return unfused_quad(ad.relu(residual), weight)

@@ -301,9 +301,9 @@ def test_untaped_forward_is_the_taped_pass_bit_for_bit(name, mode):
     assert np.array_equal(xs, before)  # the in-place pass writes only its own blocks
     flat = p.weights
     eager = pol.apply_layers(flat, p.arch, xs)
-    assert eager.tape is None
+    assert type(eager) is np.ndarray
     taped = pol.apply_layers(ad.Tape().param(flat), p.arch, xs)
-    assert np.array_equal(eager.values, taped.values)
+    assert np.array_equal(eager, taped.values)
     assert np.array_equal(untaped, taped.values)
     one = pol.apply_layers(ad.Tape().param(flat), p.arch, xs[:1])
     assert np.array_equal(pol.forward(p, xs[0]), one.values[0])
