@@ -30,6 +30,7 @@ Conventions:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,10 +122,9 @@ class Tape:
             node = self.nodes[nid]
             if node.kind == "param":
                 continue
-            for input_pos, contribution in _vjp(node, g):
+            taped = [i is not None for i in node.input_ids]
+            for input_pos, contribution in _vjp(node, g, taped):
                 input_id = node.input_ids[input_pos]
-                if input_id is None:
-                    continue  # constant operand: no adjoint to route
                 prev = adjoints.get(input_id)
                 adjoints[input_id] = contribution if prev is None else prev + contribution
         for pid in self.param_ids:
@@ -194,7 +194,7 @@ def _forward(kind, vals, attrs):
     if kind == "reshape":
         (a,) = vals
         shape = attrs["shape"]
-        if int(np.prod(shape)) != a.size:
+        if math.prod(shape) != a.size:
             raise ShapeError(f"reshape: cannot reshape {a.shape} into {shape}")
         return a.reshape(shape)
     if kind == "l2norm":
@@ -220,31 +220,42 @@ def _unbroadcast(g, shape):
     return g.reshape(shape)
 
 
-def _vjp(node, g):
+# per binary op kind, the adjoint of each operand from (g, a, b)
+_BINARY_VJP = {
+    "add": (lambda g, a, b: _unbroadcast(g, a.shape), lambda g, a, b: _unbroadcast(g, b.shape)),
+    "subtract": (lambda g, a, b: _unbroadcast(g, a.shape),
+                 lambda g, a, b: _unbroadcast(-g, b.shape)),
+    "multiply": (lambda g, a, b: _unbroadcast(g * b, a.shape),
+                 lambda g, a, b: _unbroadcast(g * a, b.shape)),
+    "matmul": (lambda g, a, b: g @ b.T, lambda g, a, b: a.T @ g),
+}
+
+
+def _vjp(node, g, taped):
+    """(input position, adjoint) for each input flagged in ``taped``; a
+    constant operand gets no adjoint, so none is computed for it."""
     kind = kind_ = node.kind
     vals = node.input_values
-    if kind == "add":
-        return [(0, _unbroadcast(g, vals[0].shape)), (1, _unbroadcast(g, vals[1].shape))]
-    if kind == "subtract":
-        return [(0, _unbroadcast(g, vals[0].shape)), (1, _unbroadcast(-g, vals[1].shape))]
-    if kind == "multiply":
-        a, b = vals
-        return [(0, _unbroadcast(g * b, a.shape)), (1, _unbroadcast(g * a, b.shape))]
-    if kind == "matmul":
-        a, b = vals
-        return [(0, g @ b.T), (1, a.T @ g)]
+    if kind in _BINARY_VJP:
+        return [(pos, rule(g, *vals)) for pos, rule in enumerate(_BINARY_VJP[kind]) if taped[pos]]
     if kind == "mlp":  # layer k's input is relu(layer k-1), so it masks k-1's adjoint
         dims, inputs = node.attrs["dims"], node.attrs["inputs"]
-        grad = np.empty_like(vals[1])
-        layers, grads = unpack(vals[1], dims), unpack(grad, dims)
+        layers, out = unpack(vals[1], dims), []
+        if taped[1]:
+            grad = np.empty_like(vals[1])
+            grads = unpack(grad, dims)
+            out.append((1, grad))
         for k in range(len(dims) - 1, -1, -1):
-            (dw, db), h = grads[k], inputs[k]
-            dw[...] = (h.T @ g).T
-            g.sum(axis=0, out=db)
-            g = g @ layers[k][0]
+            h = inputs[k]
+            if taped[1]:
+                dw, db = grads[k]
+                dw[...] = (h.T @ g).T
+                g.sum(axis=0, out=db)
+            if k or taped[0]:
+                g = g @ layers[k][0]
             if k:
                 g *= h > 0.0
-        return [(1, grad), (0, g)]
+        return out + [(0, g)] if taped[0] else out
     if kind == "relu":
         (a,) = vals
         return [(0, g * (a > 0.0))]
@@ -264,9 +275,10 @@ def _vjp(node, g):
         out, offset = [], 0
         for pos, v in enumerate(vals):
             width = v.shape[axis]
-            index = [slice(None)] * v.ndim
-            index[axis] = slice(offset, offset + width)
-            out.append((pos, g[tuple(index)]))
+            if taped[pos]:
+                index = [slice(None)] * v.ndim
+                index[axis] = slice(offset, offset + width)
+                out.append((pos, g[tuple(index)]))
             offset += width
         return out
     if kind == "narrow":

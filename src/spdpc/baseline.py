@@ -191,9 +191,10 @@ def benchmark(policy, model, instances, horizon, objective, constraints,
               weights, cfg: SolverConfig = SolverConfig(), repeats: int = 5):
     """Time one policy decision against one warm-started solve per instance.
 
-    ``instances`` is a list of (x0, xi-or-None).  The solver for instance t
-    warm starts from the shifted solution of instance t-1, matching how it
-    would run inside a receding-horizon loop.
+    ``instances`` is a list of independent (x0, xi-or-None) draws.  The
+    solver for instance t warm starts from the shifted solution of instance
+    t-1, as a receding-horizon loop would, though t-1 is not the state
+    before t.
     """
     rows = []
     prev = None

@@ -12,8 +12,10 @@ The indicator reads the residuals the training penalty reads, on the
 blocks that ``objectives.rollout_blocks`` cuts for both: state and input
 constraints at steps 0..N-1, the terminal set at step N, each met when
 every residual is <= 0, so a trajectory that rides a boundary still
-passes.  Training margins and the contraction term shape the loss only and
-are not part of the pass/fail decision.
+passes.  The indicator reads each scenario's residuals as one row,
+whatever their layout (a box's are (2K, n), a ball's (K,)).  Training
+margins and the contraction term shape the loss only and are not part of
+the pass/fail decision.
 """
 
 from __future__ import annotations

@@ -175,9 +175,10 @@ def run_simulate(cfg, seed: int, out: Path, checkpoint: str,
     worst = dict.fromkeys(blocks, 0.0)
     for part, c in cfg.constraints.checked():
         worst[part] = max(worst[part], float(c.residuals(blocks[part], xi_rows).max()))
-    # per run, how many last steps stay in the terminal set: it holds from the first of them
-    inside = cfg.terminal.residuals(states, xi_rows).reshape(count, steps + 1, -1) <= 0.0
-    held = np.logical_and.accumulate(inside.all(axis=2)[:, ::-1], axis=1).sum(axis=1)
+    # per run, how many last steps stay in the terminal set: it holds from the first of them;
+    # each step is scored as its own one-step block, whatever the residual layout
+    per_step = cfg.terminal.residuals(states[:, :, None], xi_rows).reshape(count, steps + 1, -1)
+    held = np.logical_and.accumulate(np.all(per_step <= 0.0, axis=2)[:, ::-1], axis=1).sum(axis=1)
     summary = {
         "count": count,
         "steps": steps,

@@ -118,6 +118,11 @@ def _check_margin(margin) -> float:
 class BoxConstraint:
     """lower <= v <= upper, encoded as residuals (v - upper, lower - v).
 
+    A (..., K, n) block of K n-vectors gives (..., 2K, n) residuals: rows
+    0..K-1 hold v - upper and rows K..2K-1 hold lower - v.  Joining the two
+    sides on the step axis keeps every subtract and the join over
+    contiguous K·n runs; the bounds are tiled to (K, n) once per K.
+
     ``margin`` tightens the training penalty by that amount without moving
     the constraint itself, so rollouts keep headroom against noise; checks
     of the true constraint go through ``residuals`` and never see it.
@@ -138,10 +143,19 @@ class BoxConstraint:
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
         object.__setattr__(self, "margin", _check_margin(self.margin))
+        object.__setattr__(self, "_tiled", {})
 
     def residuals(self, v, xi=None):
-        """(..., 2n) residuals of a (..., n) vector or block; <= 0 inside."""
-        return ad.concat([ad.subtract(v, self.upper), ad.subtract(self.lower, v)], axis=-1)
+        """(..., 2K, n) residuals of a (..., K, n) block; <= 0 inside."""
+        if v.ndim < 2:
+            raise ValueError(f"box residuals expect a (..., K, n) block, got shape {v.shape}")
+        rows = v.shape[-2]
+        bounds = self._tiled.get(rows)
+        if bounds is None:
+            bounds = self._tiled[rows] = (np.tile(self.lower, (rows, 1)),
+                                          np.tile(self.upper, (rows, 1)))
+        lower, upper = bounds
+        return ad.concat([ad.subtract(v, upper), ad.subtract(lower, v)], axis=-2)
 
 
 @dataclass(frozen=True)

@@ -546,6 +546,30 @@ def test_backward_rejects_foreign_root():
         t1.backward(ad.reduce_sum(ad.square([1.0])))  # an eager result is an ndarray
 
 
+@pytest.mark.parametrize("kind", ["add", "subtract", "multiply", "matmul", "concat", "mlp"])
+def test_vjp_computes_adjoints_for_taped_inputs_only(kind):
+    rng = np.random.default_rng(zlib.crc32(kind.encode()))
+    tape = ad.Tape()
+    if kind == "mlp":
+        a, b = tape.param(rng.normal(size=(4, 3))), tape.param(rng.normal(size=54))
+        out = ad.mlp(a, b, [(5, 3), (4, 5), (2, 4)])
+    elif kind == "concat":
+        a, b = tape.param(rng.normal(size=(3, 2, 2))), tape.param(rng.normal(size=(3, 4, 2)))
+        out = ad.concat([a, b], axis=-2)
+    else:
+        a = tape.param(rng.normal(size=(3, 4)))
+        b = tape.param(rng.normal(size=(4, 2) if kind == "matmul" else (4,)))
+        out = getattr(ad, kind)(a, b)
+    node, g = tape.nodes[out.node], rng.normal(size=out.shape)
+    both = dict(ad._vjp(node, g.copy(), [True, True]))
+    assert sorted(both) == [0, 1]
+    for taped in ([True, False], [False, True]):
+        only = ad._vjp(node, g.copy(), taped)
+        assert [pos for pos, _ in only] == [taped.index(True)]
+        pos, adjoint = only[0]
+        assert adjoint.tobytes() == both[pos].tobytes()
+
+
 def test_mixing_tapes_rejected():
     t1, t2 = ad.Tape(), ad.Tape()
     a, b = t1.param([1.0]), t2.param([1.0])

@@ -698,3 +698,25 @@ class TestSimulateAndBenchmarkInputs:
                    "--checkpoint", str(checkpoint), "--count", "5", "--steps", "3") == 0
         summary = json.loads((out / "summary.json").read_text())
         assert summary["terminal_holds_from"] == [2, None, None, 0, 2]
+
+    def test_a_box_terminal_set_is_scored_step_by_step(self, tmp_path, monkeypatch):
+        # ex1's terminal set, the box [-0.1, 0.1]^2; each run's state at steps 0..3
+        runs = [[(1.0, 0.0), (0.5, -0.5), (0.05, 0.0), (0.0, -0.1)],   # in from step 2, on a face
+                [(0.0, 0.0), (0.05, 0.05), (0.0, 0.05), (0.0, 0.2)],   # in, then leaves at step 3
+                [(0.0, 0.5), (0.5, 0.0), (0.2, 0.2), (-0.3, 0.0)],     # never in
+                [(0.0, 0.0), (0.1, 0.1), (-0.1, -0.1), (0.02, 0.0)]]   # in from step 0
+
+        def hand_built(model, policy, x0, xi, omega):
+            return np.array(runs), np.zeros((len(runs), 3, 1))
+
+        monkeypatch.setattr("spdpc.dynamics.simulate", hand_built)
+        config = micro_config(tmp_path, terminal_set={"kind": "box", "lower": [-0.1, -0.1],
+                                                      "upper": [0.1, 0.1], "margin": 0.05})
+        checkpoint = tmp_path / "policy.json"
+        save_checkpoint(init_policy(load_config(config).arch), checkpoint)
+        out = tmp_path / "sim"
+        assert run("simulate", "--config", str(config), "--out", str(out),
+                   "--checkpoint", str(checkpoint), "--count", "4", "--steps", "3") == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["terminal_holds_from"] == [2, None, None, 0]
+        assert summary["terminal_violation_max"] == pytest.approx(0.2)  # run 3 at x0 = -0.3

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from spdpc import autodiff as ad
+from spdpc import certify as cert
 from spdpc import dynamics as dyn
 from spdpc import objectives as obj
 from spdpc import policy as pol
@@ -61,28 +62,124 @@ def test_constant_broadcasts():
 
 def test_state_box_penalty_hand_value():
     box = obj.BoxConstraint((-10.0, -10.0), (10.0, 10.0))
-    r = box.residuals(np.array([11.0, 0.0]))
+    r = box.residuals(np.array([[11.0, 0.0]]))
     assert ad.relu_sumsq(r, 10.0).item() == pytest.approx(10.0, abs=1e-12)
 
 
 def test_input_box_penalty_hand_value():
     box = obj.BoxConstraint((-1.0,), (2.5,))
-    r = box.residuals(np.array([3.0]))
+    r = box.residuals(np.array([[3.0]]))
     assert ad.relu_sumsq(r, 2.0).item() == pytest.approx(0.5, abs=1e-12)
 
 
 def test_penalty_zero_inside_box_including_boundary():
     box = obj.BoxConstraint((-1.0,), (1.0,))
-    assert ad.relu_sumsq(box.residuals(np.array([1.0])), 100.0).item() == 0.0
-    assert ad.relu_sumsq(box.residuals(np.array([-1.0])), 100.0).item() == 0.0
-    assert ad.relu_sumsq(box.residuals(np.array([0.3])), 100.0).item() == 0.0
+    assert ad.relu_sumsq(box.residuals(np.array([[1.0]])), 100.0).item() == 0.0
+    assert ad.relu_sumsq(box.residuals(np.array([[-1.0]])), 100.0).item() == 0.0
+    assert ad.relu_sumsq(box.residuals(np.array([[0.3]])), 100.0).item() == 0.0
 
 
 def test_penalty_doubles_with_weight():
     box = obj.BoxConstraint((-1.0,), (1.0,))
-    r = box.residuals(np.array([1.7]))
+    r = box.residuals(np.array([[1.7]]))
     assert ad.relu_sumsq(r, 20.0).item() == pytest.approx(2 * ad.relu_sumsq(r, 10.0).item(),
                                                           rel=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# box residuals: (b, K, n) blocks, the two sides joined on the step axis
+
+BOX_BLOCKS = [(64, 20, 2), (9, 1, 3), (5, 3, 1)]
+
+
+def random_box(rng, n, margin=0.0):
+    lower = rng.uniform(-2.0, 0.0, size=n)
+    return obj.BoxConstraint(tuple(lower), tuple(lower + rng.uniform(0.5, 2.0, size=n)), margin)
+
+
+def box_block(rng, box, shape, special=0.03):
+    """Entries inside ``box``, a share of them replaced by a bound, a value
+    just outside, +-inf or NaN."""
+    v = box.lower + rng.uniform(size=shape) * (box.upper - box.lower)
+    choices = np.stack(np.broadcast_arrays(box.lower, box.upper, box.lower - 1e-9,
+                                           box.upper + 1e-9, np.inf, -np.inf, np.nan))
+    spots = rng.uniform(size=shape) < special
+    v[spots] = choices[rng.integers(0, len(choices), size=shape), np.arange(shape[-1])][spots]
+    return v
+
+
+def test_box_residuals_join_the_two_sides_on_the_step_axis():
+    box = obj.BoxConstraint((-1.0, 0.0), (1.0, 2.0))
+    v = np.array([[[0.5, 3.0], [-2.0, 1.0], [0.0, 0.0]]])  # (1, 3, 2)
+    np.testing.assert_array_equal(box.residuals(v), [[[-0.5, 1.0], [-3.0, -1.0], [-1.0, -2.0],
+                                                      [-1.5, -3.0], [1.0, -1.0], [-1.0, 0.0]]])
+    with pytest.raises(ValueError, match=r"\(\.\.\., K, n\) block, got shape \(2,\)"):
+        box.residuals(np.zeros(2))
+
+
+@pytest.mark.parametrize("shape", BOX_BLOCKS, ids=str)
+def test_box_pass_flags_are_the_plain_numpy_comparison(shape):
+    b, k, n = shape
+    rng = np.random.default_rng(b * 100 + k * 10 + n)
+    state, inputs = random_box(rng, n), random_box(rng, 1)
+    states = box_block(rng, state, (b, k + 1, n))
+    actions = box_block(rng, inputs, (b, k, 1))
+    flags = cert.satisfied(states, actions, None,
+                           obj.ConstraintSet(state=[state], inputs=[inputs], terminal=state))
+    for column, (v, box) in enumerate([(states[:, :k], state), (actions, inputs),
+                                       (states[:, k:], state)]):
+        want = np.all((box.lower <= v) & (v <= box.upper), axis=(1, 2))
+        np.testing.assert_array_equal(flags[:, column], want)
+    if b == 64:  # the large block holds rows that pass and rows that fail
+        assert 0 < flags.all(axis=1).sum() < b
+
+
+@pytest.mark.parametrize("shape", BOX_BLOCKS, ids=str)
+def test_box_penalty_is_the_interleaved_formula(shape):
+    """Only the order of relu_sumsq's terms differs from joining the sides on
+    the last axis: equal bit for bit with at most one active entry."""
+    rng = np.random.default_rng(sum(shape))
+    for trial in range(20):
+        box = random_box(rng, shape[-1], margin=0.1)
+        inner = obj.BoxConstraint(tuple(box.lower + 0.1), tuple(box.upper - 0.1))
+        v = box_block(rng, inner, shape, special=0.0)
+        if trial % 4:  # one entry past a face by up to 1, or inside the margin band
+            at = tuple(rng.integers(0, d) for d in shape)
+            side = rng.integers(0, 2)
+            v[at] = box.upper[at[-1]] + rng.uniform(-0.1, 1.0) if side else \
+                box.lower[at[-1]] - rng.uniform(-0.1, 1.0)
+        interleaved = ad.concat([ad.subtract(v, box.upper), ad.subtract(box.lower, v)], axis=-1)
+        assert ad.relu_sumsq(box.residuals(v), 3.0, box.margin).tobytes() == \
+            ad.relu_sumsq(interleaved, 3.0, box.margin).tobytes()
+    # with many active entries, the two sums agree to rounding
+    v = rng.normal(scale=3.0, size=shape)
+    interleaved = ad.concat([ad.subtract(v, box.upper), ad.subtract(box.lower, v)], axis=-1)
+    assert ad.relu_sumsq(box.residuals(v), 3.0, box.margin).item() == pytest.approx(
+        ad.relu_sumsq(interleaved, 3.0, box.margin).item(), rel=1e-13)
+
+
+def test_box_penalty_gradient_on_a_block_matches_fd():
+    rng = np.random.default_rng(41)
+    box = random_box(rng, 2, margin=0.05)
+    v0 = box.lower + rng.uniform(-0.5, 1.5, size=(4, 3, 2)) * (box.upper - box.lower)
+    # keep every entry 1e-3 clear of the penalty's kinks
+    for kink in (box.upper - box.margin, box.lower + box.margin):
+        v0 = np.where(np.abs(v0 - kink) < 1e-3, v0 + 2e-3, v0)
+
+    def penalty(v):
+        return ad.relu_sumsq(box.residuals(v), 7.0, box.margin)
+
+    tape = ad.Tape()
+    v = tape.param(v0)
+    analytic = tape.backward(penalty(v))[v.node]
+    h, numeric = 1e-6, np.zeros_like(v0)
+    for idx in np.ndindex(*v0.shape):
+        hi, lo = v0.copy(), v0.copy()
+        hi[idx] += h
+        lo[idx] -= h
+        numeric[idx] = (penalty(hi).item() - penalty(lo).item()) / (2 * h)
+    assert np.any(analytic != 0.0) and np.any(analytic == 0.0)
+    assert np.all(np.abs(analytic - numeric) <= np.maximum(1e-6, 1e-4 * np.abs(numeric)))
 
 
 def test_contraction_penalty_hand_values():
@@ -440,7 +537,7 @@ def test_margin_tightens_penalty_only():
     # v = 0.95 sits inside [-1, 1] but inside the 0.1 tightening band:
     # residual + margin = 0.05 on the upper face, so relu^2 = 0.0025
     tight = obj.BoxConstraint((-1.0,), (1.0,), margin=0.1)
-    v = np.array([0.95])
+    v = np.array([[0.95]])
     assert ad.relu_sumsq(tight.residuals(v), 1.0, tight.margin).item() == pytest.approx(
         0.0025, abs=1e-15)
     loose = obj.BoxConstraint((-1.0,), (1.0,))
