@@ -1,16 +1,21 @@
 """Tape-based reverse-mode automatic differentiation over dense float64 arrays.
 
-A :class:`Tape` records primitive operations as they execute; calling
+A :class:`Tape` records operations as they execute; calling
 :meth:`Tape.backward` on a scalar root replays the tape in reverse and
 accumulates adjoints for every node it visits.  The op set is deliberately
 small: exactly what closed-loop rollouts, penalty losses and MLP policies
-need.  All arithmetic is plain numpy on float64, so a forward/backward pair
-is bit-deterministic for fixed inputs.
+need, and ``OPS`` maps each kind to its forward and VJP rules.  All
+arithmetic is plain numpy on float64, so a forward/backward pair is
+bit-deterministic for fixed inputs.
 
 An op makes one pass over its inputs and a taped op appends one slotted
-:class:`Node`.  The fused ``sumsq`` and ``relu_sumsq`` each record one node
-for a squared-penalty chain of up to five, with the numpy calls of the chain
-it stands for in the same order, so values and adjoints keep their bits.
+:class:`Node`.  Fused ops record one node for a chain of primitive ops,
+with the numpy calls of the chain in the same order and its adjoints added
+in the same order, so values and gradients keep their bits:
+  * ``sumsq`` and ``relu_sumsq``: a squared-penalty chain of up to five;
+  * ``box``: a box's two sides, subtract, subtract and concat;
+  * ``total``: a loss's add and multiply tail, which sums and normalises
+    each part's terms and then adds the parts.
 ``mlp`` records a whole ReLU network as one node that reads its weights as
 one vector (:func:`unpack` states the layout); its forward is
 :func:`mlp_values`, the layer loop that a deployed policy pass runs too.
@@ -21,7 +26,6 @@ tape.  The same loss code therefore serves both training (taped) and
 evaluation (untaped), which removes a whole class of train/eval drift bugs.
 
 Conventions:
-  * relu has subgradient 0 at exactly 0.
   * l2norm has gradient 0 at the origin.
   * a tape is single-writer; tensors from different tapes must not mix.
   * values follow IEEE arithmetic and no op checks them for NaN or infinity;
@@ -91,7 +95,7 @@ class Tape:
 
     def param(self, values) -> Tensor:
         """Place a trainable input on the tape (copied defensively)."""
-        v = np.array(values, dtype=np.float64)
+        v = OPS["param"][0]((values,), None)
         self.nodes.append(Node("param", (), (), v, {}))
         return Tensor(v, self, len(self.nodes) - 1)
 
@@ -120,8 +124,6 @@ class Tape:
             if g is None:
                 continue
             node = self.nodes[nid]
-            if node.kind == "param":
-                continue
             taped = [i is not None for i in node.input_ids]
             for input_pos, contribution in _vjp(node, g, taped):
                 input_id = node.input_ids[input_pos]
@@ -134,79 +136,104 @@ class Tape:
 
 
 # ---------------------------------------------------------------------------
-# forward rules
+# forward rules: (input values, attrs) -> the op's value
 
-_BINARY = {"add": np.add, "subtract": np.subtract, "multiply": np.multiply,
-           "matmul": np.matmul}
-
-
-def _forward(kind, vals, attrs):
-    if kind in _BINARY:
+def _binary(kind, fn, da, db):
+    """The rules of a binary op: forward fn(a, b), and the adjoint of each
+    taped operand from (g, a, b)."""
+    def forward(vals, attrs):
         a, b = vals
         if kind == "matmul" and (a.ndim != 2 or b.ndim != 2):
             raise ShapeError(f"matmul: operands must be 2-D, got {a.shape} @ {b.shape}")
         try:
-            return _BINARY[kind](a, b)
+            return fn(a, b)
         except ValueError:
             raise ShapeError(f"{kind}: shapes {a.shape} and {b.shape} do not conform") from None
-    if kind == "mlp":
-        (z, flat), dims = vals, attrs["dims"]
-        if dims and z.ndim == 2 and flat.ndim == 1:
-            try:
-                return mlp_values(z, unpack(flat, dims), attrs.setdefault("inputs", []))
-            except ValueError:
-                pass
-        raise ShapeError(f"mlp: input {z.shape} and a weight vector of size {flat.size} "
-                         f"do not fit layers {list(dims)}")
-    if kind == "relu":
-        (a,) = vals
-        return np.maximum(a, 0.0)
-    if kind == "square":
-        (a,) = vals
-        return a * a
-    if kind == "sum":
-        (a,) = vals
-        return np.asarray(a.sum())
-    if kind in ("sumsq", "relu_sumsq"):
-        (a,) = vals
-        if kind == "relu_sumsq":  # keep the relu for the VJP
-            shift = attrs["shift"]
-            a = attrs["relu"] = np.maximum(np.add(a, shift) if shift else a, 0.0)
-        return np.asarray((a * a).sum()) * attrs["weight"]
-    if kind == "concat":
-        axis = attrs["axis"]
+
+    def vjp(node, g, taped):
+        return [(pos, rule(g, *node.input_values))
+                for pos, rule in enumerate((da, db)) if taped[pos]]
+    return forward, vjp
+
+
+def _mlp(vals, attrs):
+    (z, flat), dims = vals, attrs["dims"]
+    if dims and z.ndim == 2 and flat.ndim == 1:
         try:
-            return np.concatenate(vals, axis=axis)
+            return mlp_values(z, unpack(flat, dims), attrs.setdefault("inputs", []))
         except ValueError:
-            raise ShapeError(
-                f"concat: shapes {[v.shape for v in vals]} on axis {axis}"
-            ) from None
-    if kind == "narrow":
-        (a,) = vals
-        axis, start, stop = attrs["axis"], attrs["start"], attrs["stop"]
-        if not (0 <= start < stop <= a.shape[axis]):
-            raise ShapeError(
-                f"narrow: [{start}:{stop}] out of range for axis {axis} of {a.shape}"
-            )
-        index = [slice(None)] * a.ndim
-        index[axis] = slice(start, stop)
-        return a[tuple(index)]
-    if kind == "reshape":
-        (a,) = vals
-        shape = attrs["shape"]
-        if math.prod(shape) != a.size:
-            raise ShapeError(f"reshape: cannot reshape {a.shape} into {shape}")
-        return a.reshape(shape)
-    if kind == "l2norm":
-        (a,) = vals
-        if a.ndim < 1:
-            raise ShapeError(f"l2norm: expected at least 1-D, got {a.shape}")
-        return np.asarray(np.sqrt(np.sum(a * a, axis=-1)))
-    raise ValueError(f"unknown operation kind {kind!r}")
+            pass
+    raise ShapeError(f"mlp: input {z.shape} and a weight vector of size {flat.size} "
+                     f"do not fit layers {list(dims)}")
+
+
+def _relu_sumsq(vals, attrs):
+    (a,), shift = vals, attrs["shift"]
+    h = attrs["relu"] = np.maximum(np.add(a, shift) if shift else a, 0.0)  # the VJP reads it
+    return np.asarray((h * h).sum()) * attrs["weight"]
+
+
+def _box(vals, attrs):
+    (v,), lower, upper = vals, attrs["lower"], attrs["upper"]
+    if not v.shape[-2:] == lower.shape == upper.shape:
+        raise ShapeError(f"box: a block {v.shape} against bounds {lower.shape} and {upper.shape}")
+    rows = v.shape[-2]
+    out = np.empty(v.shape[:-2] + (2 * rows,) + v.shape[-1:])
+    np.subtract(v, upper, out=out[..., :rows, :])
+    np.subtract(lower, v, out=out[..., rows:, :])
+    return out
+
+
+def _total(vals, attrs):
+    if any(t.ndim for t in vals):
+        raise ShapeError(f"total: terms must be scalars, got shapes {[t.shape for t in vals]}")
+    parts, start = attrs["parts"], 0
+    for count in attrs["counts"]:
+        terms = vals[start:start + count]
+        part = terms[0] if terms else 0.0
+        for t in terms[1:]:
+            part = part + t
+        parts.append(np.asarray(part * attrs["norm"]))
+        start += count
+    p0, p1, p2, p3 = parts
+    return (p0 + p1) + (p2 + p3)
+
+
+def _concat(vals, attrs):
+    axis = attrs["axis"]
+    try:
+        return np.concatenate(vals, axis=axis)
+    except ValueError:
+        raise ShapeError(f"concat: shapes {[v.shape for v in vals]} on axis {axis}") from None
+
+
+def _narrow(vals, attrs):
+    (a,) = vals
+    axis, start, stop = attrs["axis"], attrs["start"], attrs["stop"]
+    if not (0 <= start < stop <= a.shape[axis]):
+        raise ShapeError(f"narrow: [{start}:{stop}] out of range for axis {axis} of {a.shape}")
+    index = [slice(None)] * a.ndim
+    index[axis] = slice(start, stop)
+    return a[tuple(index)]
+
+
+def _reshape(vals, attrs):
+    (a,), shape = vals, attrs["shape"]
+    if math.prod(shape) != a.size:
+        raise ShapeError(f"reshape: cannot reshape {a.shape} into {shape}")
+    return a.reshape(shape)
+
+
+def _l2norm(vals, attrs):
+    (a,) = vals
+    if a.ndim < 1:
+        raise ShapeError(f"l2norm: expected at least 1-D, got {a.shape}")
+    return np.asarray(np.sqrt(np.sum(a * a, axis=-1)))
 
 
 # ---------------------------------------------------------------------------
-# backward rules
+# backward rules: (node, adjoint g, taped flags) -> [(input position, adjoint)]
+# for each taped input; a constant operand gets no adjoint, so none is computed
 
 def _unbroadcast(g, shape):
     """Reduce an adjoint back to the shape of a broadcast operand."""
@@ -220,84 +247,94 @@ def _unbroadcast(g, shape):
     return g.reshape(shape)
 
 
-# per binary op kind, the adjoint of each operand from (g, a, b)
-_BINARY_VJP = {
-    "add": (lambda g, a, b: _unbroadcast(g, a.shape), lambda g, a, b: _unbroadcast(g, b.shape)),
-    "subtract": (lambda g, a, b: _unbroadcast(g, a.shape),
-                 lambda g, a, b: _unbroadcast(-g, b.shape)),
-    "multiply": (lambda g, a, b: _unbroadcast(g * b, a.shape),
-                 lambda g, a, b: _unbroadcast(g * a, b.shape)),
-    "matmul": (lambda g, a, b: g @ b.T, lambda g, a, b: a.T @ g),
+def _mlp_vjp(node, g, taped):
+    # layer k's input is relu(layer k-1), so it masks k-1's adjoint
+    vals, dims, inputs = node.input_values, node.attrs["dims"], node.attrs["inputs"]
+    layers, out = unpack(vals[1], dims), []
+    if taped[1]:
+        grad = np.empty_like(vals[1])
+        grads = unpack(grad, dims)
+        out.append((1, grad))
+    for k in range(len(dims) - 1, -1, -1):
+        h = inputs[k]
+        if taped[1]:
+            dw, db = grads[k]
+            dw[...] = (h.T @ g).T
+            g.sum(axis=0, out=db)
+        if k or taped[0]:
+            g = g @ layers[k][0]
+        if k:
+            g *= h > 0.0
+    return out + [(0, g)] if taped[0] else out
+
+
+def _box_vjp(node, g, taped):
+    # two contributions, the lower side's first: the order in which the
+    # subtract, subtract, concat chain this node folds added them to v
+    rows = node.input_values[0].shape[-2]
+    return [(0, -g[..., rows:, :]), (0, g[..., :rows, :])] if taped[0] else []
+
+
+def _concat_vjp(node, g, taped):
+    axis, out, offset = node.attrs["axis"], [], 0
+    for pos, v in enumerate(node.input_values):
+        width = v.shape[axis]
+        if taped[pos]:
+            index = [slice(None)] * v.ndim
+            index[axis] = slice(offset, offset + width)
+            out.append((pos, g[tuple(index)]))
+        offset += width
+    return out
+
+
+def _narrow_vjp(node, g, taped):
+    (a,), attrs = node.input_values, node.attrs
+    full = np.zeros_like(a)
+    index = [slice(None)] * a.ndim
+    index[attrs["axis"]] = slice(attrs["start"], attrs["stop"])
+    full[tuple(index)] = g
+    return [(0, full)]
+
+
+def _l2norm_vjp(node, g, taped):
+    (a,), norms = node.input_values, node.values
+    safe = np.where(norms > 0.0, norms, 1.0)
+    return [(0, np.where((norms > 0.0)[..., None], (g / safe)[..., None] * a, 0.0))]
+
+
+# every op kind: its (forward, VJP) rules
+OPS = {
+    "param": (lambda vals, attrs: np.array(vals[0], dtype=np.float64), lambda node, g, taped: []),
+    "add": _binary("add", np.add, lambda g, a, b: _unbroadcast(g, a.shape),
+                   lambda g, a, b: _unbroadcast(g, b.shape)),
+    "subtract": _binary("subtract", np.subtract, lambda g, a, b: _unbroadcast(g, a.shape),
+                        lambda g, a, b: _unbroadcast(-g, b.shape)),
+    "multiply": _binary("multiply", np.multiply, lambda g, a, b: _unbroadcast(g * b, a.shape),
+                        lambda g, a, b: _unbroadcast(g * a, b.shape)),
+    "matmul": _binary("matmul", np.matmul, lambda g, a, b: g @ b.T, lambda g, a, b: a.T @ g),
+    "mlp": (_mlp, _mlp_vjp),
+    "square": (lambda vals, attrs: vals[0] * vals[0],
+               lambda node, g, taped: [(0, 2.0 * node.input_values[0] * g)]),
+    "sum": (lambda vals, attrs: np.asarray(vals[0].sum()), lambda node, g, taped: [
+        (0, np.broadcast_to(g, node.input_values[0].shape).copy())]),
+    "sumsq": (lambda vals, attrs: np.asarray((vals[0] * vals[0]).sum()) * attrs["weight"],
+              lambda node, g, taped: [
+                  (0, 2.0 * node.input_values[0] * (g * node.attrs["weight"]))]),
+    "relu_sumsq": (_relu_sumsq, lambda node, g, taped: [
+        (0, 2.0 * node.attrs["relu"] * (g * node.attrs["weight"]) * (node.attrs["relu"] > 0.0))]),
+    "box": (_box, _box_vjp),
+    "total": (_total, lambda node, g, taped: [
+        (pos, g * node.attrs["norm"]) for pos, flag in enumerate(taped) if flag]),
+    "concat": (_concat, _concat_vjp),
+    "narrow": (_narrow, _narrow_vjp),
+    "reshape": (_reshape, lambda node, g, taped: [(0, g.reshape(node.input_values[0].shape))]),
+    "l2norm": (_l2norm, _l2norm_vjp),
 }
 
 
 def _vjp(node, g, taped):
-    """(input position, adjoint) for each input flagged in ``taped``; a
-    constant operand gets no adjoint, so none is computed for it."""
-    kind = kind_ = node.kind
-    vals = node.input_values
-    if kind in _BINARY_VJP:
-        return [(pos, rule(g, *vals)) for pos, rule in enumerate(_BINARY_VJP[kind]) if taped[pos]]
-    if kind == "mlp":  # layer k's input is relu(layer k-1), so it masks k-1's adjoint
-        dims, inputs = node.attrs["dims"], node.attrs["inputs"]
-        layers, out = unpack(vals[1], dims), []
-        if taped[1]:
-            grad = np.empty_like(vals[1])
-            grads = unpack(grad, dims)
-            out.append((1, grad))
-        for k in range(len(dims) - 1, -1, -1):
-            h = inputs[k]
-            if taped[1]:
-                dw, db = grads[k]
-                dw[...] = (h.T @ g).T
-                g.sum(axis=0, out=db)
-            if k or taped[0]:
-                g = g @ layers[k][0]
-            if k:
-                g *= h > 0.0
-        return out + [(0, g)] if taped[0] else out
-    if kind == "relu":
-        (a,) = vals
-        return [(0, g * (a > 0.0))]
-    if kind == "square":
-        (a,) = vals
-        return [(0, 2.0 * a * g)]
-    if kind == "sum":
-        (a,) = vals
-        return [(0, np.broadcast_to(g, a.shape).copy())]
-    if kind == "sumsq":
-        return [(0, 2.0 * vals[0] * (g * node.attrs["weight"]))]
-    if kind == "relu_sumsq":
-        h = node.attrs["relu"]
-        return [(0, 2.0 * h * (g * node.attrs["weight"]) * (h > 0.0))]
-    if kind == "concat":
-        axis = node.attrs["axis"]
-        out, offset = [], 0
-        for pos, v in enumerate(vals):
-            width = v.shape[axis]
-            if taped[pos]:
-                index = [slice(None)] * v.ndim
-                index[axis] = slice(offset, offset + width)
-                out.append((pos, g[tuple(index)]))
-            offset += width
-        return out
-    if kind == "narrow":
-        (a,) = vals
-        axis, start, stop = node.attrs["axis"], node.attrs["start"], node.attrs["stop"]
-        full = np.zeros_like(a)
-        index = [slice(None)] * a.ndim
-        index[axis] = slice(start, stop)
-        full[tuple(index)] = g
-        return [(0, full)]
-    if kind == "reshape":
-        return [(0, g.reshape(vals[0].shape))]
-    if kind == "l2norm":
-        (a,) = vals
-        norms = node.values
-        safe = np.where(norms > 0.0, norms, 1.0)
-        grad = np.where((norms > 0.0)[..., None], (g / safe)[..., None] * a, 0.0)
-        return [(0, grad)]
-    raise ValueError(f"unknown operation kind {kind_!r}")
+    """(input position, adjoint) for each input flagged in ``taped``."""
+    return OPS[node.kind][1](node, g, taped)
 
 
 # ---------------------------------------------------------------------------
@@ -307,6 +344,9 @@ def _apply(kind, *inputs, **attrs):
     """Run one op in a single pass over its inputs.  It is recorded on the
     tape of its tensor inputs and returns a tensor; with none it returns the
     plain ndarray.  Mixing tensors from different tapes is an error."""
+    rules = OPS.get(kind)
+    if rules is None:
+        raise ValueError(f"unknown operation kind {kind!r}")
     tape, values, ids = None, [], []
     for x in inputs:
         if isinstance(x, Tensor):
@@ -319,7 +359,7 @@ def _apply(kind, *inputs, **attrs):
         else:
             values.append(np.asarray(x, dtype=np.float64))
             ids.append(None)
-    out = np.asarray(_forward(kind, values, attrs))
+    out = np.asarray(rules[0](values, attrs))
     if tape is None:
         return out
     tape.nodes.append(Node(kind, tuple(ids), tuple(values), out, attrs))
@@ -343,10 +383,6 @@ def matmul(a, b):
     return _apply("matmul", a, b)
 
 
-def relu(a):
-    return _apply("relu", a)
-
-
 def square(a):
     return _apply("square", a)
 
@@ -363,6 +399,24 @@ def sumsq(a, weight: float):
 def relu_sumsq(a, weight: float, shift: float = 0.0):
     """weight * sum of relu(a + shift)^2 over every entry, as one node."""
     return _apply("relu_sumsq", a, weight=float(weight), shift=float(shift))
+
+
+def box(v, lower, upper):
+    """The (..., 2K, n) residuals of a (..., K, n) block v against (K, n)
+    bounds, as one node: v - upper on rows 0..K-1, lower - v on rows K..2K-1."""
+    return _apply("box", v, lower=np.asarray(lower, dtype=np.float64),
+                  upper=np.asarray(upper, dtype=np.float64))
+
+
+def total(groups, norm: float):
+    """A loss from four groups of scalar terms, as one node: each part is
+    norm times its group's sum (0 for no terms), and the loss is
+    (p0 + p1) + (p2 + p3).  Returns the loss, a tensor when a term is taped,
+    and the four parts as 0-d ndarrays."""
+    parts = []
+    loss = _apply("total", *(t for terms in groups for t in terms),
+                  counts=tuple(len(terms) for terms in groups), norm=float(norm), parts=parts)
+    return loss, parts
 
 
 def concat(parts, axis: int = 0):

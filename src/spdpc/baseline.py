@@ -7,12 +7,12 @@ is seeded from ``seed_hessian`` at the first iterate not yet converged and
 updated by rank two after each move while s'y > 0 (Nocedal & Wright,
 Numerical Optimization, 2006, ch. 6 and 8).  Each line search starts at the
 full quasi-Newton step, backtracks until the Armijo condition holds (so the
-objective never increases), and a shifted previous solution warm-starts the
-next receding-horizon step.  Each trial's loss is taped, and the accepted
+objective never increases), and ``shift_warm_start`` turns a solution into
+the warm start of the next receding-horizon step.  Each trial's loss is taped, and the accepted
 trial's tape gives the next gradient, so a solve evaluates no point twice.
 
 The benchmark times one decision of each method on the same instances:
-a single policy forward pass against a single warm-started solve.
+a single policy forward pass against a single solve from zeros.
 """
 
 from __future__ import annotations
@@ -189,27 +189,21 @@ def _time_ns(fn, repeats: int):
 
 def benchmark(policy, model, instances, horizon, objective, constraints,
               weights, cfg: SolverConfig = SolverConfig(), repeats: int = 5):
-    """Time one policy decision against one warm-started solve per instance.
+    """Time one policy decision against one solve per instance.
 
-    ``instances`` is a list of independent (x0, xi-or-None) draws.  The
-    solver for instance t warm starts from the shifted solution of instance
-    t-1, as a receding-horizon loop would, though t-1 is not the state
-    before t.
+    ``instances`` is a list of independent (x0, xi-or-None) draws, so every
+    solve starts from zeros: no instance's plan says anything about another's.
     """
     rows = []
-    prev = None
     for t, (x0, xi) in enumerate(instances):
         x0 = np.asarray(x0, dtype=np.float64)
         xi = None if xi is None else np.asarray(xi, dtype=np.float64)
         decide = lambda: pol.forward(policy, x0, xi)
         decide()  # warm-up
         p_mean, p_max, _ = _time_ns(decide, repeats)
-        warm = None if prev is None else shift_warm_start(prev)
         b_mean, b_max, solved = _time_ns(
-            lambda: solve(model, x0, xi, horizon, objective, constraints,
-                          weights, cfg, warm_start=warm),
+            lambda: solve(model, x0, xi, horizon, objective, constraints, weights, cfg),
             repeats)
-        prev = solved.actions
         rows.append(BenchmarkRow(
             instance=t, policy_ns_mean=p_mean, policy_ns_max=p_max,
             baseline_ns_mean=b_mean, baseline_ns_max=b_max,

@@ -119,9 +119,9 @@ class BoxConstraint:
     """lower <= v <= upper, encoded as residuals (v - upper, lower - v).
 
     A (..., K, n) block of K n-vectors gives (..., 2K, n) residuals: rows
-    0..K-1 hold v - upper and rows K..2K-1 hold lower - v.  Joining the two
-    sides on the step axis keeps every subtract and the join over
-    contiguous K·n runs; the bounds are tiled to (K, n) once per K.
+    0..K-1 hold v - upper and rows K..2K-1 hold lower - v, written by one
+    ``box`` node into one buffer over contiguous K·n runs; the bounds are
+    tiled to (K, n) once per K.
 
     ``margin`` tightens the training penalty by that amount without moving
     the constraint itself, so rollouts keep headroom against noise; checks
@@ -154,8 +154,7 @@ class BoxConstraint:
         if bounds is None:
             bounds = self._tiled[rows] = (np.tile(self.lower, (rows, 1)),
                                           np.tile(self.upper, (rows, 1)))
-        lower, upper = bounds
-        return ad.concat([ad.subtract(v, upper), ad.subtract(lower, v)], axis=-2)
+        return ad.box(v, *bounds)
 
 
 @dataclass(frozen=True)
@@ -252,17 +251,6 @@ class ConstraintSet:
 
 
 # ---------------------------------------------------------------------------
-# penalties
-
-def _sum(terms):
-    """Sum of scalar terms; 0.0 for none."""
-    total = None
-    for t in terms:
-        total = t if total is None else ad.add(total, t)
-    return 0.0 if total is None else total
-
-
-# ---------------------------------------------------------------------------
 # objectives
 
 @dataclass(frozen=True)
@@ -305,8 +293,9 @@ def rollout_blocks(states, actions) -> dict:
 
 
 def objective_cost(objective: StageObjective, weights: LossWeights, blocks: dict, xi=None):
-    """The objective's cost summed over the batch and the horizon, from the
-    ``rollout_blocks`` of a rollout and the (b, d) parameter block ``xi``."""
+    """The objective's cost terms, each summed over the batch and the horizon,
+    from the ``rollout_blocks`` of a rollout and the (b, d) parameter block
+    ``xi``; the cost is their sum."""
     x, u = blocks["state"], blocks["inputs"]
     batch, horizon = u.shape[:2]
     if objective.kind in ("tracking", "split-tracking"):
@@ -330,19 +319,20 @@ def objective_cost(objective: StageObjective, weights: LossWeights, blocks: dict
             du = ad.subtract(ad.narrow(u, 1, 1, horizon), ad.narrow(u, 1, 0, horizon - 1))
             terms.append(ad.sumsq(du, weights.Q_du))
         terms += [ad.sumsq(ad.subtract(blocks["next"], x), weights.Q_dx), ad.sumsq(u, weights.Q_u)]
-    return _sum(terms)
+    return terms
 
 
 @dataclass
 class LossParts:
     """J and its decomposition; total == objective + state + inputs + terminal.
-    Each is a scalar tape tensor, or a 0-d ndarray when nothing taped enters it."""
+    Only ``total`` is a tape tensor, when the loss was taped; it is a 0-d
+    ndarray otherwise, and the parts are always 0-d ndarrays."""
 
     total: ad.Tensor | np.ndarray
-    objective: ad.Tensor | np.ndarray
-    state: ad.Tensor | np.ndarray
-    inputs: ad.Tensor | np.ndarray
-    terminal: ad.Tensor | np.ndarray
+    objective: np.ndarray
+    state: np.ndarray
+    inputs: np.ndarray
+    terminal: np.ndarray
 
     def floats(self) -> dict[str, float]:
         return {name: getattr(self, name).item() for name in LOSS_PARTS}
@@ -358,11 +348,11 @@ def total_loss(states, actions, xi, objective, constraints, weights) -> LossPart
     ``rollout_tensors`` (tensors or plain arrays); ``xi`` is the (b, d)
     parameter block or None.  Each constraint is charged on its part's
     ``rollout_blocks`` block with that part's ``PART_WEIGHTS`` weight.  A
-    penalty whose weight is 0 is not built, so it records no tape nodes.
+    penalty whose weight is 0 is not built, so it records no tape nodes;
+    every charged term meets in one ``autodiff.total`` node.
     """
     blocks = rollout_blocks(states, actions)
     batch, horizon = blocks["inputs"].shape[:2]
-    norm = 1.0 / (batch * horizon)
     obj = objective_cost(objective, weights, blocks, xi)
 
     terms = {"state": [], "inputs": [],
@@ -375,7 +365,6 @@ def total_loss(states, actions, xi, objective, constraints, weights) -> LossPart
         terms["state"].append(ad.relu_sumsq(
             constraints.contraction.residuals(blocks["state"], blocks["next"]), weights.Q_c))
 
-    obj = ad.multiply(obj, norm)
-    sp, ip, term = (ad.multiply(_sum(terms[p]), norm) for p in ("state", "inputs", "terminal"))
-    total = ad.add(ad.add(obj, sp), ad.add(ip, term))
-    return LossParts(total, obj, sp, ip, term)
+    total, parts = ad.total([obj, terms["state"], terms["inputs"], terms["terminal"]],
+                            1.0 / (batch * horizon))
+    return LossParts(total, *parts)

@@ -48,8 +48,10 @@ def test_matmul_matches_hand_value():
 
 
 def test_relu_zero_stays_zero():
-    r = ad.relu([-2.0, 0.0, 3.0])
-    np.testing.assert_array_equal(r, [0.0, 0.0, 3.0])
+    tape = ad.Tape()
+    r = ad.relu_sumsq(tape.param([-2.0, 0.0, 3.0]), 1.0)
+    np.testing.assert_array_equal(tape.nodes[r.node].attrs["relu"], [0.0, 0.0, 3.0])
+    assert r.item() == 9.0
 
 
 def test_eager_ops_do_not_record():
@@ -188,18 +190,20 @@ def test_l2norm_forward_rows_and_vector():
 # backward: hand cases
 
 def test_backward_relu_mask():
+    # d/dw of 0.5 * sum relu(w)^2 is relu(w)
     tape = ad.Tape()
-    w = tape.param([-1.0, 0.5, 2.0])
-    root = ad.reduce_sum(ad.relu(w))
-    grads = tape.backward(root)
-    np.testing.assert_array_equal(grads[w.node], [0.0, 1.0, 1.0])
+    w0 = np.array([-1.0, 0.5, 2.0])
+    w = tape.param(w0)
+    grads = tape.backward(ad.relu_sumsq(w, 0.5))
+    np.testing.assert_array_equal(grads[w.node], np.maximum(w0, 0.0))
 
 
 def test_backward_relu_at_kink_is_zero():
-    tape = ad.Tape()
-    w = tape.param([0.0])
-    grads = tape.backward(ad.reduce_sum(ad.relu(w)))
-    np.testing.assert_array_equal(grads[w.node], [0.0])
+    for w0, shift in ((0.0, 0.0), (-0.25, 0.25)):
+        tape = ad.Tape()
+        w = tape.param([w0])
+        grads = tape.backward(ad.relu_sumsq(w, 1.0, shift))
+        np.testing.assert_array_equal(grads[w.node], [0.0])
 
 
 def test_backward_mlp_hidden_kink_is_zero():
@@ -250,7 +254,7 @@ def test_backward_is_linear_in_the_root():
     tape = ad.Tape()
     w = tape.param(w0)
     f = ad.reduce_sum(ad.square(w))
-    g = ad.reduce_sum(ad.relu(w))
+    g = ad.relu_sumsq(w, 1.0)
     combined = ad.add(ad.multiply(f, a), ad.multiply(g, b))
     gf = tape.backward(f)[w.node]
     gg = tape.backward(g)[w.node]
@@ -281,10 +285,10 @@ def test_gradient_maps_from_independent_tapes_merge_by_addition():
     t1, t2 = ad.Tape(), ad.Tape()
     w1, w2 = t1.param(w0), t2.param(w0)
     g1 = t1.backward(ad.reduce_sum(ad.square(w1)))[w1.node]
-    g2 = t2.backward(ad.reduce_sum(ad.relu(w2)))[w2.node]
+    g2 = t2.backward(ad.relu_sumsq(w2, 1.0))[w2.node]
     combined = ad.Tape()
     w = combined.param(w0)
-    both = ad.add(ad.reduce_sum(ad.square(w)), ad.reduce_sum(ad.relu(w)))
+    both = ad.add(ad.reduce_sum(ad.square(w)), ad.relu_sumsq(w, 1.0))
     np.testing.assert_allclose(combined.backward(both)[w.node], g1 + g2, atol=1e-15)
 
 
@@ -300,11 +304,11 @@ MLP_DIMS = [(5, 3), (4, 5), (2, 4)]
 
 @pytest.mark.parametrize("case", [
     "add", "add_bias", "add_scalar", "subtract", "multiply", "multiply_bcast",
-    "matmul_mm", "relu", "square", "sum", "mean",
+    "matmul_mm", "square", "sum", "mean",
     "multiply_scalar", "concat", "narrow", "affine_z", "affine_w", "affine_bias", *MLP_SLOTS,
     "l2norm_vec", "l2norm_rows",
     "reshape", "reshape_block", "l2norm_block", "sumsq", "relu_sumsq",
-    "relu_sumsq_shift",
+    "relu_sumsq_shift", "box", "total",
 ])
 def test_single_op_gradients_match_fd(case):
     rng = np.random.default_rng(zlib.crc32(case.encode()))
@@ -324,8 +328,6 @@ def test_single_op_gradients_match_fd(case):
             return ad.multiply(w, bias)
         if case == "matmul_mm":
             return ad.matmul(w, mat)
-        if case == "relu":
-            return ad.relu(w)
         if case == "square":
             return ad.square(w)
         if case == "sum":
@@ -368,6 +370,11 @@ def test_single_op_gradients_match_fd(case):
             return ad.relu_sumsq(w, 1.25)
         if case == "relu_sumsq_shift":
             return ad.relu_sumsq(w, 1.25, FUSED_SHIFT)
+        if case == "box":
+            return ad.box(w, rng2, rng2 + 1.0)
+        if case == "total":  # an empty part, and w read by more than one term
+            return ad.total([[ad.sumsq(w, 0.75), ad.reduce_sum(ad.multiply(w, rng2))], [],
+                             [ad.sumsq(ad.narrow(w, 0, 1, 3), 2.0)], [ad.reduce_sum(w)]], 0.3)[0]
         raise AssertionError(case)
 
     if case == "l2norm_vec":
@@ -390,8 +397,6 @@ def test_single_op_gradients_match_fd(case):
     vec5 = rng.normal(size=5)
     w12 = rng.normal(size=(12, 3))
     # keep relu inputs away from the kink so the FD probe is valid
-    if case == "relu":
-        w0 = np.where(np.abs(w0) < 1e-3, 0.5, w0)
     if case.startswith("relu_sumsq"):
         kink = FUSED_SHIFT if case == "relu_sumsq_shift" else 0.0
         w0 = np.where(np.abs(w0 + kink) < 1e-3, 0.5, w0)
@@ -418,15 +423,12 @@ def unfused_sumsq(v, weight):
     return ad.multiply(ad.reduce_sum(ad.square(v)), weight)
 
 
-def unfused_relu_sumsq(v, weight, shift=0.0):
-    """The chain ``relu_sumsq`` stands for: add, relu, square, sum, multiply."""
-    if shift:
-        v = ad.add(v, shift)
-    return unfused_sumsq(ad.relu(v), weight)
-
-
 @pytest.mark.parametrize("shift", [0.0, 0.25])
-def test_fused_squares_are_the_unfused_chains_bit_for_bit(shift):
+def test_fused_squares_are_the_unfused_chains_bit_for_bit(shift, relu):
+    def unfused_relu_sumsq(v, weight, shift):
+        """The chain ``relu_sumsq`` stands for: add, relu, square, sum, multiply."""
+        return unfused_sumsq(relu(ad.add(v, shift) if shift else v), weight)
+
     rng = np.random.default_rng(21)
     for _ in range(20):
         block = rng.normal(size=(5, 4, 3))
@@ -497,7 +499,7 @@ def test_backward_bit_deterministic_across_rebuilds():
         tape = ad.Tape()
         w = tape.param(w0)
         flat = ad.concat([ad.reshape(w, (8,)), np.zeros(4)])
-        root = ad.reduce_sum(ad.square(ad.relu(ad.mlp(x, flat, [(4, 2)]))))
+        root = ad.relu_sumsq(ad.mlp(x, flat, [(4, 2)]), 1.0)
         return tape.backward(root)[w.node]
 
     a, b = one_pass(), one_pass()
@@ -521,7 +523,7 @@ def test_shape_mismatch_names_both_shapes():
 
 def test_ops_follow_ieee_without_checks():
     np.testing.assert_array_equal(ad.add([1.0, np.nan], [1.0, 1.0]), [2.0, np.nan])
-    assert ad.relu([np.inf]).tolist() == [np.inf]
+    assert ad.relu_sumsq([np.inf, -1.0], 1.0).item() == np.inf
     assert ad.multiply([1.0], np.inf).tolist() == [np.inf]
     tape = ad.Tape()
     w = tape.param([np.nan, 1.0])

@@ -279,7 +279,7 @@ class TestBenchmark:
                                       output_dim=horizon, seed=4)
         return pol.init_policy(arch)
 
-    def test_solves_repeats_times_and_warm_starts_from_the_last(self, monkeypatch):
+    def test_solves_each_instance_repeats_times_from_zeros(self, monkeypatch):
         model = double_integrator()
         objective, constraints, weights = stabilization()
         horizon, repeats = 3, 3
@@ -290,20 +290,17 @@ class TestBenchmark:
         exact = bl.solve
 
         def counted(*args, warm_start=None):
-            warm_starts.append(None if warm_start is None else warm_start.copy())
+            warm_starts.append(warm_start)
             return exact(*args, warm_start=warm_start)
 
         monkeypatch.setattr(bl, "solve", counted)
-        bl.benchmark(self.make_policy(horizon), model, instances, horizon, objective,
-                     constraints, weights, cfg, repeats=repeats)
-        assert len(warm_starts) == len(instances) * repeats
-        expect, prev = [], None
-        for x0, xi in instances:
-            warm = None if prev is None else bl.shift_warm_start(prev)
-            expect += [warm] * repeats
-            prev = exact(model, x0, xi, horizon, objective, constraints, weights, cfg,
-                         warm_start=warm).actions
-        assert all(np.array_equal(got, want) for got, want in zip(warm_starts, expect))
+        rows = bl.benchmark(self.make_policy(horizon), model, instances, horizon, objective,
+                            constraints, weights, cfg, repeats=repeats)
+        # the instances are independent draws: no solve starts from another's plan
+        assert warm_starts == [None] * (len(instances) * repeats)
+        for row, (x0, xi) in zip(rows, instances):
+            cold = exact(model, x0, xi, horizon, objective, constraints, weights, cfg)
+            assert (row.iterations, row.converged) == (cold.iterations, int(cold.converged))
 
     def test_rows_and_csv_schema(self, tmp_path):
         model = double_integrator()

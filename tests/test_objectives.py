@@ -30,9 +30,10 @@ def blocks(states, actions):
 
 
 def step_cost(objective, w, x, u):
-    """``objective_cost`` of one step from the (b, n_x) states x under the
-    (b, n_u) actions u; the final state is zero and unread by these kinds."""
-    return obj.objective_cost(objective, w, obj.rollout_blocks(*blocks([x, 0 * x], [u])))
+    """The sum of the ``objective_cost`` terms of one step from the (b, n_x)
+    states x under the (b, n_u) actions u; the final state is zero and unread
+    by these kinds."""
+    return sum(obj.objective_cost(objective, w, obj.rollout_blocks(*blocks([x, 0 * x], [u]))))
 
 
 # ---------------------------------------------------------------------------
@@ -413,9 +414,8 @@ def test_zero_terminal_weight_records_no_tape_node():
     zero, parts = taped(weights(Q_x=1.0, Q_u=1.0))
     weighted, _ = taped(weights(Q_x=1.0, Q_u=1.0, Q_f=0.5))
     assert zero.count("sumsq") == 2 and weighted.count("sumsq") == 3
-    # the terminal sumsq, its multiply by the norm and the add that joins it to
-    # the input part, which with no constraints is an untaped constant too
-    assert len(weighted) == len(zero) + 3
+    # only the terminal sumsq: the total node sums and normalises every part
+    assert len(weighted) == len(zero) + 1
     assert parts.terminal.item() == 0.0 and type(parts.terminal) is np.ndarray
     assert parts.total.item() == parts.objective.item()
 
@@ -575,7 +575,7 @@ def test_split_tracking_reference_follows_track_index_order():
 
 
 # ---------------------------------------------------------------------------
-# fused squared penalties against the op chains they stand for
+# fused nodes against the op chains they stand for
 
 REPO = Path(__file__).resolve().parents[1]
 CONFIGS = sorted(p.stem for p in (REPO / "configs").glob("ex*.json"))
@@ -586,12 +586,66 @@ def unfused_quad(v, weight):
     return ad.multiply(ad.reduce_sum(ad.square(v)), weight)
 
 
-def unfused_penalty(residual, weight, margin=0.0):
-    """weight * sum relu(residual + margin)^2 as an add -> relu -> square ->
-    sum -> multiply chain."""
-    if margin:
-        residual = ad.add(residual, margin)
-    return unfused_quad(ad.relu(residual), weight)
+def unfused_box(v, lower, upper):
+    """The box residuals as a subtract, subtract, concat chain."""
+    return ad.concat([ad.subtract(v, upper), ad.subtract(lower, v)], axis=-2)
+
+
+def unfused_total(groups, norm):
+    """The loss as an add and multiply chain: each group's terms added, times
+    norm (0 for no terms), then (p0 + p1) + (p2 + p3); and the four parts."""
+    parts = []
+    for terms in groups:
+        part = terms[0] if terms else 0.0
+        for t in terms[1:]:
+            part = ad.add(part, t)
+        parts.append(ad.multiply(part, norm))
+    loss = ad.add(ad.add(parts[0], parts[1]), ad.add(parts[2], parts[3]))
+    return loss, [np.asarray(getattr(p, "values", p)) for p in parts]
+
+
+def test_box_and_total_are_the_chains_they_fold_bit_for_bit(monkeypatch):
+    # the keep-out reads the state block after the box does, so the block's
+    # adjoint takes the box's two contributions after the keep-out's, and with
+    # the margin wider than half the second component's box both sides of it
+    # charge |x2| < 0.05 at once; no input or terminal term is charged, so
+    # those two parts are empty
+    rng = np.random.default_rng(23)
+    keep_out = obj.EllipseKeepOut(radius=const(0.3), shape=const(1.5),
+                                  center_x=const(0.1), center_y=const(0.0))
+    cs = obj.ConstraintSet(state=[obj.BoxConstraint((-0.5, -0.05), (0.5, 0.05), margin=0.1),
+                                  keep_out])
+    w, s = weights(Q_x=1.0, Q_u=0.5, Q_h=20.0), obj.StageObjective("stabilization")
+    for _ in range(10):
+        states = rng.normal(scale=0.5, size=(6, 5, 2))
+        on_kinks = rng.random(states.shape) < 0.3  # on a bound, or on one less the margin
+        states[on_kinks] = rng.choice([-0.5, -0.4, -0.05, 0.0, 0.05, 0.4, 0.5],
+                                     on_kinks.sum())
+        actions = rng.normal(size=(6, 4, 1))
+        outer = float(rng.normal())  # an upstream adjoint of either sign
+        runs = []
+        for fused in (True, False):
+            if not fused:
+                monkeypatch.setattr(ad, "box", unfused_box)
+                monkeypatch.setattr(ad, "total", unfused_total)
+            tape = ad.Tape()
+            x, u = tape.param(states), tape.param(actions)
+            parts = obj.total_loss(x, u, None, s, cs, w)
+            grads = tape.backward(ad.multiply(parts.total, outer))
+            kinds = [n.kind for n in tape.nodes]
+            assert (kinds.count("box"), kinds.count("total")) == ((1, 1) if fused else (0, 0))
+            eager = obj.total_loss(states, actions, None, s, cs, w)
+            runs.append(([np.float64(v).tobytes() for v in parts.floats().values()]
+                         + [np.float64(v).tobytes() for v in eager.floats().values()]
+                         + [cs.state[0].residuals(states).tobytes()],
+                         [grads[x.node], grads[u.node]]))
+            monkeypatch.undo()
+        (values, fused_grads), (chain_values, chain_grads) = runs
+        assert values == chain_values
+        assert parts.inputs.item() == parts.terminal.item() == 0.0
+        for a, b in zip(fused_grads, chain_grads):
+            assert a.tobytes() == b.tobytes()
+            assert np.array_equal(np.signbit(a), np.signbit(b))
 
 
 def loss_bits(cfg, policy, scenarios):
@@ -607,7 +661,7 @@ def loss_bits(cfg, policy, scenarios):
 
 
 @pytest.mark.parametrize("name", CONFIGS)
-def test_total_loss_is_the_unfused_loss_bit_for_bit(name, monkeypatch):
+def test_total_loss_is_the_unfused_loss_bit_for_bit(name, monkeypatch, relu):
     cfg = load_config(REPO / "configs" / f"{name}.json")
     scenarios = sample_scenarios(cfg.params, cfg.noise, 8, 2, cfg.horizon, cfg.seed)
     policy = pol.init_policy(cfg.arch)
@@ -616,5 +670,9 @@ def test_total_loss_is_the_unfused_loss_bit_for_bit(name, monkeypatch):
         b[...] = gen.normal(scale=2.0, size=b.shape)  # plans that cross the constraints
     fused = loss_bits(cfg, policy, scenarios)
     monkeypatch.setattr(ad, "sumsq", unfused_quad)
-    monkeypatch.setattr(ad, "relu_sumsq", unfused_penalty)
+    # weight * sum relu(residual + margin)^2 as an add, relu, square, sum, multiply chain
+    monkeypatch.setattr(ad, "relu_sumsq", lambda residual, weight, margin=0.0: unfused_quad(
+        relu(ad.add(residual, margin) if margin else residual), weight))
+    monkeypatch.setattr(ad, "box", unfused_box)
+    monkeypatch.setattr(ad, "total", unfused_total)
     assert loss_bits(cfg, policy, scenarios) == fused

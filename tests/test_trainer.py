@@ -1,14 +1,18 @@
 import dataclasses
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from spdpc import autodiff as ad
+from spdpc import baseline as bl
 from spdpc import dynamics as dyn
 from spdpc import objectives as obj
 from spdpc import policy as pol
+from spdpc import rng
 from spdpc import trainer as tr
+from spdpc.config import load_config
 from spdpc.dynamics import NoiseSpec
 from spdpc.sampling import DistSpec, ParamSpec, sample_scenarios
 
@@ -188,18 +192,19 @@ class TestPolicyGradient:
 
 # Tape nodes one training step records on each desk config.  The weights
 # are one param node, each policy call is one mlp node, whatever its depth,
-# and a zero-weight loss term records nothing; a change here changes the
-# per-op dispatch cost of every step, so it must be deliberate.
-STEP_NODES = {"ex1_double_integrator_desk": 41, "ex2_quadcopter_desk": 34,
-              "ex3_obstacle_desk": 41}
+# a box is one box node, the loss's sums are one total node, and a
+# zero-weight loss term records nothing; SOLVE_NODES counts the online
+# solver's batch-1 loss the same way.  A change here changes the per-op
+# dispatch cost of every step, so it must be deliberate.
+STEP_NODES = {"ex1_double_integrator_desk": 27, "ex2_quadcopter_desk": 24,
+              "ex3_obstacle_desk": 32}
+SOLVE_NODES = {"ex1_double_integrator_desk": 19, "ex2_quadcopter_desk": 23,
+               "ex3_obstacle_desk": 31}
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
-@pytest.mark.parametrize("name", sorted(STEP_NODES))
-def test_tape_nodes_per_training_step(name, monkeypatch):
-    from pathlib import Path
-
-    from spdpc.config import load_config
-    cfg = load_config(Path(__file__).resolve().parents[1] / "configs" / f"{name}.json")
+def step_kinds(cfg, monkeypatch):
+    """The kind of each node one training step on 8 x 2 scenario pairs records."""
     scen = sample_scenarios(cfg.params, cfg.noise, 8, 2, cfg.horizon, cfg.seed)
     x0, xi, omega, _, _ = scen.pair_rows(np.arange(scen.size))
     tapes = []
@@ -209,15 +214,46 @@ def test_tape_nodes_per_training_step(name, monkeypatch):
         tapes.append([n.kind for n in tape.nodes])
         return backward(tape, root)
 
-    monkeypatch.setattr(ad.Tape, "backward", counting)
-    tr.policy_gradient(pol.init_policy(cfg.arch), cfg.model, x0, xi, omega,
-                       cfg.objective, cfg.constraints, cfg.weights, cfg.mode)
+    with monkeypatch.context() as patch:
+        patch.setattr(ad.Tape, "backward", counting)
+        tr.policy_gradient(pol.init_policy(cfg.arch), cfg.model, x0, xi, omega,
+                           cfg.objective, cfg.constraints, cfg.weights, cfg.mode)
     assert len(tapes) == 1
-    kinds = tapes[0]
+    return tapes[0]
+
+
+@pytest.mark.parametrize("name", sorted(STEP_NODES))
+def test_tape_nodes_per_training_step(name, monkeypatch):
+    cfg = load_config(CONFIGS / f"{name}.json")
+    kinds = step_kinds(cfg, monkeypatch)
     calls = 1 if cfg.mode == dyn.FULL_HORIZON else cfg.horizon
     assert kinds.count("mlp") == calls
     assert kinds.count("param") == 1
     assert len(kinds) == STEP_NODES[name], dict(Counter(kinds))
+
+
+@pytest.mark.parametrize("name", sorted(SOLVE_NODES))
+def test_tape_nodes_per_solver_loss(name):
+    cfg = load_config(CONFIGS / f"{name}.json")
+    x0, xi = cfg.params.sample(cfg.seed, rng.BENCH, 1)
+    plan = ad.Tape().param(np.zeros((1, cfg.horizon * cfg.model.n_u)))
+    bl._loss_parts(cfg.model, x0, xi, plan, cfg.objective, cfg.constraints, cfg.weights,
+                   cfg.horizon)
+    kinds = [n.kind for n in plan.tape.nodes]
+    assert len(kinds) == SOLVE_NODES[name], dict(Counter(kinds))
+
+
+def test_op_table_holds_the_kinds_training_records(monkeypatch):
+    # every op kind has a forward and a VJP rule, and a kind that no
+    # committed config's training step records has no place in the table
+    recorded = {"param"}
+    for path in sorted(CONFIGS.glob("ex*.json")):
+        recorded.update(step_kinds(load_config(path), monkeypatch))
+    assert set(ad.OPS) == recorded
+    assert all(len(rules) == 2 and all(map(callable, rules)) for rules in ad.OPS.values())
+    for kind in ("relu", "conv2d"):
+        with pytest.raises(ValueError, match=f"unknown operation kind '{kind}'"):
+            ad._apply(kind, ad.Tape().param(np.ones(3)))
 
 
 class TestEvaluate:
