@@ -521,6 +521,16 @@ def test_shape_mismatch_names_both_shapes():
             op(ad.Tape().param(np.ones(2)), np.ones(3))
 
 
+def test_box_and_total_shape_errors():
+    tape = ad.Tape()
+    v = tape.param(np.ones((3, 2, 2)))
+    with pytest.raises(ad.ShapeError, match=r"box: a block \(3, 2, 2\) against bounds \(2, 3\)"):
+        ad.box(v, np.zeros((2, 3)), np.ones((2, 3)))
+    with pytest.raises(ad.ShapeError, match=r"total: terms must be scalars.*\(2,\)"):
+        ad.total([[ad.sumsq(v, 1.0)], [np.ones(2)], [], []], 1.0)
+    assert [n.kind for n in tape.nodes] == ["param", "sumsq"]  # a rejected op records nothing
+
+
 def test_ops_follow_ieee_without_checks():
     np.testing.assert_array_equal(ad.add([1.0, np.nan], [1.0, 1.0]), [2.0, np.nan])
     assert ad.relu_sumsq([np.inf, -1.0], 1.0).item() == np.inf
