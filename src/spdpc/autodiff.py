@@ -26,6 +26,10 @@ tape.  The same loss code therefore serves both training (taped) and
 evaluation (untaped), which removes a whole class of train/eval drift bugs.
 
 Conventions:
+  * a forward rule is a function of its operand values and attrs: it writes
+    only fresh containers into its node's attrs (``total`` refills the parts
+    list it is handed), so re-running it on new operands of the same shapes
+    gives a freshly recorded node's value and adjoints.
   * l2norm has gradient 0 at the origin.
   * a tape is single-writer; tensors from different tapes must not mix.
   * values follow IEEE arithmetic and no op checks them for NaN or infinity;
@@ -99,10 +103,6 @@ class Tape:
         self.nodes.append(Node("param", (), (), v, {}))
         return Tensor(v, self, len(self.nodes) - 1)
 
-    @property
-    def param_ids(self) -> list[int]:
-        return [i for i, n in enumerate(self.nodes) if n.kind == "param"]
-
     def backward(self, root: Tensor) -> dict[int, np.ndarray]:
         """Reverse sweep from a scalar root.
 
@@ -125,13 +125,13 @@ class Tape:
                 continue
             node = self.nodes[nid]
             taped = [i is not None for i in node.input_ids]
-            for input_pos, contribution in _vjp(node, g, taped):
+            for input_pos, contribution in OPS[node.kind][1](node, g, taped):
                 input_id = node.input_ids[input_pos]
                 prev = adjoints.get(input_id)
                 adjoints[input_id] = contribution if prev is None else prev + contribution
-        for pid in self.param_ids:
-            if pid not in adjoints:
-                adjoints[pid] = np.zeros_like(self.nodes[pid].values)
+        for pid, node in enumerate(self.nodes):
+            if node.kind == "param" and pid not in adjoints:
+                adjoints[pid] = np.zeros_like(node.values)
         return adjoints
 
 
@@ -159,8 +159,9 @@ def _binary(kind, fn, da, db):
 def _mlp(vals, attrs):
     (z, flat), dims = vals, attrs["dims"]
     if dims and z.ndim == 2 and flat.ndim == 1:
+        inputs = attrs["inputs"] = []  # this pass's layer inputs: the VJP reads them
         try:
-            return mlp_values(z, unpack(flat, dims), attrs.setdefault("inputs", []))
+            return mlp_values(z, unpack(flat, dims), inputs)
         except ValueError:
             pass
     raise ShapeError(f"mlp: input {z.shape} and a weight vector of size {flat.size} "
@@ -187,7 +188,7 @@ def _box(vals, attrs):
 def _total(vals, attrs):
     if any(t.ndim for t in vals):
         raise ShapeError(f"total: terms must be scalars, got shapes {[t.shape for t in vals]}")
-    parts, start = attrs["parts"], 0
+    parts, start = [], 0
     for count in attrs["counts"]:
         terms = vals[start:start + count]
         part = terms[0] if terms else 0.0
@@ -195,6 +196,7 @@ def _total(vals, attrs):
             part = part + t
         parts.append(np.asarray(part * attrs["norm"]))
         start += count
+    attrs["parts"][:] = parts  # refilled for the caller, so a re-run replaces them
     p0, p1, p2, p3 = parts
     return (p0 + p1) + (p2 + p3)
 
@@ -207,14 +209,19 @@ def _concat(vals, attrs):
         raise ShapeError(f"concat: shapes {[v.shape for v in vals]} on axis {axis}") from None
 
 
+def _along(ndim, axis, start, stop):
+    """The index of [start:stop) along one axis of an ndim-D array."""
+    index = [slice(None)] * ndim
+    index[axis] = slice(start, stop)
+    return tuple(index)
+
+
 def _narrow(vals, attrs):
     (a,) = vals
     axis, start, stop = attrs["axis"], attrs["start"], attrs["stop"]
     if not (0 <= start < stop <= a.shape[axis]):
         raise ShapeError(f"narrow: [{start}:{stop}] out of range for axis {axis} of {a.shape}")
-    index = [slice(None)] * a.ndim
-    index[axis] = slice(start, stop)
-    return a[tuple(index)]
+    return a[_along(a.ndim, axis, start, stop)]
 
 
 def _reshape(vals, attrs):
@@ -280,9 +287,7 @@ def _concat_vjp(node, g, taped):
     for pos, v in enumerate(node.input_values):
         width = v.shape[axis]
         if taped[pos]:
-            index = [slice(None)] * v.ndim
-            index[axis] = slice(offset, offset + width)
-            out.append((pos, g[tuple(index)]))
+            out.append((pos, g[_along(v.ndim, axis, offset, offset + width)]))
         offset += width
     return out
 
@@ -290,9 +295,7 @@ def _concat_vjp(node, g, taped):
 def _narrow_vjp(node, g, taped):
     (a,), attrs = node.input_values, node.attrs
     full = np.zeros_like(a)
-    index = [slice(None)] * a.ndim
-    index[attrs["axis"]] = slice(attrs["start"], attrs["stop"])
-    full[tuple(index)] = g
+    full[_along(a.ndim, attrs["axis"], attrs["start"], attrs["stop"])] = g
     return [(0, full)]
 
 
@@ -330,11 +333,6 @@ OPS = {
     "reshape": (_reshape, lambda node, g, taped: [(0, g.reshape(node.input_values[0].shape))]),
     "l2norm": (_l2norm, _l2norm_vjp),
 }
-
-
-def _vjp(node, g, taped):
-    """(input position, adjoint) for each input flagged in ``taped``."""
-    return OPS[node.kind][1](node, g, taped)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 from dataclasses import fields
 from pathlib import Path
 
@@ -660,9 +661,29 @@ def loss_bits(cfg, policy, scenarios):
             + [np.float64(v).tobytes() for v in evaluated.values()])
 
 
-@pytest.mark.parametrize("name", CONFIGS)
-def test_total_loss_is_the_unfused_loss_bit_for_bit(name, monkeypatch, relu):
-    cfg = load_config(REPO / "configs" / f"{name}.json")
+# ex3 desk with a state box margin above half the box's width (15 on
+# [-10, 10]), so both sides of the box charge a state component within 5 of
+# 0, and a keep-out margin of 400, so the keep-out, which reads the state
+# block after the box, charges the states within about 20 of the obstacle:
+# the block's adjoint then takes the box's two contributions after nonzero
+# keep-out ones, where their order shows in the bits
+BOTH_SIDES = "ex3_obstacle_desk_both_sides"
+
+
+def config_named(name, tmp_path):
+    if name != BOTH_SIDES:
+        return load_config(REPO / "configs" / f"{name}.json")
+    table = json.loads((REPO / "configs" / "ex3_obstacle_desk.json").read_text())
+    table["constraints"]["state_box"]["margin"] = 15.0
+    table["constraints"]["keep_out"]["margin"] = 400.0
+    path = tmp_path / f"{BOTH_SIDES}.json"
+    path.write_text(json.dumps(table))
+    return load_config(path)
+
+
+@pytest.mark.parametrize("name", CONFIGS + [BOTH_SIDES])
+def test_total_loss_is_the_unfused_loss_bit_for_bit(name, monkeypatch, relu, tmp_path):
+    cfg = config_named(name, tmp_path)
     scenarios = sample_scenarios(cfg.params, cfg.noise, 8, 2, cfg.horizon, cfg.seed)
     policy = pol.init_policy(cfg.arch)
     gen = np.random.default_rng(5)
