@@ -6,7 +6,8 @@ config hash and seed, so a directory is self-describing.  Scenario sets are
 never written out: train and certify draw their train, dev and test splits
 from the seed, so one seed always means the same scenarios.  Heavy imports
 happen after argument parsing so --threads can pin the BLAS thread count
-through the environment before numpy loads.
+through the environment before numpy loads; without the flag one thread is
+pinned, so a run's bytes do not depend on the host's core count.
 
 Exit codes: 0 on success (a negative certification verdict is still a
 success), 1 for bad input (usage errors, config errors, missing files,
@@ -22,6 +23,7 @@ import sys
 import time
 from pathlib import Path
 
+from . import __version__
 from .files import write_csv, write_json
 
 
@@ -31,8 +33,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", required=True, help="output directory")
     common.add_argument("--seed", type=int, default=None,
                         help="override the config seed")
-    common.add_argument("--threads", type=int, default=None,
-                        help="cap BLAS/OpenMP threads")
+    common.add_argument("--threads", type=int, default=1,
+                        help="BLAS/OpenMP threads (default 1)")
 
     needs_policy = argparse.ArgumentParser(add_help=False)
     needs_policy.add_argument("--checkpoint", required=True,
@@ -60,7 +62,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _write_manifest(out: Path, command: str, config_path: Path, seed: int,
-                    threads: int | None, artifacts) -> None:
+                    threads: int, artifacts, wall_s: float) -> None:
+    import numpy as np
+
     digest = hashlib.sha256(config_path.read_bytes()).hexdigest()
     manifest = {
         "command": command,
@@ -68,8 +72,11 @@ def _write_manifest(out: Path, command: str, config_path: Path, seed: int,
         "config_sha256": digest,
         "seed": seed,
         "threads": threads,  # bytes repeat only at the same count (README)
+        "versions": {"spdpc": __version__, "numpy": np.__version__,
+                     "python": "%d.%d.%d" % sys.version_info[:3]},
         "artifacts": sorted(str(a) for a in artifacts),
         "created_unix_ns": time.time_ns(),
+        "wall_s": wall_s,
     }
     write_json(out / "manifest.json", manifest)
 
@@ -228,6 +235,7 @@ def run_benchmark(cfg, seed: int, out: Path, checkpoint: str, instances=None):
 
 
 def main(argv=None) -> int:
+    started = time.perf_counter()
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as stop:  # argparse exits 2 on a usage error, 0 after --help
@@ -239,10 +247,9 @@ def main(argv=None) -> int:
             print(f"error: --{flag.replace('_', '-')} must be >= {least}, got {value}",
                   file=sys.stderr)
             return 1
-    if args.threads is not None:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-            os.environ[var] = str(args.threads)
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
+        os.environ[var] = str(args.threads)
 
     import numpy as np
 
@@ -285,7 +292,8 @@ def main(argv=None) -> int:
         print(f"training failed: {err}", file=sys.stderr)
         return 2
 
-    _write_manifest(out, args.command, Path(args.config), seed, args.threads, artifacts)
+    _write_manifest(out, args.command, Path(args.config), seed, args.threads, artifacts,
+                    time.perf_counter() - started)
     return 0
 
 

@@ -17,6 +17,10 @@ from the condensed prediction of linear MPC,
     [x_1; ...; x_N] = Phi x0 + Gamma U + Gamma_w W,
 
 so the whole rollout costs one matmul against a constant on the tape.
+Rollouts of a scenario cross product take the pair index (i, j): pair p
+plays draw i[p] under disturbance sequence j[p], so ``x0 Phi^T`` and the
+plan's ``U Gamma^T`` are computed once per draw, ``W Gamma_w^T`` once per
+sequence, and each pair's states gather and add those rows.
 State-feedback mode runs the recursion x' = x A^T + u B^T + w, and
 ``simulate`` runs that same recursion with a policy that replans every step.
 """
@@ -144,13 +148,17 @@ class NoiseSpec:
         return w
 
 
-def rollout_tensors(model, policy_fn, x0, xi, omega, mode):
+def rollout_tensors(model, policy_fn, x0, xi, omega, mode, pairs=None):
     """Roll the closed loop over a batch; returns the state and action blocks.
 
     ``policy_fn`` maps a (b, n_x + d) block, the state joined with ``xi``,
     to an action array or tape tensor: in full-horizon mode one call on x0
     produces the flat (b, N * n_u) plan, in state-feedback mode it is called
     on (x_k, xi) at every step.  ``xi`` is (b, d) or None, ``omega`` (b, N, n_x).
+
+    ``pairs`` = (i, j), untaped only, crosses the rows: rollout p plays row
+    i[p] of ``x0`` and ``xi`` under row j[p] of ``omega``.  In full-horizon
+    mode the policy and the products then run once per row and are gathered.
 
     Returns (states, actions) of shape (b, N+1, n_x) and (b, N, n_u), with
     states[:, 0] = x0: tape tensors when the policy's are, else ndarrays.
@@ -159,17 +167,31 @@ def rollout_tensors(model, policy_fn, x0, xi, omega, mode):
         raise ValueError(f"unknown rollout mode {mode!r}")
     x0 = np.asarray(x0, dtype=np.float64)
     omega = np.asarray(omega, dtype=np.float64)
-    (batch, horizon, n_x), n_u = omega.shape, model.n_u
+    (seqs, horizon, n_x), n_u = omega.shape, model.n_u
     if mode == FULL_HORIZON:
         plan = policy_fn(pol.join_input(x0, xi))
         if plan.shape[1] != horizon * n_u:
             raise ValueError(f"policy emits width {plan.shape[1]}, "
                              f"horizon wants {horizon} * {n_u}")
         phi, gamma, gamma_w = model.prediction(horizon)
-        free = x0 @ phi.T + omega.reshape(batch, -1) @ gamma_w.T  # data only
-        moved = ad.add(ad.matmul(plan, gamma.T), free)
+        free, noise = x0 @ phi.T, omega.reshape(seqs, -1) @ gamma_w.T  # data only
+        driven = ad.matmul(plan, gamma.T)
+        if pairs is None:
+            moved = ad.add(driven, free + noise)
+        else:
+            # each pair's rows, summed in one block; addition commutes, so
+            # (free + noise) + driven has the bits of driven + (free + noise)
+            i, j = pairs
+            moved = free.take(i, axis=0)
+            moved += noise.take(j, axis=0)
+            moved += driven.take(i, axis=0)
+            x0, plan = x0.take(i, axis=0), plan.take(i, axis=0)
+        batch = x0.shape[0]
         states = ad.concat([x0[:, None, :], ad.reshape(moved, (batch, horizon, n_x))], axis=1)
         return states, ad.reshape(plan, (batch, horizon, n_u))
+    if pairs is not None:
+        i, j = pairs
+        x0, xi, omega = x0[i], None if xi is None else xi[i], omega[j]
     joined = xi is not None and np.size(xi) > 0
     states = [x0]
     actions = []
@@ -179,26 +201,38 @@ def rollout_tensors(model, policy_fn, x0, xi, omega, mode):
         # x' = x A^T + u B^T + w, row by row
         drift = ad.add(ad.matmul(states[k], model.A.T), ad.matmul(actions[k], model.B.T))
         states.append(ad.add(drift, omega[:, k, :]))
+    batch = x0.shape[0]
     return (ad.reshape(ad.concat(states, axis=1), (batch, horizon + 1, n_x)),
             ad.reshape(ad.concat(actions, axis=1), (batch, horizon, n_u)))
 
 
 def rollout_pairs(model, policy, scenarios, mode, chunk: int):
     """Untaped rollouts of ``scenarios``, ``chunk`` pairs at a time; yields
-    (pair indices, xi rows or None, states, actions) per chunk.  A full-horizon
-    plan depends on the draw i alone and pair idx = i * s + j keeps each draw's
-    pairs contiguous, so the network runs once per draw and plans are gathered."""
+    (pair indices, xi rows or None, states, actions) per chunk.
+
+    Pair idx = i * s + j keeps each draw's pairs contiguous, so a chunk hands
+    ``rollout_tensors`` its range of draws, its sequences and (i, j): all s
+    sequences, or its own rows when it holds fewer than s pairs (each
+    sequence then at most once).  So no product runs on more rows than the
+    chunk has pairs, and a full-horizon network runs once per draw.
+    """
     for start in range(0, scenarios.size, chunk):
         idx = np.arange(start, min(start + chunk, scenarios.size))
-        x0, xi, omega, i, _ = scenarios.pair_rows(idx)
+        i, j = scenarios.pair_index(idx)
+        lo, hi = i[0], i[-1] + 1
+        x0 = scenarios.x0[lo:hi]
+        xi = scenarios.xi[lo:hi] if scenarios.xi.shape[1] else None
+        omega = scenarios.omega
+        if idx.size < scenarios.s:
+            omega, j = omega[j], np.arange(idx.size)
         if mode == FULL_HORIZON:
-            lo, hi = i[0], i[-1] + 1
-            plans = pol.forward(policy, scenarios.x0[lo:hi], scenarios.xi[lo:hi])
-            policy_fn = lambda z: plans[i - lo]
+            plans = pol.forward(policy, x0, xi)
+            policy_fn = lambda z: plans
         else:
             policy_fn = lambda z: pol.forward(policy, z)
-        states, actions = rollout_tensors(model, policy_fn, x0, xi, omega, mode)
-        yield idx, xi, states, actions
+        states, actions = rollout_tensors(model, policy_fn, x0, xi, omega, mode,
+                                          pairs=(i - lo, j))
+        yield idx, None if xi is None else xi[i - lo], states, actions
 
 
 def simulate(model, policy, x0, xi, omega):

@@ -4,7 +4,9 @@ A scenario set is the cross product of m parametric draws (initial state
 x0_i plus parameter vector xi_i) with s disturbance sequences Omega_j: the
 pair (i, j) plays rollout i under disturbance sequence j, giving r = m * s
 scenarios total.  Disturbance sequences are shared across parametric draws
-by construction.
+by construction, so a full-horizon rollout of the set computes its per-draw
+terms once per draw and its per-sequence terms once per sequence
+(``dynamics.rollout_pairs``).
 
 Each block -- x0, each component of xi, Omega -- is drawn in one call from
 its own generator (see ``rng``), and row i of a block is the same whether

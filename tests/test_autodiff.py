@@ -302,14 +302,25 @@ MLP_SLOTS = {"mlp_z": (4, 3), "mlp_w0": (5, 3), "mlp_b0": (5,), "mlp_w1": (4, 5)
 MLP_DIMS = [(5, 3), (4, 5), (2, 4)]
 
 
-@pytest.mark.parametrize("case", [
-    "add", "add_bias", "add_scalar", "subtract", "multiply", "multiply_bcast",
-    "matmul_mm", "square", "sum", "mean",
-    "multiply_scalar", "concat", "narrow", "affine_z", "affine_w", "affine_bias", *MLP_SLOTS,
-    "l2norm_vec", "l2norm_rows",
-    "reshape", "reshape_block", "l2norm_block", "sumsq", "relu_sumsq",
-    "relu_sumsq_shift", "box", "total",
-])
+# each finite-difference case: the op kind it checks
+FD_CASES = {
+    "add": "add", "add_bias": "add", "add_scalar": "add", "subtract": "subtract",
+    "multiply": "multiply", "multiply_bcast": "multiply", "matmul_mm": "matmul",
+    "square": "square", "sum": "sum", "mean": "sum", "multiply_scalar": "multiply",
+    "concat": "concat", "narrow": "narrow", "affine_z": "mlp", "affine_w": "mlp",
+    "affine_bias": "mlp", **dict.fromkeys(MLP_SLOTS, "mlp"),
+    "l2norm_vec": "l2norm", "l2norm_rows": "l2norm", "reshape": "reshape",
+    "reshape_block": "reshape", "l2norm_block": "l2norm", "sumsq": "sumsq",
+    "relu_sumsq": "relu_sumsq", "relu_sumsq_shift": "relu_sumsq", "box": "box",
+    "total": "total",
+}
+
+
+def test_every_op_kind_has_a_finite_difference_case():
+    assert ad.OPS.keys() - {"param"} <= set(FD_CASES.values())
+
+
+@pytest.mark.parametrize("case", FD_CASES)
 def test_single_op_gradients_match_fd(case):
     rng = np.random.default_rng(zlib.crc32(case.encode()))
 
@@ -410,7 +421,9 @@ def test_single_op_gradients_match_fd(case):
     tape = ad.Tape()
     w = tape.param(w0)
     out = build(w)
+    built = len(tape.nodes) if out is not w else None  # sum and mean check the scalar's sum
     root = scalar(out)
+    assert FD_CASES[case] in {node.kind for node in tape.nodes[:built]}
     # on plain arrays every op returns the plain ndarray, with the taped node's bytes
     for eager, taped in ((build(w0), out), (scalar(build(w0)), root)):
         assert type(eager) is np.ndarray and eager.tobytes() == taped.values.tobytes()

@@ -417,10 +417,12 @@ def test_full_horizon_runs_the_network_once_per_draw(path, monkeypatch):
 
 
 @pytest.mark.parametrize("path", FULL_CONFIGS, ids=lambda p: p.stem)
-@pytest.mark.parametrize("chunk", [7, 1024])
-def test_shared_plans_match_a_per_pair_reroll(path, chunk):
-    # chunk 7 splits draws (s = 4 pairs each) across chunks
-    cfg, scen, policy = sampled_case(path)
+@pytest.mark.parametrize("chunk, s", [(7, 4), (1024, 4), (3, 4), (7, 1)],
+                         ids=["7", "1024", "3", "7-s1"])
+def test_shared_plans_match_a_per_pair_reroll(path, chunk, s):
+    # chunk 7 splits draws (s = 4 pairs each) across chunks; chunk 3 holds
+    # fewer pairs than there are sequences
+    cfg, scen, policy = sampled_case(path, s=s)
     states, actions, xi = pair_reroll(cfg, policy, scen)
     _, passes = cert.empirical_risk(policy, cfg.model, scen, cfg.constraints, cfg.mode,
                                     chunk=chunk)
@@ -431,3 +433,61 @@ def test_shared_plans_match_a_per_pair_reroll(path, chunk):
                             cfg.weights).floats()
     for key, value in expect.items():
         assert value == pytest.approx(parts[key], rel=1e-12, abs=0.0), key
+
+
+def counting_products(model, horizon):
+    """Wrap ``model.prediction(horizon)`` so every matmul against Phi, Gamma
+    or Gamma_w logs (name, rows of the other operand); returns the log."""
+    log = []
+
+    def counted(matrix, name):
+        class Counted(np.ndarray):
+            def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+                if ufunc is np.matmul and inputs[1] is self:
+                    log.append((name, inputs[0].shape[0]))
+                return getattr(ufunc, method)(*(np.asarray(a) for a in inputs), **kwargs)
+        return matrix.view(Counted)
+
+    wrapped = tuple(counted(a, n) for a, n in zip(model.prediction(horizon),
+                                                   ("phi", "gamma", "gamma_w")))
+    model.prediction = lambda h: wrapped
+    return log
+
+
+@pytest.mark.parametrize("path", FULL_CONFIGS, ids=lambda p: p.stem)
+@pytest.mark.parametrize("chunk, s", [(7, 4), (1024, 4), (3, 4), (7, 1), (5, 2)])
+def test_pair_rollouts_multiply_each_draw_and_sequence_once_per_chunk(path, chunk, s):
+    # a pair's states are (U Gamma^T)[i] + ((x0 Phi^T)[i] + (W Gamma_w^T)[j]):
+    # per chunk, Gamma_w multiplies at most min(s, chunk) rows, and Phi and
+    # Gamma at most the chunk's distinct draws, never one row per pair
+    cfg, scen, policy = sampled_case(path, s=s)
+    log = counting_products(cfg.model, cfg.horizon)
+    chunks = 0
+    for idx, _, states, _ in dyn.rollout_pairs(cfg.model, policy, scen, cfg.mode, chunk):
+        rows = dict.fromkeys(("phi", "gamma", "gamma_w"), 0)
+        for name, count in log:
+            rows[name] += count
+        log.clear()
+        draws = np.unique(idx // scen.s).size
+        assert rows["phi"] <= draws and rows["gamma"] <= draws, rows
+        assert 0 < rows["gamma_w"] <= min(s, chunk), rows
+        assert states.shape[0] == idx.size
+        chunks += 1
+    assert chunks == -(-scen.size // chunk)
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.stem)
+@pytest.mark.parametrize("chunk", [3, 7, 1024])
+def test_state_feedback_pair_rollouts_keep_their_bits(path, chunk):
+    # pair rollouts gather each pair's rows and run the step recursion on them
+    cfg, scen, _ = sampled_case(path)
+    arch = pol.PolicyArchitecture(cfg.arch.input_dim, (16,), cfg.model.n_u, seed=3)
+    policy = pol.init_policy(arch)
+    rolled = dyn.rollout_pairs(cfg.model, policy, scen, dyn.STATE_FEEDBACK, chunk)
+    for idx, xi, states, actions in rolled:
+        x0, xi_rows, omega, _, _ = scen.pair_rows(idx)
+        want = dyn.rollout_tensors(cfg.model, lambda z: pol.forward(policy, z),
+                                   x0, xi_rows, omega, dyn.STATE_FEEDBACK)
+        assert (xi is None) if xi_rows is None else np.array_equal(xi, xi_rows)
+        assert states.tobytes() == want[0].tobytes()
+        assert actions.tobytes() == want[1].tobytes()

@@ -4,6 +4,7 @@ import csv
 import hashlib
 import json
 import os
+import platform
 import re
 import subprocess
 import sys
@@ -13,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spdpc import cli, rng
+from spdpc import __version__, cli, rng
 from spdpc.config import load_config
 from spdpc.policy import init_policy, load_checkpoint, save_checkpoint
 from spdpc.trainer import HISTORY_COLUMNS
@@ -557,15 +558,26 @@ class TestPipeline:
         assert os.environ["OMP_NUM_THREADS"] == "1"
 
     def test_manifest_records_the_thread_count(self, tmp_path, monkeypatch):
-        # checkpoints repeat byte for byte only at the same --threads count
+        # checkpoints repeat byte for byte only at the same --threads count,
+        # so a run without the flag pins one thread whatever the environment says
         for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                     "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
             monkeypatch.setenv(var, "2")  # restored after the test
         config = micro_config(tmp_path)
-        for argv, threads in (((), None), (("--threads", "1"), 1)):
+        for argv, threads in (((), 1), (("--threads", "2"), 2)):
             out = tmp_path / f"out{threads}"
             assert run("train", "--config", str(config), "--out", str(out), *argv) == 0
             assert manifest_of(out)["threads"] == threads
+            assert os.environ["OPENBLAS_NUM_THREADS"] == str(threads)
+
+    def test_manifest_records_versions_and_wall_time(self, tmp_path):
+        config = micro_config(tmp_path)
+        out = tmp_path / "out"
+        assert run("train", "--config", str(config), "--out", str(out)) == 0
+        manifest = manifest_of(out)
+        assert manifest["versions"] == {"spdpc": __version__, "numpy": np.__version__,
+                                        "python": platform.python_version()}
+        assert 0.0 < manifest["wall_s"] < 600.0
 
 
 ROOT = Path(__file__).resolve().parents[1]
