@@ -21,8 +21,10 @@ Rollouts of a scenario cross product take the pair index (i, j): pair p
 plays draw i[p] under disturbance sequence j[p], so ``x0 Phi^T`` and the
 plan's ``U Gamma^T`` are computed once per draw, ``W Gamma_w^T`` once per
 sequence, and each pair's states gather and add those rows.
-State-feedback mode runs the recursion x' = x A^T + u B^T + w, and
-``simulate`` runs that same recursion with a policy that replans every step.
+State-feedback mode runs the recursion x' = x A^T + u B^T + w; with pairs,
+its first decision, on (x0, xi) alone, runs once per draw and is gathered,
+and every step from there runs per pair.  ``simulate`` runs that same
+recursion with a policy that replans every step.
 """
 
 from __future__ import annotations
@@ -148,6 +150,13 @@ class NoiseSpec:
         return w
 
 
+def _untaped(values):
+    """``values``, refused when it is a tape tensor: ``pairs`` gathers off the tape."""
+    if isinstance(values, ad.Tensor):
+        raise ValueError("rollout_tensors: pairs needs an untaped policy, got a tape tensor")
+    return values
+
+
 def rollout_tensors(model, policy_fn, x0, xi, omega, mode, pairs=None):
     """Roll the closed loop over a batch; returns the state and action blocks.
 
@@ -158,7 +167,10 @@ def rollout_tensors(model, policy_fn, x0, xi, omega, mode, pairs=None):
 
     ``pairs`` = (i, j), untaped only, crosses the rows: rollout p plays row
     i[p] of ``x0`` and ``xi`` under row j[p] of ``omega``.  In full-horizon
-    mode the policy and the products then run once per row and are gathered.
+    mode the policy and the products then run once per row and are gathered;
+    in state-feedback mode the first decision runs once per row of ``x0`` and
+    is gathered, and the steps run per pair.  A policy that returns a tape
+    tensor with ``pairs`` raises ValueError.
 
     Returns (states, actions) of shape (b, N+1, n_x) and (b, N, n_u), with
     states[:, 0] = x0: tape tensors when the policy's are, else ndarrays.
@@ -184,20 +196,23 @@ def rollout_tensors(model, policy_fn, x0, xi, omega, mode, pairs=None):
             i, j = pairs
             moved = free.take(i, axis=0)
             moved += noise.take(j, axis=0)
-            moved += driven.take(i, axis=0)
+            moved += _untaped(driven).take(i, axis=0)
             x0, plan = x0.take(i, axis=0), plan.take(i, axis=0)
         batch = x0.shape[0]
         states = ad.concat([x0[:, None, :], ad.reshape(moved, (batch, horizon, n_x))], axis=1)
         return states, ad.reshape(plan, (batch, horizon, n_u))
+    actions = []
     if pairs is not None:
+        # the first decision reads only the draw: one policy row per draw
         i, j = pairs
+        actions.append(_untaped(policy_fn(pol.join_input(x0, xi)))[i])
         x0, xi, omega = x0[i], None if xi is None else xi[i], omega[j]
     joined = xi is not None and np.size(xi) > 0
     states = [x0]
-    actions = []
     for k in range(horizon):
-        z = ad.concat([states[k], xi], axis=1) if joined else states[k]
-        actions.append(policy_fn(z))
+        if k == len(actions):  # else the pairs branch made step 0's decision
+            z = ad.concat([states[k], xi], axis=1) if joined else states[k]
+            actions.append(policy_fn(z))
         # x' = x A^T + u B^T + w, row by row
         drift = ad.add(ad.matmul(states[k], model.A.T), ad.matmul(actions[k], model.B.T))
         states.append(ad.add(drift, omega[:, k, :]))
@@ -214,7 +229,9 @@ def rollout_pairs(model, policy, scenarios, mode, chunk: int):
     ``rollout_tensors`` its range of draws, its sequences and (i, j): all s
     sequences, or its own rows when it holds fewer than s pairs (each
     sequence then at most once).  So no product runs on more rows than the
-    chunk has pairs, and a full-horizon network runs once per draw.
+    chunk has pairs, a full-horizon network runs once per draw, and a
+    state-feedback network runs once per draw at step 0 and once per pair
+    after it.
     """
     for start in range(0, scenarios.size, chunk):
         idx = np.arange(start, min(start + chunk, scenarios.size))

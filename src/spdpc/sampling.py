@@ -4,9 +4,10 @@ A scenario set is the cross product of m parametric draws (initial state
 x0_i plus parameter vector xi_i) with s disturbance sequences Omega_j: the
 pair (i, j) plays rollout i under disturbance sequence j, giving r = m * s
 scenarios total.  Disturbance sequences are shared across parametric draws
-by construction, so a full-horizon rollout of the set computes its per-draw
-terms once per draw and its per-sequence terms once per sequence
-(``dynamics.rollout_pairs``).
+by construction, so a rollout of the set (``dynamics.rollout_pairs``)
+computes what reads only the draw once per draw: the full-horizon plan,
+``x0 Phi^T`` and ``U Gamma^T``, or the first state-feedback decision.  A
+full-horizon ``W Gamma_w^T`` runs once per sequence.
 
 Each block -- x0, each component of xi, Omega -- is drawn in one call from
 its own generator (see ``rng``), and row i of a block is the same whether

@@ -476,18 +476,67 @@ def test_pair_rollouts_multiply_each_draw_and_sequence_once_per_chunk(path, chun
     assert chunks == -(-scen.size // chunk)
 
 
-@pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.stem)
-@pytest.mark.parametrize("chunk", [3, 7, 1024])
-def test_state_feedback_pair_rollouts_keep_their_bits(path, chunk):
-    # pair rollouts gather each pair's rows and run the step recursion on them
-    cfg, scen, _ = sampled_case(path)
+def first_decision_reference(policy, scen, idx):
+    """The aligned rollout inputs of pairs ``idx`` and a policy closure whose
+    first call returns the decision made on the chunk's distinct draws, then
+    gathered per pair, and whose later calls run the network."""
+    x0, xi, omega, i, _ = scen.pair_rows(idx)
+    draws, at = np.unique(i, return_inverse=True)
+    first = pol.forward(policy, scen.x0[draws], None if xi is None else scen.xi[draws])[at]
+    calls = []
+
+    def decide(z):
+        calls.append(z)
+        return first if len(calls) == 1 else pol.forward(policy, z)
+    return x0, xi, omega, decide
+
+
+def state_feedback_case(path, s):
+    cfg, scen, _ = sampled_case(path, s=s)
     arch = pol.PolicyArchitecture(cfg.arch.input_dim, (16,), cfg.model.n_u, seed=3)
-    policy = pol.init_policy(arch)
+    return cfg, scen, pol.init_policy(arch)
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.stem)
+@pytest.mark.parametrize("chunk, s", [(3, 4), (7, 4), (1024, 4), (7, 1)],
+                         ids=["3", "7", "1024", "7-s1"])
+def test_state_feedback_pair_rollouts_keep_their_bits(path, chunk, s):
+    # pair rollouts make the first decision once per draw and gather it, then
+    # run the step recursion per pair.  The reference does the same first
+    # decision, not one per pair: a draw block of one row takes numpy's
+    # matrix-vector path, whose last bits can differ from a per-pair call
+    cfg, scen, policy = state_feedback_case(path, s)
     rolled = dyn.rollout_pairs(cfg.model, policy, scen, dyn.STATE_FEEDBACK, chunk)
     for idx, xi, states, actions in rolled:
-        x0, xi_rows, omega, _, _ = scen.pair_rows(idx)
-        want = dyn.rollout_tensors(cfg.model, lambda z: pol.forward(policy, z),
-                                   x0, xi_rows, omega, dyn.STATE_FEEDBACK)
+        x0, xi_rows, omega, decide = first_decision_reference(policy, scen, idx)
+        want = dyn.rollout_tensors(cfg.model, decide, x0, xi_rows, omega, dyn.STATE_FEEDBACK)
         assert (xi is None) if xi_rows is None else np.array_equal(xi, xi_rows)
         assert states.tobytes() == want[0].tobytes()
         assert actions.tobytes() == want[1].tobytes()
+
+
+SF_PATHS = [p for p in CONFIGS if p.stem in ("ex1_double_integrator_desk", "ex3_obstacle_desk")]
+
+
+@pytest.mark.parametrize("path", SF_PATHS, ids=lambda p: p.stem)
+@pytest.mark.parametrize("chunk, s", [(7, 4), (1024, 4), (3, 4), (7, 1), (5, 2)])
+def test_state_feedback_first_decision_runs_once_per_draw(path, chunk, s, monkeypatch):
+    # ex3 desk is full-horizon; its state-feedback copy here reads xi, so
+    # the first call sees concat(x0, xi) of the chunk's distinct draws
+    cfg, scen, policy = state_feedback_case(path, s)
+    calls = []
+    original = ad.mlp_values
+
+    def counted(z, layers, inputs=None):
+        calls.append(np.array(z))
+        return original(z, layers, inputs)
+
+    monkeypatch.setattr(ad, "mlp_values", counted)
+    for idx, _, states, _ in dyn.rollout_pairs(cfg.model, policy, scen,
+                                               dyn.STATE_FEEDBACK, chunk):
+        draws = np.unique(idx // scen.s)
+        first, *later = calls
+        calls.clear()
+        assert np.array_equal(first, pol.join_input(scen.x0[draws], scen.xi[draws]))
+        assert [z.shape[0] for z in later] == [idx.size] * (cfg.horizon - 1)
+        assert states.shape[0] == idx.size

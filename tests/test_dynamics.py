@@ -297,6 +297,19 @@ def test_unknown_mode_rejected(double_integrator):
                 np.zeros((2, 2)))
 
 
+@pytest.mark.parametrize("mode", dyn.MODES)
+def test_taped_pair_rollout_rejected(double_integrator, mode):
+    # pairs gathers rows in numpy, off the tape, so a taped policy is refused
+    horizon = 3
+    arch = pol.PolicyArchitecture(2, (4,), horizon if mode == dyn.FULL_HORIZON else 1, seed=1)
+    flat = ad.Tape().param(pol.init_policy(arch).weights)
+    pairs = (np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1]))
+    with pytest.raises(ValueError, match="pairs"):
+        dyn.rollout_tensors(double_integrator, lambda z: pol.apply_layers(flat, arch, z),
+                            np.zeros((2, 2)), None, np.zeros((2, horizon, 2)), mode,
+                            pairs=pairs)
+
+
 def test_open_loop_superposition(double_integrator):
     # rollouts under fixed inputs superpose (linear dynamics), on the
     # condensed path and on the step recursion alike
