@@ -106,13 +106,13 @@ def certify(mu_tilde: float, r: int, m: int, s: int, beta: float, delta: float,
 
 
 def run_certification(policy, model, scenarios, constraints, terminal, mode,
-                      beta, delta, policy_checkpoint="", chunk: int = 1024):
+                      beta, delta, policy_checkpoint=""):
     """Roll, score and bound in one call; returns (report, per-pair pass flags).
 
     ``terminal`` is the set checked at step N in place of ``constraints.terminal``.
     """
     constraints = replace(constraints, terminal=terminal)
-    mu_tilde, passes = empirical_risk(policy, model, scenarios, constraints, mode, chunk=chunk)
+    mu_tilde, passes = empirical_risk(policy, model, scenarios, constraints, mode)
     failures = [{"part": part, "kind": c.kind,
                  "failed": scenarios.size - int(np.count_nonzero(passes[:, k]))}
                 for k, (part, c) in enumerate(constraints.checked())]

@@ -120,15 +120,27 @@ def run_train(cfg, seed: int, out: Path, checkpoint_every: int = 0):
     return artifacts
 
 
-def run_certify(cfg, seed: int, out: Path, checkpoint: str):
+def _load_policy(checkpoint: str, arch):
+    """The checkpoint's policy, refused when its input or output width is
+    not ``arch``'s; hidden widths are a training choice and may differ."""
+    from .policy import load_checkpoint
+
+    policy = load_checkpoint(checkpoint)
+    got = (policy.arch.input_dim, policy.arch.output_dim)
+    if got != (arch.input_dim, arch.output_dim):
+        raise ValueError(f"{checkpoint}: checkpoint has input width {got[0]} and output "
+                         f"width {got[1]}, the config wants {arch.input_dim} and "
+                         f"{arch.output_dim}")
+    return policy
+
+
+def run_certify(cfg, seed: int, out: Path, policy, checkpoint: str):
     from dataclasses import replace
 
     import numpy as np
 
     from .certify import run_certification, save_report
-    from .policy import load_checkpoint
 
-    policy = load_checkpoint(checkpoint)
     _, _, test_set = _sampled_splits(cfg, seed)
     report, flags = run_certification(policy, cfg.model, test_set, cfg.constraints,
                                       cfg.terminal, cfg.mode, cfg.beta, cfg.delta,
@@ -147,16 +159,13 @@ def run_certify(cfg, seed: int, out: Path, checkpoint: str):
     return [Path("certificate.json"), Path("indicator.csv")]
 
 
-def run_simulate(cfg, seed: int, out: Path, checkpoint: str,
-                 count=None, steps=None):
+def run_simulate(cfg, seed: int, out: Path, policy, count=None, steps=None):
     import numpy as np
 
     from . import rng as _rng
     from . import svg
     from .dynamics import simulate
-    from .policy import load_checkpoint
 
-    policy = load_checkpoint(checkpoint)
     count = cfg.sim_count if count is None else count
     steps = cfg.sim_steps if steps is None else steps
 
@@ -212,14 +221,12 @@ def run_simulate(cfg, seed: int, out: Path, checkpoint: str,
     return artifacts
 
 
-def run_benchmark(cfg, seed: int, out: Path, checkpoint: str, instances=None):
+def run_benchmark(cfg, seed: int, out: Path, policy, instances=None):
     import numpy as np
 
     from . import rng as _rng
     from .baseline import benchmark, save_benchmark
-    from .policy import load_checkpoint
 
-    policy = load_checkpoint(checkpoint)
     n = cfg.bench_instances if instances is None else instances
     x0, xi = cfg.params.sample(seed, _rng.BENCH, n)
     cases = [(x0[t], xi[t] if xi.shape[1] else None) for t in range(n)]
@@ -270,14 +277,14 @@ def main(argv=None) -> int:
         with np.errstate(over="ignore", invalid="ignore"):
             if args.command == "train":
                 artifacts = run_train(cfg, seed, out, args.checkpoint_every)
-            elif args.command == "certify":
-                artifacts = run_certify(cfg, seed, out, args.checkpoint)
-            elif args.command == "simulate":
-                artifacts = run_simulate(cfg, seed, out, args.checkpoint,
-                                         args.count, args.steps)
             else:
-                artifacts = run_benchmark(cfg, seed, out, args.checkpoint,
-                                          args.instances)
+                policy = _load_policy(args.checkpoint, cfg.arch)
+                if args.command == "certify":
+                    artifacts = run_certify(cfg, seed, out, policy, args.checkpoint)
+                elif args.command == "simulate":
+                    artifacts = run_simulate(cfg, seed, out, policy, args.count, args.steps)
+                else:
+                    artifacts = run_benchmark(cfg, seed, out, policy, args.instances)
         sys.stdout.flush()  # a closed pipe fails here, not in the exit-time flush
     except (OSError, ValueError) as err:
         where = err

@@ -17,14 +17,14 @@ from the condensed prediction of linear MPC,
     [x_1; ...; x_N] = Phi x0 + Gamma U + Gamma_w W,
 
 so the whole rollout costs one matmul against a constant on the tape.
-Rollouts of a scenario cross product take the pair index (i, j): pair p
-plays draw i[p] under disturbance sequence j[p], so ``x0 Phi^T`` and the
-plan's ``U Gamma^T`` are computed once per draw, ``W Gamma_w^T`` once per
-sequence, and each pair's states gather and add those rows.
-State-feedback mode runs the recursion x' = x A^T + u B^T + w; with pairs,
-its first decision, on (x0, xi) alone, runs once per draw and is gathered,
-and every step from there runs per pair.  ``simulate`` runs that same
-recursion with a policy that replans every step.
+State-feedback mode runs the recursion x' = x A^T + u B^T + w.  In
+either mode the first policy call reads only (x0, xi): it is the plan or
+step 0's action.  Rollouts of a scenario cross product take the pair index
+(i, j), pair p playing draw i[p] under disturbance sequence j[p], so that
+call runs once per draw and is gathered, as are ``x0 Phi^T`` and the plan's
+``U Gamma^T``; ``W Gamma_w^T`` runs once per sequence, and state-feedback
+steps from 1 on run per pair.  ``simulate`` runs the same recursion with a
+policy that replans every step.
 """
 
 from __future__ import annotations
@@ -150,27 +150,21 @@ class NoiseSpec:
         return w
 
 
-def _untaped(values):
-    """``values``, refused when it is a tape tensor: ``pairs`` gathers off the tape."""
-    if isinstance(values, ad.Tensor):
-        raise ValueError("rollout_tensors: pairs needs an untaped policy, got a tape tensor")
-    return values
-
-
 def rollout_tensors(model, policy_fn, x0, xi, omega, mode, pairs=None):
     """Roll the closed loop over a batch; returns the state and action blocks.
 
     ``policy_fn`` maps a (b, n_x + d) block, the state joined with ``xi``,
-    to an action array or tape tensor: in full-horizon mode one call on x0
-    produces the flat (b, N * n_u) plan, in state-feedback mode it is called
-    on (x_k, xi) at every step.  ``xi`` is (b, d) or None, ``omega`` (b, N, n_x).
+    to an action array or tape tensor.  Its first call, on (x0, xi), is
+    made once in either mode: in full-horizon mode it is the flat
+    (b, N * n_u) plan, in state-feedback mode step 0's action, and the
+    policy then runs on (x_k, xi) at every later step.  ``xi`` is (b, d) or
+    None, ``omega`` (b, N, n_x).
 
     ``pairs`` = (i, j), untaped only, crosses the rows: rollout p plays row
-    i[p] of ``x0`` and ``xi`` under row j[p] of ``omega``.  In full-horizon
-    mode the policy and the products then run once per row and are gathered;
-    in state-feedback mode the first decision runs once per row of ``x0`` and
-    is gathered, and the steps run per pair.  A policy that returns a tape
-    tensor with ``pairs`` raises ValueError.
+    i[p] of ``x0`` and ``xi`` under row j[p] of ``omega``.  The first call
+    then runs once per row of ``x0`` and is gathered, as are the
+    full-horizon products; state-feedback steps from 1 on run per pair.  A
+    policy that returns a tape tensor with ``pairs`` raises ValueError.
 
     Returns (states, actions) of shape (b, N+1, n_x) and (b, N, n_u), with
     states[:, 0] = x0: tape tensors when the policy's are, else ndarrays.
@@ -180,37 +174,37 @@ def rollout_tensors(model, policy_fn, x0, xi, omega, mode, pairs=None):
     x0 = np.asarray(x0, dtype=np.float64)
     omega = np.asarray(omega, dtype=np.float64)
     (seqs, horizon, n_x), n_u = omega.shape, model.n_u
+    first = policy_fn(pol.join_input(x0, xi))
+    if pairs is not None:
+        if isinstance(first, ad.Tensor):  # pairs gather off the tape
+            raise ValueError("rollout_tensors: pairs needs an untaped policy, got a tape tensor")
+        i, j = pairs
     if mode == FULL_HORIZON:
-        plan = policy_fn(pol.join_input(x0, xi))
-        if plan.shape[1] != horizon * n_u:
-            raise ValueError(f"policy emits width {plan.shape[1]}, "
+        if first.shape[1] != horizon * n_u:
+            raise ValueError(f"policy emits width {first.shape[1]}, "
                              f"horizon wants {horizon} * {n_u}")
         phi, gamma, gamma_w = model.prediction(horizon)
         free, noise = x0 @ phi.T, omega.reshape(seqs, -1) @ gamma_w.T  # data only
-        driven = ad.matmul(plan, gamma.T)
+        driven = ad.matmul(first, gamma.T)
         if pairs is None:
             moved = ad.add(driven, free + noise)
         else:
             # each pair's rows, summed in one block; addition commutes, so
             # (free + noise) + driven has the bits of driven + (free + noise)
-            i, j = pairs
             moved = free.take(i, axis=0)
             moved += noise.take(j, axis=0)
-            moved += _untaped(driven).take(i, axis=0)
-            x0, plan = x0.take(i, axis=0), plan.take(i, axis=0)
+            moved += driven.take(i, axis=0)
+            x0, first = x0.take(i, axis=0), first.take(i, axis=0)
         batch = x0.shape[0]
         states = ad.concat([x0[:, None, :], ad.reshape(moved, (batch, horizon, n_x))], axis=1)
-        return states, ad.reshape(plan, (batch, horizon, n_u))
-    actions = []
+        return states, ad.reshape(first, (batch, horizon, n_u))
     if pairs is not None:
-        # the first decision reads only the draw: one policy row per draw
-        i, j = pairs
-        actions.append(_untaped(policy_fn(pol.join_input(x0, xi)))[i])
-        x0, xi, omega = x0[i], None if xi is None else xi[i], omega[j]
+        first, x0, omega = first.take(i, axis=0), x0.take(i, axis=0), omega.take(j, axis=0)
+        xi = None if xi is None else xi.take(i, axis=0)
     joined = xi is not None and np.size(xi) > 0
-    states = [x0]
+    states, actions = [x0], [first]
     for k in range(horizon):
-        if k == len(actions):  # else the pairs branch made step 0's decision
+        if k:  # step 0 applies the first call
             z = ad.concat([states[k], xi], axis=1) if joined else states[k]
             actions.append(policy_fn(z))
         # x' = x A^T + u B^T + w, row by row
@@ -229,9 +223,8 @@ def rollout_pairs(model, policy, scenarios, mode, chunk: int):
     ``rollout_tensors`` its range of draws, its sequences and (i, j): all s
     sequences, or its own rows when it holds fewer than s pairs (each
     sequence then at most once).  So no product runs on more rows than the
-    chunk has pairs, a full-horizon network runs once per draw, and a
-    state-feedback network runs once per draw at step 0 and once per pair
-    after it.
+    chunk has pairs, and the first policy call, which reads only the draw,
+    runs once per draw in either mode.
     """
     for start in range(0, scenarios.size, chunk):
         idx = np.arange(start, min(start + chunk, scenarios.size))
@@ -241,15 +234,10 @@ def rollout_pairs(model, policy, scenarios, mode, chunk: int):
         xi = scenarios.xi[lo:hi] if scenarios.xi.shape[1] else None
         omega = scenarios.omega
         if idx.size < scenarios.s:
-            omega, j = omega[j], np.arange(idx.size)
-        if mode == FULL_HORIZON:
-            plans = pol.forward(policy, x0, xi)
-            policy_fn = lambda z: plans
-        else:
-            policy_fn = lambda z: pol.forward(policy, z)
-        states, actions = rollout_tensors(model, policy_fn, x0, xi, omega, mode,
-                                          pairs=(i - lo, j))
-        yield idx, None if xi is None else xi[i - lo], states, actions
+            omega, j = omega.take(j, axis=0), np.arange(idx.size)
+        states, actions = rollout_tensors(model, lambda z: pol.forward(policy, z),
+                                          x0, xi, omega, mode, pairs=(i - lo, j))
+        yield idx, None if xi is None else xi.take(i - lo, axis=0), states, actions
 
 
 def simulate(model, policy, x0, xi, omega):

@@ -5,9 +5,9 @@ x0_i plus parameter vector xi_i) with s disturbance sequences Omega_j: the
 pair (i, j) plays rollout i under disturbance sequence j, giving r = m * s
 scenarios total.  Disturbance sequences are shared across parametric draws
 by construction, so a rollout of the set (``dynamics.rollout_pairs``)
-computes what reads only the draw once per draw: the full-horizon plan,
-``x0 Phi^T`` and ``U Gamma^T``, or the first state-feedback decision.  A
-full-horizon ``W Gamma_w^T`` runs once per sequence.
+computes what reads only the draw once per draw: the first policy call, on
+(x0, xi), in either mode, and the full-horizon ``x0 Phi^T`` and
+``U Gamma^T``.  A full-horizon ``W Gamma_w^T`` runs once per sequence.
 
 Each block -- x0, each component of xi, Omega -- is drawn in one call from
 its own generator (see ``rng``), and row i of a block is the same whether

@@ -516,14 +516,23 @@ def test_state_feedback_pair_rollouts_keep_their_bits(path, chunk, s):
 
 
 SF_PATHS = [p for p in CONFIGS if p.stem in ("ex1_double_integrator_desk", "ex3_obstacle_desk")]
+FH_PATHS = [p for p in CONFIGS if p.stem in ("ex2_quadcopter_desk", "ex3_obstacle_desk")]
 
 
-@pytest.mark.parametrize("path", SF_PATHS, ids=lambda p: p.stem)
+@pytest.mark.parametrize("mode, path", [
+    *(pytest.param(dyn.STATE_FEEDBACK, p, id=f"state-feedback-{p.stem}") for p in SF_PATHS),
+    *(pytest.param(dyn.FULL_HORIZON, p, id=f"full-horizon-{p.stem}") for p in FH_PATHS)])
 @pytest.mark.parametrize("chunk, s", [(7, 4), (1024, 4), (3, 4), (7, 1), (5, 2)])
-def test_state_feedback_first_decision_runs_once_per_draw(path, chunk, s, monkeypatch):
-    # ex3 desk is full-horizon; its state-feedback copy here reads xi, so
-    # the first call sees concat(x0, xi) of the chunk's distinct draws
-    cfg, scen, policy = state_feedback_case(path, s)
+def test_first_policy_call_runs_once_per_draw(mode, path, chunk, s, monkeypatch):
+    # the first call reads only (x0, xi), so in either mode it sees
+    # concat(x0, xi) of the chunk's distinct draws.  The full-horizon
+    # configs run as committed; ex3 desk's state-feedback copy reads xi too
+    if mode == dyn.STATE_FEEDBACK:
+        cfg, scen, policy = state_feedback_case(path, s)
+    else:
+        cfg, scen, policy = sampled_case(path, s=s)
+        assert cfg.mode == mode
+    steps = cfg.horizon - 1 if mode == dyn.STATE_FEEDBACK else 0
     calls = []
     original = ad.mlp_values
 
@@ -532,11 +541,10 @@ def test_state_feedback_first_decision_runs_once_per_draw(path, chunk, s, monkey
         return original(z, layers, inputs)
 
     monkeypatch.setattr(ad, "mlp_values", counted)
-    for idx, _, states, _ in dyn.rollout_pairs(cfg.model, policy, scen,
-                                               dyn.STATE_FEEDBACK, chunk):
+    for idx, _, states, _ in dyn.rollout_pairs(cfg.model, policy, scen, mode, chunk):
         draws = np.unique(idx // scen.s)
         first, *later = calls
         calls.clear()
         assert np.array_equal(first, pol.join_input(scen.x0[draws], scen.xi[draws]))
-        assert [z.shape[0] for z in later] == [idx.size] * (cfg.horizon - 1)
+        assert [z.shape[0] for z in later] == [idx.size] * steps
         assert states.shape[0] == idx.size

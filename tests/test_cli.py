@@ -16,7 +16,7 @@ import pytest
 
 from spdpc import __version__, cli, rng
 from spdpc.config import load_config
-from spdpc.policy import init_policy, load_checkpoint, save_checkpoint
+from spdpc.policy import PolicyArchitecture, init_policy, load_checkpoint, save_checkpoint
 from spdpc.trainer import HISTORY_COLUMNS
 
 REPORT_KEYS = ["r", "m", "s", "beta", "delta", "mu_tilde", "alpha",
@@ -197,6 +197,22 @@ class TestExitCodes:
                    "--checkpoint", str(checkpoint)) == 1
         assert capsys.readouterr().err == \
             f"error: {checkpoint}: malformed checkpoint ({message})\n"
+        assert not (out / "manifest.json").exists()
+
+    @pytest.mark.parametrize("command", ["certify", "simulate", "benchmark"])
+    @pytest.mark.parametrize("input_dim, output_dim", [(2, 2), (4, 3)], ids=["input", "output"])
+    def test_checkpoint_of_other_widths_is_one_error_line(self, tmp_path, capsys, command,
+                                                          input_dim, output_dim):
+        # micro's policy reads 4 inputs and emits 2; hidden widths may differ
+        path = micro_config(tmp_path)
+        checkpoint = tmp_path / "policy.json"
+        save_checkpoint(init_policy(PolicyArchitecture(input_dim, (3,), output_dim)), checkpoint)
+        out = tmp_path / "out"
+        assert run(command, "--config", str(path), "--out", str(out),
+                   "--checkpoint", str(checkpoint)) == 1
+        assert capsys.readouterr().err == (
+            f"error: {checkpoint}: checkpoint has input width {input_dim} and output "
+            f"width {output_dim}, the config wants 4 and 2\n")
         assert not (out / "manifest.json").exists()
 
     @pytest.mark.parametrize("fixture, message", [
